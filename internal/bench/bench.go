@@ -148,7 +148,9 @@ type Result struct {
 	// CompileSeconds and SimSeconds split the measurement's wall clock
 	// into the compile phase (front end through schedule validation)
 	// and the simulation phase (lowering plus execution on the
-	// selected engine).
+	// selected engine). Through a Harness the front end runs once per
+	// program, and its time is charged only to the measurement that ran
+	// it; the others' compile phase starts at their back end.
 	CompileSeconds float64
 	SimSeconds     float64
 }
@@ -215,6 +217,33 @@ func RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Res
 	if cc == nil {
 		cc = new(pipeline.Compiler)
 	}
+	compileStart := time.Now()
+	c, err := cc.CompileCtx(ctx, p.Source, p.Name, pipelineOptions(mode, ro))
+	if err != nil {
+		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
+	}
+	return measure(ctx, p, mode, ro.Engine, cc, c, compileStart)
+}
+
+// runPrepared is RunCtx for a program whose front end has already
+// run: it finishes a private copy of prep under mode and ro, then
+// simulates and checks it. Its compile phase covers the back end only.
+func runPrepared(ctx context.Context, p Program, prep *pipeline.Prepared, mode alloc.Mode, ro RunOptions) (Result, error) {
+	cc := ro.Compiler
+	if cc == nil {
+		cc = new(pipeline.Compiler)
+	}
+	compileStart := time.Now()
+	c, err := cc.Finish(ctx, prep, pipelineOptions(mode, ro))
+	if err != nil {
+		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
+	}
+	return measure(ctx, p, mode, ro.Engine, cc, c, compileStart)
+}
+
+// pipelineOptions translates a measurement request into compiler
+// options.
+func pipelineOptions(mode alloc.Mode, ro RunOptions) pipeline.Options {
 	po := pipeline.Options{
 		Mode: mode, Partitioner: ro.Partitioner,
 		FMPasses: ro.FMPasses, Profiled: ro.Profiled,
@@ -227,11 +256,13 @@ func RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Res
 			po.DupOnly[name] = true
 		}
 	}
-	compileStart := time.Now()
-	c, err := cc.CompileCtx(ctx, p.Source, p.Name, po)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
-	}
+	return po
+}
+
+// measure validates c's schedule, simulates it on engine, checks the
+// program's outputs and assembles the Result. The compile phase is
+// timed from compileStart to the end of schedule validation.
+func measure(ctx context.Context, p Program, mode alloc.Mode, engine Engine, cc *pipeline.Compiler, c *pipeline.Compiled, compileStart time.Time) (Result, error) {
 	if err := compact.Validate(c.Sched); err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
@@ -241,19 +272,19 @@ func RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Res
 	// switch only selects dispatch machinery. The compiled engine
 	// recycles the compiler's batch arena, so its returned machine must
 	// be fully read (cycles, output check) before this compiler runs
-	// anything else — which RunCtx does before returning.
+	// anything else — which measure does before returning.
 	var m simMachine
-	var err2 error
-	switch ro.Engine {
+	var err error
+	switch engine {
 	case EngineMachine:
-		m, err2 = c.RunCtx(ctx)
+		m, err = c.RunCtx(ctx)
 	case EngineFast:
-		m, err2 = c.RunFastCtx(ctx)
+		m, err = c.RunFastCtx(ctx)
 	default:
-		m, err2 = c.RunCompiledCtx(ctx, cc.SimBatch())
+		m, err = c.RunCompiledCtx(ctx, cc.SimBatch())
 	}
-	if err2 != nil {
-		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err2)
+	if err != nil {
+		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
 	simSeconds := time.Since(simStart).Seconds()
 	if p.Check != nil {
@@ -304,25 +335,4 @@ type BatchOutcome struct {
 	Res    Result
 	Cached bool
 	Err    error
-}
-
-// RunBatchCtx measures one benchmark under many configuration variants
-// on a shared compiler: all variants reuse one set of back-end scratch
-// buffers and one recycled simulation arena, so a family of
-// duplication or partition variants costs one warm-up instead of one
-// per variant. Outcomes are returned in item order. A cancelled
-// context fails the remaining items with its error but never corrupts
-// completed outcomes; per-variant failures are recorded in their slot
-// and evaluation continues.
-func RunBatchCtx(ctx context.Context, p Program, items []BatchItem) []BatchOutcome {
-	cc := new(pipeline.Compiler)
-	out := make([]BatchOutcome, len(items))
-	for i, it := range items {
-		ro := it.Opts
-		if ro.Compiler == nil {
-			ro.Compiler = cc
-		}
-		out[i].Res, out[i].Err = RunCtx(ctx, p, it.Mode, ro)
-	}
-	return out
 }

@@ -10,11 +10,13 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dualbank/internal/alloc"
 	"dualbank/internal/core"
 	"dualbank/internal/cost"
 	"dualbank/internal/machine"
+	"dualbank/internal/opt"
 	"dualbank/internal/pipeline"
 )
 
@@ -58,8 +60,13 @@ type Harness struct {
 	mu      sync.Mutex
 	cache   map[runKey]*cacheEntry
 	timings []RunTiming
+	// prepared memoizes the front end of every program measured
+	// recently, so each run-cache miss pays only its back end; order
+	// lists its entries oldest first for eviction (see prepare).
+	prepared map[prepKey]*prepEntry
+	order    []*prepEntry
 
-	hits, misses, l2hits atomic.Int64
+	hits, misses, l2hits, prepares atomic.Int64
 }
 
 // ResultCache is a shared second-level result cache — typically the
@@ -74,7 +81,9 @@ type ResultCache interface {
 }
 
 // RunTiming is the compile/simulate wall-clock split of one executed
-// (benchmark, mode) measurement — one entry per cache miss.
+// (benchmark, mode) measurement — one entry per cache miss. The
+// harness runs each program's front end once, and its time is charged
+// only to the measurement that ran it.
 type RunTiming struct {
 	Bench          string     `json:"bench"`
 	Mode           alloc.Mode `json:"mode"`
@@ -236,7 +245,11 @@ func NewHarness(parallel int) *Harness {
 	if parallel < 1 {
 		parallel = 1
 	}
-	return &Harness{Parallel: parallel, cache: make(map[runKey]*cacheEntry)}
+	return &Harness{
+		Parallel: parallel,
+		cache:    make(map[runKey]*cacheEntry),
+		prepared: make(map[prepKey]*prepEntry),
+	}
 }
 
 // CacheStats reports the memoized cache's traffic: Misses is the
@@ -245,14 +258,19 @@ func NewHarness(parallel int) *Harness {
 // entry, and L2Hits the number of measurements satisfied by the shared
 // second-level cache instead of computing. Hits + Misses + L2Hits
 // accounts for every measurement request when an L2 is configured;
-// without one, L2Hits stays zero.
+// without one, L2Hits stays zero. Prepares is the number of front-end
+// runs the misses needed: one per program while the front-end memo
+// holds it.
 type CacheStats struct {
-	Hits, Misses, L2Hits int64
+	Hits, Misses, L2Hits, Prepares int64
 }
 
 // Stats returns the cache counters.
 func (h *Harness) Stats() CacheStats {
-	return CacheStats{Hits: h.hits.Load(), Misses: h.misses.Load(), L2Hits: h.l2hits.Load()}
+	return CacheStats{
+		Hits: h.hits.Load(), Misses: h.misses.Load(),
+		L2Hits: h.l2hits.Load(), Prepares: h.prepares.Load(),
+	}
 }
 
 // Run measures one (benchmark, mode) pair through the cache: the first
@@ -402,13 +420,100 @@ func (h *Harness) Cached(p Program, mode alloc.Mode, ro RunOptions) bool {
 
 // compute is one cache-miss execution: the Intercept hook (fault
 // injection, instrumentation) runs first and may veto the measurement.
+// The program's front end comes from the memo; only the back end and
+// the simulation run here.
 func (h *Harness) compute(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Result, error) {
 	if h.Intercept != nil {
 		if err := h.Intercept(ctx, p, mode); err != nil {
 			return Result{}, err
 		}
 	}
-	return RunCtx(ctx, p, mode, ro)
+	prep, frontSeconds, err := h.prepare(ctx, p)
+	if err != nil {
+		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
+	}
+	res, err := runPrepared(ctx, p, prep, mode, ro)
+	if err != nil {
+		return Result{}, err
+	}
+	res.CompileSeconds += frontSeconds
+	return res, nil
+}
+
+// prepMemoSize bounds the front-end memo. It holds the whole benchmark
+// suite plus the FIR sweep, so a full evaluation prepares each program
+// once; beyond it the oldest entry is dropped.
+const prepMemoSize = 32
+
+// prepKey identifies one program's front end. Holding the source as a
+// struct field hashes it in place on every lookup, where a joined
+// string would copy it first.
+type prepKey struct{ name, source string }
+
+// prepEntry is a single-flight slot for one front end, following the
+// cacheEntry protocol, except that a failed front end is never kept:
+// its waiters see the error, and later requests run it again.
+type prepEntry struct {
+	key       prepKey
+	done      chan struct{}
+	prep      *pipeline.Prepared
+	err       error
+	cancelled bool
+}
+
+// prepare returns p's front end from the memo, running it on a miss.
+// frontSeconds is the front end's wall clock when this call ran it,
+// and zero when it came from the memo or from another request's run.
+func (h *Harness) prepare(ctx context.Context, p Program) (prep *pipeline.Prepared, frontSeconds float64, err error) {
+	key := prepKey{name: p.Name, source: p.Source}
+	for {
+		h.mu.Lock()
+		if e, ok := h.prepared[key]; ok {
+			h.mu.Unlock()
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return nil, 0, fmt.Errorf("%s: awaiting shared front end: %w", p.Name, ctx.Err())
+			}
+			if e.cancelled {
+				if cerr := ctx.Err(); cerr != nil {
+					return nil, 0, fmt.Errorf("%s: awaiting shared front end: %w", p.Name, cerr)
+				}
+				continue
+			}
+			return e.prep, 0, e.err
+		}
+		e := &prepEntry{key: key, done: make(chan struct{})}
+		h.prepared[key] = e
+		h.order = append(h.order, e)
+		for len(h.order) > prepMemoSize {
+			// Drop the oldest slot. It may be in flight — its computer
+			// and waiters hold the entry itself — or already gone.
+			old := h.order[0]
+			n := copy(h.order, h.order[1:])
+			h.order[n] = nil
+			h.order = h.order[:n]
+			if h.prepared[old.key] == old {
+				delete(h.prepared, old.key)
+			}
+		}
+		h.mu.Unlock()
+
+		h.prepares.Add(1)
+		start := time.Now()
+		e.prep, e.err = pipeline.Prepare(ctx, p.Source, p.Name, opt.Options{})
+		frontSeconds = time.Since(start).Seconds()
+		if e.err != nil {
+			h.mu.Lock()
+			e.cancelled = ctx.Err() != nil
+			if h.prepared[key] == e {
+				delete(h.prepared, key)
+			}
+			h.mu.Unlock()
+		}
+		close(e.done)
+		return e.prep, frontSeconds, e.err
+	}
 }
 
 // isTransient reports whether err carries the Transient() bool marker

@@ -17,6 +17,7 @@ import (
 	"dualbank/internal/cost"
 	"dualbank/internal/genmc"
 	"dualbank/internal/machine"
+	"dualbank/internal/opt"
 	"dualbank/internal/pipeline"
 )
 
@@ -215,10 +216,10 @@ func engines(ctx context.Context, gp genmc.Program, c *pipeline.Compiled, cc *pi
 	return ref.Cycles
 }
 
-// fastCycles compiles source under o and returns the fast engine's
-// cycle count, for the metamorphic comparisons.
-func fastCycles(ctx context.Context, cc *pipeline.Compiler, source, name string, o pipeline.Options) (int64, error) {
-	c, err := cc.CompileCtx(ctx, source, name, o)
+// fastCycles finishes prep under o and returns the fast engine's cycle
+// count, for the metamorphic comparisons.
+func fastCycles(ctx context.Context, cc *pipeline.Compiler, prep *pipeline.Prepared, o pipeline.Options) (int64, error) {
+	c, err := cc.Finish(ctx, prep, o)
 	if err != nil {
 		return 0, err
 	}
@@ -233,7 +234,9 @@ func fastCycles(ctx context.Context, cc *pipeline.Compiler, source, name string,
 // three allocation arms, three engines each, the expected-output
 // oracle, and (optionally) the three metamorphic invariances. It
 // returns the measured row and every failure found — an empty slice
-// means the program verified clean.
+// means the program verified clean. Each distinct source — the
+// program and its two transformed variants — runs the front end once;
+// every arm finishes its own copy.
 func VerifyProgram(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler, metamorphic bool) (Row, []string) {
 	row := Row{
 		Name:      gp.Name,
@@ -241,9 +244,14 @@ func VerifyProgram(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler,
 		Seed:      gp.Knobs.Seed,
 	}
 	var fails []string
+	prep, prepErr := pipeline.Prepare(ctx, gp.Source, gp.Name, opt.Options{})
 	base := make(map[alloc.Mode]int64, len(VerifyModes))
 	for _, mode := range VerifyModes {
-		c, err := cc.CompileCtx(ctx, gp.Source, gp.Name, pipeline.Options{Mode: mode})
+		if prepErr != nil {
+			fails = append(fails, fmt.Sprintf("%s/%v: compile: %v", gp.Name, mode, prepErr))
+			continue
+		}
+		c, err := cc.Finish(ctx, prep, pipeline.Options{Mode: mode})
 		if err != nil {
 			fails = append(fails, fmt.Sprintf("%s/%v: compile: %v", gp.Name, mode, err))
 			continue
@@ -274,17 +282,19 @@ func VerifyProgram(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler,
 			{"swap-banks", nil, true},
 		}
 		for _, v := range variants {
-			source := gp.Source
+			vprep := prep
 			if v.transform != nil {
-				var err error
-				source, err = v.transform(gp.Source)
+				source, err := v.transform(gp.Source)
+				if err == nil {
+					vprep, err = pipeline.Prepare(ctx, source, gp.Name, opt.Options{})
+				}
 				if err != nil {
 					fails = append(fails, fmt.Sprintf("%s: %s: %v", gp.Name, v.label, err))
 					continue
 				}
 			}
 			for _, mode := range VerifyModes {
-				got, err := fastCycles(ctx, cc, source, gp.Name, pipeline.Options{Mode: mode, SwapBanks: v.swap})
+				got, err := fastCycles(ctx, cc, vprep, pipeline.Options{Mode: mode, SwapBanks: v.swap})
 				if err != nil {
 					fails = append(fails, fmt.Sprintf("%s/%v: %s: %v", gp.Name, mode, v.label, err))
 					continue
@@ -305,13 +315,13 @@ func VerifyProgram(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler,
 		// untouched — this gauntlet can only add failures.
 		hwSpec := machine.BankSpec{Banks: 4, PortsPerBank: 2}
 		for _, mode := range []alloc.Mode{alloc.CB, alloc.CBDup} {
-			c, err := cc.CompileCtx(ctx, gp.Source, gp.Name, pipeline.Options{Mode: mode, Spec: hwSpec})
+			c, err := cc.Finish(ctx, prep, pipeline.Options{Mode: mode, Spec: hwSpec})
 			if err != nil {
 				fails = append(fails, fmt.Sprintf("%s/%v: hw 4x2: compile: %v", gp.Name, mode, err))
 				continue
 			}
 			hwCycles := engines(ctx, gp, c, cc, &fails)
-			got, err := fastCycles(ctx, cc, gp.Source, gp.Name,
+			got, err := fastCycles(ctx, cc, prep,
 				pipeline.Options{Mode: mode, Spec: hwSpec, BankPerm: []int{1, 2, 3, 0}})
 			if err != nil {
 				fails = append(fails, fmt.Sprintf("%s/%v: hw 4x2 perm: %v", gp.Name, mode, err))

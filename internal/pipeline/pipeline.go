@@ -3,11 +3,17 @@
 // allocation pass, and the operation-compaction pass into a single
 // Compile call, and wraps the simulator for execution. Every
 // experiment arm of the paper is one Options.Mode value.
+//
+// The passes before data allocation do not depend on the mode, so a
+// caller measuring one program under many configurations can split
+// the compile in two: Prepare runs that front end once, and Finish
+// runs the back end per configuration on a private clone of its IR.
 package pipeline
 
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"dualbank/internal/alloc"
 	"dualbank/internal/compact"
@@ -104,7 +110,50 @@ func (cc *Compiler) Compile(source, name string, o Options) (*Compiled, error) {
 // passes and inside the CBProfiled profiling run (the only pass whose
 // cost is driven by the program's dynamic behaviour rather than its
 // size), so a caller's deadline bounds compilation of hostile input.
+// It runs both stages back to back on one fresh IR, finishing it in
+// place: nothing is cloned and nothing is kept.
 func (cc *Compiler) CompileCtx(ctx context.Context, source, name string, o Options) (*Compiled, error) {
+	p, err := Prepare(ctx, source, name, o.Opt)
+	if err != nil {
+		return nil, err
+	}
+	if o.profiles() {
+		// Profile-driven edge weights: execute the program once at the
+		// IR level to annotate every basic block with its execution
+		// count before building the interference graph.
+		if err := profile(ctx, p.prog); err != nil {
+			return nil, fmt.Errorf("%s: profiling run: %w", name, err)
+		}
+	}
+	return cc.backEnd(p, p.prog, o)
+}
+
+// Prepared is a program after the front end — parsed, analyzed,
+// lowered, optimized, verified and register-allocated — which is
+// everything the allocation mode does not affect. It is immutable once
+// Prepare returns, and safe for concurrent Finish calls: each Finish
+// runs the back end on its own clone of the IR. The Pr profiling run's
+// block counts are computed once, by the first Finish that needs them,
+// and kept here beside the IR rather than in its blocks.
+type Prepared struct {
+	name string
+	prog *ir.Program
+	regs map[string]regalloc.Stats
+
+	// profiling is a one-slot semaphore held while a profiling run is
+	// in flight; counts holds the finished run's block counts, in
+	// function then block order.
+	profiling chan struct{}
+	counts    atomic.Pointer[[]int64]
+}
+
+// IR returns the prepared program. It is shared by every Finish of p
+// and must not be modified.
+func (p *Prepared) IR() *ir.Program { return p.prog }
+
+// Prepare runs the front end: parse, analyze, lower, optimize, verify
+// and register-allocate. Cancellation is checked between passes.
+func Prepare(ctx context.Context, source, name string, o opt.Options) (*Prepared, error) {
 	pass := func() error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("%s: compile: %w", name, err)
@@ -128,7 +177,7 @@ func (cc *Compiler) CompileCtx(ctx context.Context, source, name string, o Optio
 	if err := pass(); err != nil {
 		return nil, err
 	}
-	opt.Run(prog, o.Opt)
+	opt.Run(prog, o)
 	if err := ir.Verify(prog); err != nil {
 		return nil, fmt.Errorf("%s: after opt: %w", name, err)
 	}
@@ -139,23 +188,95 @@ func (cc *Compiler) CompileCtx(ctx context.Context, source, name string, o Optio
 	if err := pass(); err != nil {
 		return nil, err
 	}
+	return &Prepared{name: name, prog: prog, regs: regStats, profiling: make(chan struct{}, 1)}, nil
+}
 
-	profiled := o.Profiled && o.Mode.Partitioned()
-	if o.Mode == alloc.CBProfiled || profiled {
-		// Profile-driven edge weights: execute the program once at the
-		// IR level to annotate every basic block with its execution
-		// count before building the interference graph.
-		in := sim.NewInterp(prog)
-		in.Profile = true
-		if err := in.RunContext(ctx); err != nil {
-			return nil, fmt.Errorf("%s: profiling run: %w", name, err)
+// Finish runs the back end — profiling when the options call for it,
+// data allocation and compaction — on a fresh clone of p's IR, reusing
+// the compiler's scratch state. o.Opt is ignored: p fixed the front
+// end. The returned Compiled shares only p's register-allocation
+// statistics, which are read-only.
+func (cc *Compiler) Finish(ctx context.Context, p *Prepared, o Options) (*Compiled, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("%s: compile: %w", p.name, err)
+	}
+	prog := p.prog.Clone()
+	if o.profiles() {
+		if err := p.stampProfile(ctx, prog); err != nil {
+			return nil, fmt.Errorf("%s: profiling run: %w", p.name, err)
 		}
 	}
+	return cc.backEnd(p, prog, o)
+}
 
+// profiles reports whether the options weight interference edges by a
+// profiling run.
+func (o Options) profiles() bool {
+	return o.Mode == alloc.CBProfiled || (o.Profiled && o.Mode.Partitioned())
+}
+
+// profile executes prog once at the IR level, leaving every block's
+// execution count in Block.ExecCount.
+func profile(ctx context.Context, prog *ir.Program) error {
+	in := sim.NewInterp(prog)
+	in.Profile = true
+	return in.RunContext(ctx)
+}
+
+// stampProfile writes p's profiling counts onto prog, a clone of p's
+// IR, running the profile on prog first if no earlier Finish has. A
+// failed or cancelled run records nothing, so the next caller retries.
+func (p *Prepared) stampProfile(ctx context.Context, prog *ir.Program) error {
+	if c := p.counts.Load(); c != nil {
+		stampCounts(prog, *c)
+		return nil
+	}
+	select {
+	case p.profiling <- struct{}{}:
+	case <-ctx.Done():
+		return fmt.Errorf("awaiting shared profile: %w", ctx.Err())
+	}
+	defer func() { <-p.profiling }()
+	if c := p.counts.Load(); c != nil {
+		stampCounts(prog, *c)
+		return nil
+	}
+	// prog is a fresh clone, so profiling it directly leaves the counts
+	// where this Finish needs them; they are then copied out for later
+	// callers.
+	if err := profile(ctx, prog); err != nil {
+		return err
+	}
+	var counts []int64
+	for _, f := range prog.Funcs {
+		for _, b := range f.Blocks {
+			counts = append(counts, b.ExecCount)
+		}
+	}
+	p.counts.Store(&counts)
+	return nil
+}
+
+// stampCounts writes per-block execution counts, in function then
+// block order, onto prog.
+func stampCounts(prog *ir.Program, counts []int64) {
+	i := 0
+	for _, f := range prog.Funcs {
+		for _, b := range f.Blocks {
+			b.ExecCount = counts[i]
+			i++
+		}
+	}
+}
+
+// backEnd runs data allocation and compaction on prog, which belongs
+// to this call alone.
+func (cc *Compiler) backEnd(p *Prepared, prog *ir.Program, o Options) (*Compiled, error) {
 	allocOpts := alloc.Options{
 		Mode: o.Mode, InterruptSafe: o.InterruptSafe,
-		Method: o.Partitioner, FMPasses: o.FMPasses, Profiled: profiled,
-		Scanner: &cc.scanner, SwapBanks: o.SwapBanks,
+		Method: o.Partitioner, FMPasses: o.FMPasses,
+		Profiled: o.Profiled && o.Mode.Partitioned(),
+		Scanner:  &cc.scanner, SwapBanks: o.SwapBanks,
 		Spec: o.Spec, BankPerm: o.BankPerm,
 	}
 	if o.DupOnly != nil {
@@ -164,15 +285,15 @@ func (cc *Compiler) CompileCtx(ctx context.Context, source, name string, o Optio
 	}
 	allocRes, err := alloc.Run(prog, allocOpts)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, fmt.Errorf("%s: %w", p.name, err)
 	}
 	sched, err := compact.ScheduleWith(prog,
 		compact.Config{Ports: allocRes.Ports, MirrorBanks: o.SwapBanks,
 			Spec: o.Spec, BankPerm: o.BankPerm}, &cc.scratch)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, fmt.Errorf("%s: %w", p.name, err)
 	}
-	return &Compiled{Name: name, IR: prog, Alloc: allocRes, Sched: sched, Regs: regStats}, nil
+	return &Compiled{Name: p.name, IR: prog, Alloc: allocRes, Sched: sched, Regs: p.regs}, nil
 }
 
 // Run executes the compiled program on a fresh machine and returns it

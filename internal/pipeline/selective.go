@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -74,18 +75,25 @@ type SelectiveResult struct {
 }
 
 // CompileSelective compiles source with CB partitioning plus
-// PCR-driven selective duplication.
+// PCR-driven selective duplication. The front end runs once; every
+// trial finishes its own copy of it.
 func CompileSelective(source, name string, sel SelectiveOptions) (*SelectiveResult, error) {
 	baseOpts := Options{Mode: alloc.CBDup, DupOnly: map[string]bool{}}
 	baseOpts.Opt.NoMACFusion = sel.Opt.NoMACFusion
 	baseOpts.Opt.NoLoopShaping = sel.Opt.NoLoopShaping
 	baseOpts.Opt.NoStrengthReduce = sel.Opt.NoStrengthReduce
+	ctx := context.TODO()
+	prep, err := Prepare(ctx, source, name, baseOpts.Opt)
+	if err != nil {
+		return nil, err
+	}
+	cc := new(Compiler)
 
 	// The unoptimized reference for PG/CI.
 	refOpts := baseOpts
 	refOpts.Mode = alloc.SingleBank
 	refOpts.DupOnly = nil
-	ref, err := Compile(source, name, refOpts)
+	ref, err := cc.Finish(ctx, prep, refOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +106,7 @@ func CompileSelective(source, name string, sel SelectiveOptions) (*SelectiveResu
 	evaluate := func(dup map[string]bool) (*Compiled, int64, cost.Metrics, error) {
 		o := baseOpts
 		o.DupOnly = dup
-		c, err := Compile(source, name, o)
+		c, err := cc.Finish(ctx, prep, o)
 		if err != nil {
 			return nil, 0, cost.Metrics{}, err
 		}
@@ -122,7 +130,7 @@ func CompileSelective(source, name string, sel SelectiveOptions) (*SelectiveResu
 	}
 
 	// Candidate discovery: what would full partial duplication mark?
-	probe, err := Compile(source, name, Options{Mode: alloc.CBDup, Opt: baseOpts.Opt})
+	probe, err := cc.Finish(ctx, prep, Options{Mode: alloc.CBDup})
 	if err != nil {
 		return nil, err
 	}
