@@ -23,7 +23,6 @@ import (
 	"dualbank/internal/alloc"
 	"dualbank/internal/bench"
 	"dualbank/internal/cost"
-	"dualbank/internal/sim"
 )
 
 // measure compiles and runs p under mode once per iteration and
@@ -191,33 +190,6 @@ func BenchmarkHarnessParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runHarness(b, bench.NewHarness(runtime.GOMAXPROCS(0)))
 	}
-}
-
-// BenchmarkSimulatorFast is BenchmarkSimulator on the predecoded
-// fast-path engine: same program, same cycle counts, but the
-// steady-state loop performs no map lookups and no heap allocation.
-func BenchmarkSimulatorFast(b *testing.B) {
-	p, _ := bench.ByName("fft_1024")
-	comp, err := dualbank.Compile(p.Source, p.Name, dualbank.Options{Mode: dualbank.CB})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pd, err := sim.Predecode(comp.Sched)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := pd.NewMachine()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var total int64
-	for i := 0; i < b.N; i++ {
-		m.Reset()
-		if err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
-		total += m.Cycles
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sim_cycles/s")
 }
 
 // BenchmarkCompiler measures compilation speed (front-end through

@@ -46,9 +46,9 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool width for the experiment harness")
 	timing := flag.Bool("timing", false, "report per-section wall clock, per-run compile/simulate split, and cache traffic on stderr")
 	partitioner := flag.String("partitioner", "greedy", "graph partitioner for -bench runs: greedy, kl, anneal, fm, or exact")
-	engineName := flag.String("engine", "compiled", "simulation engine: compiled, fast, or machine")
+	engineName := flag.String("engine", "compiled", "simulation engine: "+bench.EngineNames())
 	simbench := flag.Bool("simbench", false, "measure per-engine simulator throughput (not part of -all)")
-	simcheck := flag.String("simcheck", "", "re-measure simulator throughput and fail if the compiled/fast speedup regressed >10% vs this baseline JSON")
+	simcheck := flag.String("simcheck", "", "re-measure simulator throughput and fail if the compiled/machine speedup regressed >10% vs this baseline JSON")
 	jsonPath := flag.String("json", "", "write harness results and timings to this JSON file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -211,7 +211,7 @@ func runOne(name, partitioner string, engine bench.Engine) {
 // runSimBench measures per-engine simulator throughput over the
 // standard suite, optionally writing a BENCH_sim.json-style report and
 // optionally gating on a committed baseline: with a non-empty
-// checkPath the run exits 1 if any benchmark's compiled-over-fast
+// checkPath the run exits 1 if any benchmark's compiled-over-machine
 // speedup fell more than 10% below the baseline's. The speedup ratio —
 // not raw ns/run — is what's compared, so the check transfers across
 // host speeds.

@@ -1,7 +1,7 @@
 // Command dspcorpus generates a seeded corpus of MiniC programs and
 // runs every one through the verification gauntlet: compile under
-// {single-bank, CB, CBDup}, pin all three simulation engines against
-// each other and against the generator's own evaluator, check the
+// {single-bank, CB, CBDup}, pin both simulation engines against each
+// other and against the generator's own evaluator, check the
 // metamorphic invariances, and aggregate per-archetype statistics on
 // where compaction-based partitioning and partial duplication pay off.
 //

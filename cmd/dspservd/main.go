@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	admitTimeout := fs.Duration("admit-timeout", 0, "shed requests (429) that wait longer than this for a worker slot (0 = wait out the deadline)")
 	rate := fs.Float64("rate", 0, "per-client request rate limit in requests/sec (0 = off)")
 	rateBurst := fs.Int("rate-burst", 0, "per-client burst allowance (default ceil(rate))")
-	engineName := fs.String("engine", "compiled", "simulation engine: compiled, fast, or machine")
+	engineName := fs.String("engine", "compiled", "simulation engine: "+bench.EngineNames())
 	exploreStore := fs.String("explore-store", "", "checkpoint /v1/explore evaluations to this directory")
 	storeDir := fs.String("store", "", "shared result-store directory: L2 cache for /v1/run plus /v1/explore checkpoints (cluster nodes share one)")
 	storeMaxBytes := fs.Int64("store-max-bytes", 0, "prune the result store LRU-by-mtime to this byte budget (0 = unbounded)")

@@ -47,7 +47,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	print := fs.String("print", "", "comma-separated globals to dump after the run (name or name:count)")
 	image := fs.Bool("image", false, "the input is a binary ROM image produced by dspcc -o")
 	trace := fs.Bool("trace", false, "print one line per retired long instruction (requires -engine machine)")
-	engine := fs.String("engine", "compiled", "simulation engine: compiled, fast, or machine")
+	engine := fs.String("engine", "compiled", "simulation engine: "+bench.EngineNames())
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -110,7 +110,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		globals = c.IR.Globals
 	}
 
-	// The three engines are pinned to identical counters and memory
+	// The two engines are pinned to identical counters and memory
 	// images by the differential suite; the switch picks dispatch
 	// machinery only. simMachine is the read-back surface the report
 	// and -print need.
@@ -128,13 +128,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			m.Trace = stdout
 		}
 		mach = m
-	case bench.EngineFast:
-		pd, err := sim.Predecode(sched)
-		if err != nil {
-			fmt.Fprintln(stderr, "dspsim:", err)
-			return 1
-		}
-		mach = pd.NewMachine()
 	default:
 		cp, err := sim.Compile(sched)
 		if err != nil {

@@ -52,7 +52,7 @@ func TestRunEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want string
-	for _, engine := range []string{"machine", "fast", "compiled"} {
+	for _, engine := range []string{"machine", "compiled"} {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"-engine", engine, "-print", "z:4", src}, strings.NewReader(""), &stdout, &stderr)
 		if code != 0 {
@@ -116,10 +116,16 @@ func TestRunErrors(t *testing.T) {
 	if code := run([]string{"-image", "-"}, strings.NewReader("not a rom"), &stdout, &stderr); code != 1 {
 		t.Errorf("bad image: exit %d, want 1", code)
 	}
-	if code := run([]string{"-engine", "bogus"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
-		t.Errorf("unknown engine: exit %d, want 2", code)
+	for _, engine := range []string{"bogus", "fast"} {
+		stderr.Reset()
+		if code := run([]string{"-engine", engine}, strings.NewReader(""), &stdout, &stderr); code != 2 {
+			t.Errorf("unknown engine %q: exit %d, want 2", engine, code)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "compiled") || !strings.Contains(msg, "machine") {
+			t.Errorf("unknown engine %q: stderr %q does not name the valid engines", engine, msg)
+		}
 	}
-	if code := run([]string{"-trace", "-engine", "fast", "-"}, strings.NewReader(smokeSource), &stdout, &stderr); code != 2 {
+	if code := run([]string{"-trace", "-engine", "compiled", "-"}, strings.NewReader(smokeSource), &stdout, &stderr); code != 2 {
 		t.Errorf("trace with non-machine engine: exit %d, want 2", code)
 	}
 }

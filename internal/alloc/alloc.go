@@ -123,15 +123,6 @@ type Options struct {
 	// interference-graph construction, so pipelines that allocate many
 	// programs back to back avoid rebuilding it each time.
 	Scanner *core.Scanner
-	// SwapBanks mirrors the whole assignment: every symbol the pass
-	// would place in bank X lands in bank Y and vice versa, including
-	// the save-slot alternation start and the coherence-store pair
-	// order. The banks are architecturally identical, so a swapped
-	// allocation must schedule and simulate to the same cycle count —
-	// the metamorphic test suite relies on this. Modes that do not
-	// steer banks (LowOrder, FullDup, Ideal ports) are unaffected.
-	// It is sugar for BankPerm = {1, 0}.
-	SwapBanks bool
 	// Spec is the bank/port geometry. The zero value is the classic
 	// 2-bank, 1-port machine, which takes the historical allocation
 	// path bit for bit; other specs run the k-way generalization.
@@ -139,13 +130,15 @@ type Options struct {
 	// (SingleBank, CB, CBProfiled, CBDup, FullDup) — Ideal and
 	// LowOrder are defined on the paper's 2-bank machine.
 	Spec machine.BankSpec
-	// BankPerm generalizes SwapBanks to an arbitrary permutation of
-	// the spec's banks: a symbol the pass would place in bank b lands
-	// in bank BankPerm[b], including the save-slot rotation and the
-	// coherence-store order. Nil means identity. The banks are
-	// architecturally identical, so a permuted allocation schedules
-	// and simulates to the same cycle count — the k-ary metamorphic
-	// invariance the corpus gauntlet asserts.
+	// BankPerm relabels the spec's banks by a permutation: a symbol
+	// the pass would place in bank b lands in bank BankPerm[b],
+	// including the save-slot rotation and the coherence-store order.
+	// Nil means identity; on the classic machine {1, 0} mirrors the
+	// whole X/Y assignment. The banks are architecturally identical,
+	// so a permuted allocation schedules and simulates to the same
+	// cycle count — the metamorphic invariance the test suites and the
+	// corpus gauntlet assert. Modes that do not steer banks (LowOrder,
+	// FullDup, Ideal ports) are unaffected.
 	BankPerm []int
 }
 
@@ -188,20 +181,19 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 	if !opts.Spec.IsDefault() {
 		return runK(p, opts)
 	}
-	// Default 2-bank machine: fold BankPerm into SwapBanks and take the
-	// historical path bit for bit.
+	// Default 2-bank machine: the permutation is the identity or the
+	// X/Y swap, and the historical path runs bit for bit on the
+	// (possibly swapped) bank pair.
+	bankX, bankY := machine.BankX, machine.BankY
 	if perm := opts.BankPerm; perm != nil {
 		if len(perm) != 2 || perm[0] == perm[1] || perm[0] < 0 || perm[0] > 1 {
 			return nil, fmt.Errorf("alloc: bank permutation %v invalid for 2 banks", perm)
 		}
-		opts.SwapBanks = perm[0] == 1 // an explicit permutation wins
+		if perm[0] == 1 {
+			bankX, bankY = bankY, bankX
+		}
 	}
 	res := &Result{Mode: opts.Mode, Ports: machine.PortsBanked, Spec: opts.Spec}
-
-	bankX, bankY := machine.BankX, machine.BankY
-	if opts.SwapBanks {
-		bankX, bankY = bankY, bankX
-	}
 
 	switch opts.Mode {
 	case SingleBank:
@@ -295,7 +287,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("alloc: unknown mode %v", opts.Mode)
 	}
 
-	insertCoherenceStores(p, opts, res)
+	insertCoherenceStores(p, opts, res, bankX, bankY)
 	tagMemOps(p)
 	if err := layout(p, res); err != nil {
 		return nil, err
@@ -307,16 +299,12 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 }
 
 // insertCoherenceStores doubles every store to a duplicated symbol:
-// the original targets the X copy and a clone, inserted immediately
-// after it, targets the Y copy (the pair swaps under opts.SwapBanks).
+// the original targets bankX's copy and a clone, inserted immediately
+// after it, targets bankY's (X then Y, swapped under BankPerm {1, 0}).
 // The two stores carry different bank tags, so the dependence graph
 // lets them issue in the same long instruction when both memory units
 // are free.
-func insertCoherenceStores(p *ir.Program, opts Options, res *Result) {
-	bankX, bankY := machine.BankX, machine.BankY
-	if opts.SwapBanks {
-		bankX, bankY = bankY, bankX
-	}
+func insertCoherenceStores(p *ir.Program, opts Options, res *Result, bankX, bankY machine.Bank) {
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
 			var out []*ir.Op

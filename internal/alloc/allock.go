@@ -27,9 +27,6 @@ func runK(p *ir.Program, opts Options) (*Result, error) {
 		for i := range perm {
 			perm[i] = i
 		}
-		if opts.SwapBanks {
-			perm[0], perm[1] = 1, 0
-		}
 	}
 	if err := checkPerm(perm, k); err != nil {
 		return nil, err

@@ -27,7 +27,7 @@ import (
 )
 
 // simMachine is the engine-generic surface a measurement needs: the
-// cycle count and output words. All three engines satisfy it.
+// cycle count and output words. Both engines satisfy it.
 type simMachine interface {
 	Word(sym *ir.Symbol, idx int) (uint32, error)
 	CycleCount() int64
@@ -185,7 +185,7 @@ type RunOptions struct {
 	// but memory-split figures are not, so it is part of the memo key.
 	BankPerm []int
 	// Engine selects the simulation engine. The zero value is the
-	// compiled engine. All engines produce identical measurements (the
+	// compiled engine. Both engines produce identical measurements (the
 	// differential suite pins them), but the harness still keys its
 	// cache on the engine so a result's recorded timings are always the
 	// requested engine's.
@@ -278,8 +278,6 @@ func measure(ctx context.Context, p Program, mode alloc.Mode, engine Engine, cc 
 	switch engine {
 	case EngineMachine:
 		m, err = c.RunCtx(ctx)
-	case EngineFast:
-		m, err = c.RunFastCtx(ctx)
 	default:
 		m, err = c.RunCompiledCtx(ctx, cc.SimBatch())
 	}

@@ -9,73 +9,11 @@ import (
 	"dualbank/internal/sim"
 )
 
-// TestFastSimMatchesReference pins the predecoded fast-path engine to
-// the interpretive reference Machine: every Table 1/2 benchmark under
-// every allocation mode must agree on the cycle count, the bandwidth
-// counters (MemAccesses, DualMemCycles), the run-time conflict count
-// (BankConflicts, non-zero only under the low-order organisation), the
-// executed-operation count, and the complete final X/Y bank images.
-func TestFastSimMatchesReference(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential suite in short mode")
-	}
-	modes := []alloc.Mode{
-		alloc.SingleBank, alloc.CB, alloc.CBProfiled,
-		alloc.CBDup, alloc.FullDup, alloc.Ideal, alloc.LowOrder,
-	}
-	for _, p := range append(Kernels(), Applications()...) {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
-			for _, mode := range modes {
-				c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: mode})
-				if err != nil {
-					t.Fatalf("%v: compile: %v", mode, err)
-				}
-				ref := sim.NewMachine(c.Sched)
-				if err := ref.Run(); err != nil {
-					t.Fatalf("%v: reference: %v", mode, err)
-				}
-				pd, err := sim.Predecode(c.Sched)
-				if err != nil {
-					t.Fatalf("%v: predecode: %v", mode, err)
-				}
-				fast := pd.NewMachine()
-				if err := fast.Run(); err != nil {
-					t.Fatalf("%v: fast: %v", mode, err)
-				}
-				if fast.Cycles != ref.Cycles {
-					t.Errorf("%v: cycles: fast %d, reference %d", mode, fast.Cycles, ref.Cycles)
-				}
-				if fast.OpsExecuted != ref.OpsExecuted {
-					t.Errorf("%v: ops executed: fast %d, reference %d", mode, fast.OpsExecuted, ref.OpsExecuted)
-				}
-				if fast.MemAccesses != ref.MemAccesses {
-					t.Errorf("%v: mem accesses: fast %d, reference %d", mode, fast.MemAccesses, ref.MemAccesses)
-				}
-				if fast.DualMemCycles != ref.DualMemCycles {
-					t.Errorf("%v: dual-mem cycles: fast %d, reference %d", mode, fast.DualMemCycles, ref.DualMemCycles)
-				}
-				if fast.BankConflicts != ref.BankConflicts {
-					t.Errorf("%v: bank conflicts: fast %d, reference %d", mode, fast.BankConflicts, ref.BankConflicts)
-				}
-				for i := range ref.X {
-					if fast.X[i] != ref.X[i] {
-						t.Fatalf("%v: X[%#x]: fast %#x, reference %#x", mode, i, fast.X[i], ref.X[i])
-					}
-					if fast.Y[i] != ref.Y[i] {
-						t.Fatalf("%v: Y[%#x]: fast %#x, reference %#x", mode, i, fast.Y[i], ref.Y[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestCompiledSimMatchesReference pins the compiled threaded-code
-// engine to the interpretive reference Machine with the same rigor as
-// the fast-path pinning: every benchmark under every allocation mode
-// must agree on cycle count, bandwidth counters, conflict count,
+// engine to the interpretive reference Machine: every benchmark under
+// every allocation mode must agree on cycle count, the bandwidth
+// counters (MemAccesses, DualMemCycles), the run-time conflict count
+// (BankConflicts, non-zero only under the low-order organisation),
 // executed-operation count, and the complete final memory images. The
 // compiled engine's arenas cover only the program's used address
 // range, so the image check compares that prefix word-for-word and
@@ -146,40 +84,5 @@ func TestCompiledSimMatchesReference(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFastMachineReset checks that Reset restores a FastMachine to its
-// pristine state: a second run must reproduce the first exactly.
-func TestFastMachineReset(t *testing.T) {
-	p, _ := ByName("fir_32_1")
-	c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: alloc.CBDup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd, err := sim.Predecode(c.Sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := pd.NewMachine()
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	first := m.Cycles
-	firstX := append([]uint32(nil), m.X...)
-	m.Reset()
-	if m.Cycles != 0 || m.OpsExecuted != 0 {
-		t.Fatalf("counters not reset: cycles=%d ops=%d", m.Cycles, m.OpsExecuted)
-	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Cycles != first {
-		t.Fatalf("second run: %d cycles, first %d", m.Cycles, first)
-	}
-	for i := range firstX {
-		if m.X[i] != firstX[i] {
-			t.Fatalf("X[%#x] differs after reset+rerun: %#x vs %#x", i, m.X[i], firstX[i])
-		}
 	}
 }

@@ -36,19 +36,6 @@ func captureRef(t *testing.T, c *pipeline.Compiled) equivRun {
 	return equivRun{m.Cycles, m.OpsExecuted, m.MemAccesses, m.DualMemCycles, m.BankConflicts, m.Banks}
 }
 
-func captureFast(t *testing.T, c *pipeline.Compiled) equivRun {
-	t.Helper()
-	pd, err := sim.Predecode(c.Sched)
-	if err != nil {
-		t.Fatalf("predecode: %v", err)
-	}
-	m := pd.NewMachine()
-	if err := m.Run(); err != nil {
-		t.Fatalf("fast: %v", err)
-	}
-	return equivRun{m.Cycles, m.OpsExecuted, m.MemAccesses, m.DualMemCycles, m.BankConflicts, m.Banks}
-}
-
 func captureCompiled(t *testing.T, c *pipeline.Compiled, batch *sim.Batch) equivRun {
 	t.Helper()
 	cp, err := sim.Compile(c.Sched)
@@ -119,7 +106,7 @@ func sameRun(t *testing.T, label string, a, b equivRun) {
 }
 
 // TestDefaultSpecEquivalenceWall runs the full 23-benchmark × 7-mode ×
-// 3-engine matrix twice — once through the historical zero-value
+// 2-engine matrix twice — once through the historical zero-value
 // options and once with the classic geometry spelled out as an
 // explicit BankSpec — and requires bit-for-bit agreement on all five
 // counters and the complete bank images. This is the wall that lets
@@ -157,7 +144,6 @@ func TestDefaultSpecEquivalenceWall(t *testing.T) {
 					t.Fatalf("%v: compile (explicit spec): %v", mode, err)
 				}
 				sameRun(t, p.Name+"/"+mode.String()+"/reference", captureRef(t, zc), captureRef(t, ec))
-				sameRun(t, p.Name+"/"+mode.String()+"/fast", captureFast(t, zc), captureFast(t, ec))
 				sameRun(t, p.Name+"/"+mode.String()+"/compiled",
 					captureCompiled(t, zc, &batch), captureCompiled(t, ec, &batch))
 			}

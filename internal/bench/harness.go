@@ -39,7 +39,7 @@ type Harness struct {
 
 	// Engine selects the simulation engine for every measurement the
 	// harness itself schedules (figures, tables, sweeps). The zero value
-	// is the compiled engine; all engines produce identical figures. Set
+	// is the compiled engine; both engines produce identical figures. Set
 	// it before the harness sees traffic.
 	Engine Engine
 

@@ -34,7 +34,6 @@ func TestRunKeyDistinctConfigs(t *testing.T) {
 		{alloc.CBDup, RunOptions{DupOnly: []string{"x", "y"}}},
 		{alloc.CBDup, RunOptions{Profiled: true, DupOnly: []string{"x", "y"}}},
 		{alloc.CBDup, RunOptions{Partitioner: core.MethodFM, DupOnly: []string{"x", "y"}}},
-		{alloc.CB, RunOptions{Engine: EngineFast}},
 		{alloc.CB, RunOptions{Engine: EngineMachine}},
 	}
 	seen := make(map[runKey]int)

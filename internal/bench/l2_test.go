@@ -54,7 +54,6 @@ func TestCacheKeyMirrorsRunKey(t *testing.T) {
 		{alloc.CBDup, RunOptions{}},
 		{alloc.CBDup, RunOptions{DupOnly: []string{}}},
 		{alloc.CBDup, RunOptions{DupOnly: []string{"x", "y"}}},
-		{alloc.CB, RunOptions{Engine: EngineFast}},
 		{alloc.CB, RunOptions{Engine: EngineMachine}},
 		{alloc.Ideal, RunOptions{}},
 	}

@@ -22,8 +22,6 @@ import (
 //
 //   - machine:  sim.NewMachine + Run per run (the reference
 //     interpreter allocates full banks every time),
-//   - fast:     sim.Predecode + NewMachine + Run per run (RunFastCtx
-//     re-predecodes per measurement),
 //   - compiled: sim.Compile once, then Batch.Run per run — the
 //     steady-state the harness and explorer reach, where lowering and
 //     arenas amortize across a batch. The one-time lowering cost is
@@ -62,7 +60,7 @@ type SimBenchRow struct {
 // SimBench measures every engine on every named benchmark, running
 // each timed loop for at least minTime (and at least three runs).
 // Rows come back grouped by benchmark in input order, engines in
-// machine, fast, compiled order.
+// machine, compiled order.
 func SimBench(names []string, minTime time.Duration) ([]SimBenchRow, error) {
 	if minTime <= 0 {
 		minTime = 100 * time.Millisecond
@@ -98,15 +96,6 @@ func SimBench(names []string, minTime time.Duration) ([]SimBenchRow, error) {
 		}{
 			{EngineMachine.String(), func() (func() error, float64, error) {
 				return func() error { return sim.NewMachine(sched).Run() }, 0, nil
-			}},
-			{EngineFast.String(), func() (func() error, float64, error) {
-				return func() error {
-					pd, err := sim.Predecode(sched)
-					if err != nil {
-						return err
-					}
-					return pd.NewMachine().Run()
-				}, 0, nil
 			}},
 			{EngineCompiled.String(), func() (func() error, float64, error) {
 				lowerStart := time.Now()
@@ -169,8 +158,9 @@ func timeLoop(fn func() error, minTime time.Duration) (SimBenchRow, error) {
 	}, nil
 }
 
-// SimSpeedups returns each benchmark's compiled-over-fast throughput
-// ratio (fast ns/run divided by compiled ns/run; higher is better).
+// SimSpeedups returns each benchmark's compiled-over-machine
+// throughput ratio (machine ns/run divided by compiled ns/run; higher
+// is better).
 // The ratio is measured within one process on one machine, so unlike
 // raw ns/run it transfers across hosts — the CI regression check
 // compares ratios, not nanoseconds.
@@ -184,8 +174,8 @@ func SimSpeedups(rows []SimBenchRow) map[string]float64 {
 	}
 	out := make(map[string]float64, len(ns))
 	for b, m := range ns {
-		if m["fast"] > 0 && m["compiled"] > 0 {
-			out[b] = m["fast"] / m["compiled"]
+		if m["machine"] > 0 && m["compiled"] > 0 {
+			out[b] = m["machine"] / m["compiled"]
 		}
 	}
 	return out
@@ -197,8 +187,8 @@ func SimSpeedups(rows []SimBenchRow) map[string]float64 {
 const simCheckFloor = 10.0
 
 // SimCheck compares current measurements against a committed baseline:
-// a benchmark regresses when its compiled-over-fast speedup falls more
-// than tolerance (a fraction, e.g. 0.10) below the baseline's AND
+// a benchmark regresses when its compiled-over-machine speedup falls
+// more than tolerance (a fraction, e.g. 0.10) below the baseline's AND
 // below the 10x kernel contract. The floor keeps the check meaningful
 // across hosts — small kernels measure in the hundreds-of-x range
 // where run-to-run ratios swing freely, but any real regression
@@ -221,7 +211,7 @@ func SimCheck(current, baseline []SimBenchRow, tolerance float64) []string {
 		}
 		if got < want*(1-tolerance) && got < floor {
 			fails = append(fails, fmt.Sprintf(
-				"%s: compiled/fast speedup %.2fx fell below baseline %.2fx - %.0f%% tolerance",
+				"%s: compiled/machine speedup %.2fx fell below baseline %.2fx - %.0f%% tolerance",
 				b, got, want, tolerance*100))
 		}
 	}
@@ -230,7 +220,7 @@ func SimCheck(current, baseline []SimBenchRow, tolerance float64) []string {
 }
 
 // RenderSimBench formats rows as an aligned text table with per-bench
-// compiled-over-fast speedups.
+// compiled-over-machine speedups.
 func RenderSimBench(rows []SimBenchRow) string {
 	var sb strings.Builder
 	speedups := SimSpeedups(rows)
@@ -242,7 +232,7 @@ func RenderSimBench(rows []SimBenchRow) string {
 			r.Bench, r.Engine, r.Cycles, r.Runs, r.NsPerRun, r.NsPerCycle, r.AllocsPerRun)
 		if r.Engine == "compiled" {
 			if s, ok := speedups[r.Bench]; ok {
-				fmt.Fprintf(&sb, "  (%.1fx vs fast)", s)
+				fmt.Fprintf(&sb, "  (%.1fx vs machine)", s)
 			}
 		}
 		sb.WriteByte('\n')

@@ -16,8 +16,8 @@ func TestSimBenchSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
 	}
 	engines := map[string]SimBenchRow{}
 	for _, r := range rows {
@@ -32,7 +32,7 @@ func TestSimBenchSmoke(t *testing.T) {
 			t.Errorf("engine %s: degenerate measurement %+v", r.Engine, r)
 		}
 	}
-	for _, e := range []string{"machine", "fast", "compiled"} {
+	for _, e := range []string{"machine", "compiled"} {
 		if _, ok := engines[e]; !ok {
 			t.Errorf("missing engine %q", e)
 		}
@@ -44,7 +44,7 @@ func TestSimBenchSmoke(t *testing.T) {
 		t.Error("compiled engine reports no lowering cost")
 	}
 	out := RenderSimBench(rows)
-	if !strings.Contains(out, "iir_1_1") || !strings.Contains(out, "vs fast") {
+	if !strings.Contains(out, "iir_1_1") || !strings.Contains(out, "vs machine") {
 		t.Errorf("render missing content:\n%s", out)
 	}
 }
@@ -62,9 +62,9 @@ func row(bench, engine string, nsPerRun float64) SimBenchRow {
 
 func TestSimSpeedups(t *testing.T) {
 	rows := []SimBenchRow{
-		row("a", "fast", 1000), row("a", "compiled", 10),
-		row("b", "fast", 300), row("b", "compiled", 100),
-		row("c", "compiled", 5), // no fast row: skipped
+		row("a", "machine", 1000), row("a", "compiled", 10),
+		row("b", "machine", 300), row("b", "compiled", 100),
+		row("c", "compiled", 5), // no machine row: skipped
 	}
 	s := SimSpeedups(rows)
 	if len(s) != 2 || s["a"] != 100 || s["b"] != 3 {
@@ -74,8 +74,8 @@ func TestSimSpeedups(t *testing.T) {
 
 func TestSimCheck(t *testing.T) {
 	base := []SimBenchRow{
-		row("kern", "fast", 10000), row("kern", "compiled", 100), // 100x
-		row("app", "fast", 300), row("app", "compiled", 100), // 3x
+		row("kern", "machine", 10000), row("kern", "compiled", 100), // 100x
+		row("app", "machine", 300), row("app", "compiled", 100), // 3x
 	}
 	ok := func(name string, cur []SimBenchRow) {
 		t.Helper()
@@ -94,22 +94,22 @@ func TestSimCheck(t *testing.T) {
 	ok("identical", base)
 	// A kernel dropping from 100x to 40x stays above the 10x floor.
 	ok("noisy kernel", []SimBenchRow{
-		row("kern", "fast", 4000), row("kern", "compiled", 100),
-		row("app", "fast", 300), row("app", "compiled", 100),
+		row("kern", "machine", 4000), row("kern", "compiled", 100),
+		row("app", "machine", 300), row("app", "compiled", 100),
 	})
 	// A kernel crashing to 8x regresses.
 	bad("kernel regression", []SimBenchRow{
-		row("kern", "fast", 800), row("kern", "compiled", 100),
-		row("app", "fast", 300), row("app", "compiled", 100),
+		row("kern", "machine", 800), row("kern", "compiled", 100),
+		row("app", "machine", 300), row("app", "compiled", 100),
 	}, "kern")
 	// A sub-floor baseline is held to the tolerance band alone.
 	bad("app regression", []SimBenchRow{
-		row("kern", "fast", 10000), row("kern", "compiled", 100),
-		row("app", "fast", 250), row("app", "compiled", 100), // 2.5x < 3x*0.9
+		row("kern", "machine", 10000), row("kern", "compiled", 100),
+		row("app", "machine", 250), row("app", "compiled", 100), // 2.5x < 3x*0.9
 	}, "app")
 	// Benchmarks missing from the current rows are skipped.
 	ok("missing bench", []SimBenchRow{
-		row("kern", "fast", 10000), row("kern", "compiled", 100),
+		row("kern", "machine", 10000), row("kern", "compiled", 100),
 	})
 }
 

@@ -158,15 +158,10 @@ func (n *Node) ReplicaSet(key string) []string {
 	return n.currentRing().Replicas(key, n.replication)
 }
 
-// RunKey computes the routing key this node would hash for a job —
-// the harness memo key under the node's effective engine.
+// RunKey computes the routing key this node hashes for a job — the
+// harness memo key under the node's effective engine.
 func (n *Node) RunKey(j serve.Job) string {
-	return bench.CacheKey(j.Prog, j.Mode, bench.RunOptions{
-		Partitioner: j.Method,
-		FMPasses:    j.FMPasses, Profiled: j.Profiled, DupOnly: j.DupOnly,
-		Banks: j.Banks, Ports: j.Ports,
-		Engine: n.effectiveEngine(j),
-	})
+	return bench.CacheKey(j.Prog, j.Mode, j.Options(n.cfg.Serve.Engine))
 }
 
 // rebuildRing rebuilds the ring from the member set. Caller must not
@@ -212,15 +207,6 @@ func (n *Node) markDown(addr string) {
 	n.mu.Unlock()
 }
 
-// effectiveEngine resolves the engine a request will run under on any
-// node: its own pin, or this node's configured default.
-func (n *Node) effectiveEngine(j serve.Job) bench.Engine {
-	if j.EngineSet {
-		return j.Engine
-	}
-	return n.cfg.Serve.Engine
-}
-
 // maxSourceBytes mirrors the inner server's default so the routing
 // decoder and the serving decoder accept identical bodies.
 func (n *Node) maxSourceBytes() int {
@@ -249,12 +235,8 @@ func (n *Node) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	engine := n.effectiveEngine(job)
-	key := bench.CacheKey(job.Prog, job.Mode, bench.RunOptions{
-		Partitioner: job.Method,
-		FMPasses:    job.FMPasses, Profiled: job.Profiled, DupOnly: job.DupOnly,
-		Engine: engine,
-	})
+	engine := job.Options(n.cfg.Serve.Engine).Engine
+	key := n.RunKey(job)
 	hot := n.hot.Observe(key)
 	hops := 0
 	if h := r.Header.Get(ForwardHeader); h != "" {

@@ -359,3 +359,51 @@ func TestClusterMembership(t *testing.T) {
 		t.Errorf("malformed join: status %d, want 400", code)
 	}
 }
+
+// TestClusterRoutesMultiBankToOwner pins handleRun's routing key to
+// RunKey for requests that carry a bank geometry: a body POSTed to the
+// owner RunKey names must be served there as "owner", never forwarded.
+// A routing key that dropped banks or ports would hash these bodies to
+// the classic machine's owner instead; with eight bodies, the chance
+// that every such owner coincides with the right one on a random
+// three-node ring is under 1 in 6,000.
+func TestClusterRoutesMultiBankToOwner(t *testing.T) {
+	lc, err := cluster.StartLocal(cluster.LocalOptions{
+		N: 3, Replication: 1,
+		Serve: serve.Config{Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+
+	for _, body := range []string{
+		`{"bench":"latnrm_8_1","mode":"CB","banks":4}`,
+		`{"bench":"fir_32_1","mode":"CB","banks":3}`,
+		`{"bench":"iir_1_1","mode":"CB","banks":4,"ports":2}`,
+		`{"bench":"lmsfir_8_1","mode":"CB","banks":4}`,
+		`{"bench":"mult_4_4","mode":"Dup","banks":3}`,
+		`{"bench":"fir_32_1","mode":"CB","banks":4,"ports":2}`,
+		`{"bench":"iir_4_64","mode":"Pr","banks":3,"ports":2}`,
+		`{"bench":"latnrm_8_1","mode":"single-bank","banks":4}`,
+	} {
+		reps := lc.Node(0).ReplicaSet(lc.Node(0).RunKey(jobFor(t, body)))
+		if len(reps) != 1 {
+			t.Fatalf("%s: replica set %v, want 1 member", body, reps)
+		}
+		owner := lc.Node(nodeIndexByAddr(t, lc, reps[0]))
+		before := owner.Metrics().Snapshot()
+		if code, data := postJSON(t, "http://"+reps[0]+"/v1/run", body); code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, code, data)
+		}
+		after := owner.Metrics().Snapshot()
+		if got := after.Local["owner"] - before.Local["owner"]; got != 1 {
+			t.Errorf("%s: owner served %d requests as owner, want 1 (local %v)", body, got, after.Local)
+		}
+		for target, n := range after.Forward {
+			if n != before.Forward[target] {
+				t.Errorf("%s: owner forwarded to %s (%d -> %d)", body, target, before.Forward[target], n)
+			}
+		}
+	}
+}

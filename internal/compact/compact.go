@@ -92,22 +92,19 @@ type Config struct {
 	// 2-bank, 1-port machine, which takes the historical scheduling
 	// path bit for bit.
 	Spec machine.BankSpec
-	// MirrorBanks flips the unit preference for operations free to use
-	// either memory unit (duplicated loads tagged BankBoth): MU1 is
-	// tried before MU0. Set when the allocation ran with swapped banks,
-	// it makes the schedule of a mirrored allocation the exact mirror
-	// of the unmirrored one — the swap-invariance the metamorphic tests
-	// assert would otherwise be broken by the fixed MU0-first order.
-	// It is sugar for BankPerm = {1, 0} (plus identity beyond bank 1).
-	MirrorBanks bool
-	// BankPerm generalizes MirrorBanks to an arbitrary bank
-	// permutation: the unit preference for bank-free operations tries
-	// banks in BankPerm order (BankPerm[0]'s units first). Nil means
-	// identity. Set when the allocation ran under the same permutation,
-	// it makes the schedule of a permuted allocation the exact
-	// permutation image of the original — the k-ary generalization of
-	// the swap-invariance above.
+	// BankPerm is the bank permutation the allocation ran under: the
+	// unit preference for operations free to use any memory unit
+	// (duplicated loads tagged BankBoth) tries banks in BankPerm order
+	// (BankPerm[0]'s units first). Nil means identity. It makes the
+	// schedule of a permuted allocation the exact permutation image of
+	// the original — the swap-invariance the metamorphic tests assert,
+	// which a fixed MU0-first order would otherwise break.
 	BankPerm []int
+
+	// mu1First is normalize's 2-bank form of BankPerm {1, 0}: the
+	// historical scheduler tries MU1 before MU0 for bank-free
+	// operations.
+	mu1First bool
 }
 
 // specUnits is the per-Config unit-preference table for non-default
@@ -124,8 +121,8 @@ type specUnits struct {
 
 // normalize resolves the Config's spec/permutation pair: it returns
 // nil for configurations the historical 2-bank scheduler handles
-// (possibly after folding BankPerm {1,0} into MirrorBanks), and a
-// freshly built specUnits table otherwise.
+// (setting mu1First for the swap {1, 0}), and a freshly built
+// specUnits table otherwise.
 func (cfg *Config) normalize() *specUnits {
 	perm := cfg.BankPerm
 	if cfg.Spec.IsDefault() {
@@ -133,8 +130,7 @@ func (cfg *Config) normalize() *specUnits {
 		case perm == nil, len(perm) == 2 && perm[0] == 0 && perm[1] == 1:
 			return nil
 		case len(perm) == 2 && perm[0] == 1 && perm[1] == 0:
-			cfg.MirrorBanks = true
-			cfg.BankPerm = nil
+			cfg.mu1First = true
 			return nil
 		}
 	}
@@ -143,9 +139,6 @@ func (cfg *Config) normalize() *specUnits {
 		perm = make([]int, spec.Banks)
 		for i := range perm {
 			perm[i] = i
-		}
-		if cfg.MirrorBanks && spec.Banks >= 2 {
-			perm[0], perm[1] = 1, 0
 		}
 	}
 	su := &specUnits{forBank: make([][]machine.Unit, spec.Banks)}
@@ -225,7 +218,7 @@ func ScheduleWith(p *ir.Program, cfg Config, s *Scratch) (*Program, error) {
 }
 
 // unitsMemoryMirror is the both-memory-units candidate list in MU1-
-// first order, used when Config.MirrorBanks flips the preference.
+// first order, used when Config.BankPerm swaps the classic banks.
 var unitsMemoryMirror = []machine.Unit{machine.MU1, machine.MU0}
 
 // unitsFor lists the functional units that may execute op, most
@@ -248,7 +241,7 @@ func unitsFor(op *ir.Op, cfg Config, su *specUnits) []machine.Unit {
 		return su.forBank[0]
 	}
 	units := cfg.Ports.UnitsForBank(op.Bank)
-	if cfg.MirrorBanks && len(units) == 2 {
+	if cfg.mu1First && len(units) == 2 {
 		return unitsMemoryMirror
 	}
 	return units

@@ -161,7 +161,7 @@ func (b *builder) bodyStmt() stmt {
 // buildLoops draws the loop nests. Trip counts are bounded so a whole
 // program executes a few thousand innermost iterations at most — big
 // enough to exercise the schedulers, small enough that a thousand
-// programs run through three engines in seconds.
+// programs run through both engines in seconds.
 func (b *builder) buildLoops() {
 	k, r := b.knobs, b.r
 	for n := 0; n < k.Loops; n++ {

@@ -40,8 +40,8 @@ type Options struct {
 	// Metamorphic also checks the three invariances (identifier rename,
 	// declaration permutation, bank swap) on every program, plus the
 	// multi-bank gauntlet: each program re-verified on a 4-bank, 2-port
-	// machine across all three engines with the oracle cross-check and
-	// a k-ary bank-permutation invariance.
+	// machine on both engines with the oracle cross-check and a k-ary
+	// bank-permutation invariance.
 	Metamorphic bool
 	// Progress, when non-nil, is called after each program completes.
 	Progress func(done, total int)
@@ -52,7 +52,7 @@ type Row struct {
 	Name      string `json:"name"`
 	Archetype string `json:"archetype"`
 	Seed      uint64 `json:"seed"`
-	// Cycle counts per arm (all three engines agreed on each).
+	// Cycle counts per arm (both engines agreed on each).
 	CyclesNone int64 `json:"cycles_none"`
 	CyclesCB   int64 `json:"cycles_cb"`
 	CyclesDup  int64 `json:"cycles_dup"`
@@ -112,11 +112,11 @@ type Report struct {
 	Rows        []Row       `json:"rows"`
 }
 
-// engines pins one compiled arm: the reference machine, the fast
-// predecoded engine and the compiled threaded-code engine run the same
-// schedule and must agree on every counter and every memory word; the
-// reference image must equal the generator's expected outputs. It
-// returns the agreed cycle count and appends any divergence to fails.
+// engines pins one compiled arm: the reference machine and the
+// compiled threaded-code engine run the same schedule and must agree on
+// every counter and every memory word; the reference image must equal
+// the generator's expected outputs. It returns the agreed cycle count
+// and appends any divergence to fails.
 func engines(ctx context.Context, gp genmc.Program, c *pipeline.Compiled, cc *pipeline.Compiler, fails *[]string) int64 {
 	mode := c.Alloc.Mode
 	fail := func(format string, args ...any) {
@@ -131,48 +131,22 @@ func engines(ctx context.Context, gp genmc.Program, c *pipeline.Compiled, cc *pi
 		fail("reference: %v", err)
 		return 0
 	}
-	fast, err := c.RunFastCtx(ctx)
-	if err != nil {
-		fail("fast: %v", err)
-		return ref.Cycles
-	}
 	cm, err := c.RunCompiledCtx(ctx, cc.SimBatch())
 	if err != nil {
 		fail("compiled: %v", err)
 		return ref.Cycles
 	}
 
-	type counter struct {
-		name           string
-		ref, fast, cmp int64
-	}
-	for _, ctr := range []counter{
-		{"cycles", ref.Cycles, fast.Cycles, cm.Cycles},
-		{"ops", ref.OpsExecuted, fast.OpsExecuted, cm.OpsExecuted},
-		{"mem accesses", ref.MemAccesses, fast.MemAccesses, cm.MemAccesses},
-		{"dual-mem cycles", ref.DualMemCycles, fast.DualMemCycles, cm.DualMemCycles},
-		{"bank conflicts", ref.BankConflicts, fast.BankConflicts, cm.BankConflicts},
-	} {
-		if ctr.fast != ctr.ref {
-			fail("%s: fast %d, reference %d", ctr.name, ctr.fast, ctr.ref)
-		}
-		if ctr.cmp != ctr.ref {
-			fail("%s: compiled %d, reference %d", ctr.name, ctr.cmp, ctr.ref)
-		}
+	if rc, cc := ref.Counters(), cm.Counters(); cc != rc {
+		fail("counters: compiled %+v, reference %+v", cc, rc)
 	}
 
 	// Full-image pinning across every bank (two on the classic machine,
-	// more under a multi-bank spec): fast covers the whole bank; the
-	// compiled arenas cover the used prefix, beyond which the reference
-	// must have left zeroes (same discipline as the differential suite).
+	// more under a multi-bank spec): the compiled arenas cover the used
+	// prefix, beyond which the reference must have left zeroes (same
+	// discipline as the differential suite).
 	for b := range ref.Banks {
-		rb, fb, cb := ref.Banks[b], fast.Banks[b], cm.Banks[b]
-		for i := range rb {
-			if fb[i] != rb[i] {
-				fail("fast image diverges in bank %d at word %#x", b, i)
-				break
-			}
-		}
+		rb, cb := ref.Banks[b], cm.Banks[b]
 		n := len(cb)
 		for i := 0; i < n; i++ {
 			if cb[i] != rb[i] {
@@ -216,14 +190,15 @@ func engines(ctx context.Context, gp genmc.Program, c *pipeline.Compiled, cc *pi
 	return ref.Cycles
 }
 
-// fastCycles finishes prep under o and returns the fast engine's cycle
-// count, for the metamorphic comparisons.
-func fastCycles(ctx context.Context, cc *pipeline.Compiler, prep *pipeline.Prepared, o pipeline.Options) (int64, error) {
+// compiledCycles finishes prep under o and returns the compiled
+// engine's cycle count, for the metamorphic comparisons. The machine
+// runs on cc's recycled batch arena and is read before returning.
+func compiledCycles(ctx context.Context, cc *pipeline.Compiler, prep *pipeline.Prepared, o pipeline.Options) (int64, error) {
 	c, err := cc.Finish(ctx, prep, o)
 	if err != nil {
 		return 0, err
 	}
-	m, err := c.RunFastCtx(ctx)
+	m, err := c.RunCompiledCtx(ctx, cc.SimBatch())
 	if err != nil {
 		return 0, err
 	}
@@ -231,7 +206,7 @@ func fastCycles(ctx context.Context, cc *pipeline.Compiler, prep *pipeline.Prepa
 }
 
 // VerifyProgram runs one generated program through the full gauntlet:
-// three allocation arms, three engines each, the expected-output
+// three allocation arms, two engines each, the expected-output
 // oracle, and (optionally) the three metamorphic invariances. It
 // returns the measured row and every failure found — an empty slice
 // means the program verified clean. Each distinct source — the
@@ -275,11 +250,11 @@ func VerifyProgram(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler,
 		variants := []struct {
 			label     string
 			transform func(string) (string, error)
-			swap      bool
+			perm      []int
 		}{
-			{"rename", RenameIdents, false},
-			{"permute", PermuteDecls, false},
-			{"swap-banks", nil, true},
+			{"rename", RenameIdents, nil},
+			{"permute", PermuteDecls, nil},
+			{"swap-banks", nil, []int{1, 0}},
 		}
 		for _, v := range variants {
 			vprep := prep
@@ -294,7 +269,7 @@ func VerifyProgram(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler,
 				}
 			}
 			for _, mode := range VerifyModes {
-				got, err := fastCycles(ctx, cc, vprep, pipeline.Options{Mode: mode, SwapBanks: v.swap})
+				got, err := compiledCycles(ctx, cc, vprep, pipeline.Options{Mode: mode, BankPerm: v.perm})
 				if err != nil {
 					fails = append(fails, fmt.Sprintf("%s/%v: %s: %v", gp.Name, mode, v.label, err))
 					continue
@@ -307,7 +282,7 @@ func VerifyProgram(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler,
 		}
 
 		// Multi-bank gauntlet: the same program compiled for a 4-bank,
-		// 2-port machine must verify on all three engines against the
+		// 2-port machine must verify on both engines against the
 		// generator's oracle, and its cycle count must be invariant
 		// under a k-ary bank permutation (the generalization of the
 		// bank-swap variant above). The report's rows carry classic
@@ -321,7 +296,7 @@ func VerifyProgram(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler,
 				continue
 			}
 			hwCycles := engines(ctx, gp, c, cc, &fails)
-			got, err := fastCycles(ctx, cc, prep,
+			got, err := compiledCycles(ctx, cc, prep,
 				pipeline.Options{Mode: mode, Spec: hwSpec, BankPerm: []int{1, 2, 3, 0}})
 			if err != nil {
 				fails = append(fails, fmt.Sprintf("%s/%v: hw 4x2 perm: %v", gp.Name, mode, err))

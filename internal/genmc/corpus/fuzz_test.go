@@ -11,8 +11,8 @@ import (
 
 // FuzzGenMC explores the generator's whole input space — the seed and
 // every knob, unclamped — and runs each resulting program through the
-// corpus gauntlet: three allocation arms, reference-vs-fast-vs-compiled
-// engine differentials, and the generator's own evaluator as the
+// corpus gauntlet: three allocation arms, reference-vs-compiled engine
+// differentials, and the generator's own evaluator as the
 // output oracle. Generate clamps hostile knob values, so every input
 // must yield a program that verifies clean; any failure is either a
 // generator emitting an unsafe program or a compiler/simulator bug.

@@ -4,13 +4,12 @@
 //
 // It is the library behind cmd/dspcorpus and the corpus test gates:
 // every program is compiled under the unoptimized baseline, CB
-// partitioning, and partial duplication; each compilation runs on all
-// three simulation engines (reference machine, predecoded fast path,
-// compiled threaded code), which must agree on every counter and every
-// memory word; the final image must equal the generator's own
-// evaluator's expectation; and three semantics-preserving transforms
-// (identifier renaming, declaration permutation, bank swapping) must
-// leave every cycle count invariant.
+// partitioning, and partial duplication; each compilation runs on both
+// simulation engines (reference machine, compiled threaded code), which
+// must agree on every counter and every memory word; the final image
+// must equal the generator's own evaluator's expectation; and three
+// semantics-preserving transforms (identifier renaming, declaration
+// permutation, bank swapping) must leave every cycle count invariant.
 package corpus
 
 import (

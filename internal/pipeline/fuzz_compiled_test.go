@@ -6,7 +6,7 @@ package pipeline
 // interpreter, comparing cycle counts, every bandwidth counter, and
 // the full memory images word for word. The other fuzz targets check
 // the compiler against the mirrored Go evaluator; this one checks the
-// fast engine against the slow one, so a lowering bug that preserved
+// compiled engine against the reference, so a lowering bug that preserved
 // plausible-looking output would still be caught by the first counter
 // or dead-store word it perturbs.
 

@@ -57,8 +57,8 @@ func permuteDecls(t *testing.T, source string) string {
 }
 
 // measureCycles compiles source under o, validates the schedule, runs
-// the fast simulator, optionally checks program outputs, and returns
-// the cycle count.
+// the compiled simulator, optionally checks program outputs, and
+// returns the cycle count.
 func measureCycles(t *testing.T, source, name string, o pipeline.Options, check func(bench.Reader) error) int64 {
 	t.Helper()
 	c, err := pipeline.Compile(source, name, o)
@@ -68,7 +68,7 @@ func measureCycles(t *testing.T, source, name string, o pipeline.Options, check 
 	if err := compact.Validate(c.Sched); err != nil {
 		t.Fatalf("%s/%v: schedule: %v", name, o.Mode, err)
 	}
-	m, err := c.RunFast()
+	m, err := c.RunCompiled()
 	if err != nil {
 		t.Fatalf("%s/%v: run: %v", name, o.Mode, err)
 	}
@@ -106,7 +106,7 @@ func TestMetamorphicInvariants(t *testing.T) {
 				if got := measureCycles(t, permuted, p.Name, pipeline.Options{Mode: mode}, p.Check); got != base {
 					t.Errorf("%s/%v: permuting declarations changed cycles: %d -> %d", p.Name, mode, base, got)
 				}
-				swapped := pipeline.Options{Mode: mode, SwapBanks: true}
+				swapped := pipeline.Options{Mode: mode, BankPerm: []int{1, 0}}
 				if got := measureCycles(t, p.Source, p.Name, swapped, p.Check); got != base {
 					t.Errorf("%s/%v: swapping banks changed cycles: %d -> %d", p.Name, mode, base, got)
 				}
@@ -115,10 +115,11 @@ func TestMetamorphicInvariants(t *testing.T) {
 	}
 }
 
-// TestSwapBanksMirrorsAllocation pins the mechanism, not just the
-// cycle count: under CB with swapped banks the partition's X set lands
-// in bank Y and vice versa, and the per-bank word accounting mirrors.
-func TestSwapBanksMirrorsAllocation(t *testing.T) {
+// TestBankSwapMirrorsAllocation pins the mechanism, not just the
+// cycle count: under CB with the banks swapped (BankPerm {1, 0}) the
+// partition's X set lands in bank Y and vice versa, and the per-bank
+// word accounting mirrors.
+func TestBankSwapMirrorsAllocation(t *testing.T) {
 	p, ok := bench.ByName("fir_32_1")
 	if !ok {
 		t.Fatal("fir_32_1 missing from the suite")
@@ -127,7 +128,7 @@ func TestSwapBanksMirrorsAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swapped, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: alloc.CB, SwapBanks: true})
+	swapped, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: alloc.CB, BankPerm: []int{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

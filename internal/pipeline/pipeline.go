@@ -50,19 +50,15 @@ type Options struct {
 	// implies it). This decouples the weighting policy from the mode so
 	// profiling can combine with duplication.
 	Profiled bool
-	// SwapBanks mirrors the data allocation wholesale — everything
-	// bound for bank X lands in Y and vice versa. The banks are
-	// architecturally identical, so cycle counts must not change; the
-	// metamorphic tests compile every benchmark both ways to prove it.
-	SwapBanks bool
 	// Spec selects the machine's bank geometry (bank count × ports per
 	// bank); the zero value is the classic dual-bank, single-ported
 	// machine and reproduces the historical pipeline exactly.
 	Spec machine.BankSpec
-	// BankPerm relabels the banks by a general permutation (the k-ary
-	// form of SwapBanks, which it supersedes when non-nil): data
-	// assigned to bank i lands in bank BankPerm[i]. Cycle counts must
-	// not change; the k-ary metamorphic tests prove it.
+	// BankPerm relabels the banks by a permutation: data assigned to
+	// bank i lands in bank BankPerm[i], so []int{1, 0} mirrors the
+	// classic machine's X/Y assignment wholesale. The banks are
+	// architecturally identical, so cycle counts must not change; the
+	// metamorphic tests prove it.
 	BankPerm []int
 }
 
@@ -276,8 +272,7 @@ func (cc *Compiler) backEnd(p *Prepared, prog *ir.Program, o Options) (*Compiled
 		Mode: o.Mode, InterruptSafe: o.InterruptSafe,
 		Method: o.Partitioner, FMPasses: o.FMPasses,
 		Profiled: o.Profiled && o.Mode.Partitioned(),
-		Scanner:  &cc.scanner, SwapBanks: o.SwapBanks,
-		Spec: o.Spec, BankPerm: o.BankPerm,
+		Scanner:  &cc.scanner, Spec: o.Spec, BankPerm: o.BankPerm,
 	}
 	if o.DupOnly != nil {
 		filter := o.DupOnly
@@ -288,8 +283,7 @@ func (cc *Compiler) backEnd(p *Prepared, prog *ir.Program, o Options) (*Compiled
 		return nil, fmt.Errorf("%s: %w", p.name, err)
 	}
 	sched, err := compact.ScheduleWith(prog,
-		compact.Config{Ports: allocRes.Ports, MirrorBanks: o.SwapBanks,
-			Spec: o.Spec, BankPerm: o.BankPerm}, &cc.scratch)
+		compact.Config{Ports: allocRes.Ports, Spec: o.Spec, BankPerm: o.BankPerm}, &cc.scratch)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.name, err)
 	}
@@ -311,34 +305,10 @@ func (c *Compiled) RunCtx(ctx context.Context) (*sim.Machine, error) {
 	return m, nil
 }
 
-// RunFast executes the compiled program on the predecoded fast-path
-// engine, which produces the same cycle counts, bandwidth counters and
-// memory images as Run but without per-cycle map lookups or heap
-// allocation. Use Run for the reference interpreter and its debugging
-// hooks (tracing, per-instruction callbacks, port assertions).
-func (c *Compiled) RunFast() (*sim.FastMachine, error) {
-	return c.RunFastCtx(context.Background())
-}
-
-// RunFastCtx is RunFast honoring ctx: the fast engine polls for
-// cancellation at basic-block boundaries, so a caller's deadline
-// bounds even a simulation that would otherwise run to MaxCycles.
-func (c *Compiled) RunFastCtx(ctx context.Context) (*sim.FastMachine, error) {
-	pd, err := sim.Predecode(c.Sched)
-	if err != nil {
-		return nil, fmt.Errorf("%s (%v): %w", c.Name, c.Alloc.Mode, err)
-	}
-	m := pd.NewMachine()
-	if err := m.RunContext(ctx); err != nil {
-		return nil, fmt.Errorf("%s (%v): %w", c.Name, c.Alloc.Mode, err)
-	}
-	return m, nil
-}
-
 // RunCompiled executes the program on the compiled threaded-code
 // engine, which produces the same cycle counts, bandwidth counters and
-// memory images as Run and RunFast (differential tests pin all three)
-// but dispatches one specialized closure per operation instead of
+// memory images as Run (differential tests pin the two) but
+// dispatches one specialized closure per operation instead of
 // interpreting, and allocates memory arenas covering only the
 // program's used address range.
 func (c *Compiled) RunCompiled() (*sim.CompiledMachine, error) {

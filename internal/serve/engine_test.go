@@ -14,7 +14,8 @@ import (
 // valid engine name is accepted and produces the same measurement
 // (the engines are differentially pinned), the dispatch is counted
 // under the requested engine, distinct engines occupy distinct memo
-// entries, and an unknown engine is a 400 before any work happens.
+// entries, and an unknown engine name (such as "fast") is a 400
+// naming the valid engines before any work happens.
 func TestServeEngineOverride(t *testing.T) {
 	s := serve.New(serve.Config{Workers: 2})
 	defer s.Close()
@@ -22,7 +23,7 @@ func TestServeEngineOverride(t *testing.T) {
 	defer ts.Close()
 
 	var cycles []int64
-	for _, engine := range []string{"", "compiled", "fast", "machine"} {
+	for _, engine := range []string{"", "compiled", "machine"} {
 		body := `{"bench":"fir_32_1","mode":"CB"`
 		if engine != "" {
 			body += `,"engine":"` + engine + `"`
@@ -45,20 +46,26 @@ func TestServeEngineOverride(t *testing.T) {
 	}
 
 	// The default ("" → compiled) and the explicit "compiled" share a
-	// memo entry; fast and machine each executed once more.
-	if cs := s.CacheStats(); cs.Misses != 3 || cs.Hits != 1 {
-		t.Errorf("cache stats %+v, want 3 misses (compiled, fast, machine) + 1 hit", cs)
+	// memo entry; machine executed once more.
+	if cs := s.CacheStats(); cs.Misses != 2 || cs.Hits != 1 {
+		t.Errorf("cache stats %+v, want 2 misses (compiled, machine) + 1 hit", cs)
 	}
 	snap := s.Metrics().Snapshot()
-	if snap.EngineRuns["compiled"] != 2 || snap.EngineRuns["fast"] != 1 || snap.EngineRuns["machine"] != 1 {
-		t.Errorf("engine dispatch mix %v, want compiled=2 fast=1 machine=1", snap.EngineRuns)
+	if snap.EngineRuns["compiled"] != 2 || snap.EngineRuns["machine"] != 1 || len(snap.EngineRuns) != 2 {
+		t.Errorf("engine dispatch mix %v, want compiled=2 machine=1", snap.EngineRuns)
 	}
 
-	code, data := postRun(t, ts.Client(), ts.URL, `{"bench":"fir_32_1","engine":"turbo"}`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("unknown engine: status %d: %s", code, data)
+	for _, engine := range []string{"turbo", "fast"} {
+		code, data := postRun(t, ts.Client(), ts.URL, `{"bench":"fir_32_1","engine":"`+engine+`"}`)
+		if code != http.StatusBadRequest {
+			t.Fatalf("engine %q: status %d: %s", engine, code, data)
+		}
+		body := string(data)
+		if !strings.Contains(body, "unknown engine") || !strings.Contains(body, "compiled") || !strings.Contains(body, "machine") {
+			t.Errorf("engine %q: error body %s does not name the problem and both valid engines", engine, data)
+		}
 	}
-	if !strings.Contains(string(data), "unknown engine") {
-		t.Errorf("unknown-engine error body %s does not name the problem", data)
+	if cs := s.CacheStats(); cs.Misses != 2 {
+		t.Errorf("rejected engines ran work: %d misses, want 2", cs.Misses)
 	}
 }

@@ -23,7 +23,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"bench":"fir_32_1"}{"bench":"fir_32_1"}`))
 	f.Add([]byte(`{"bench":"fir_32_1","timeout_ms":-1}`))
 	f.Add([]byte(`{"bench":"fir_32_1","engine":"machine"}`))
-	f.Add([]byte(`{"bench":"fir_32_1","engine":"fast","mode":"Dup"}`))
+	f.Add([]byte(`{"bench":"fir_32_1","engine":"compiled","mode":"Dup","banks":4}`))
 	f.Add([]byte(`{"bench":"fir_32_1","engine":"turbo"}`))
 	f.Add([]byte(`{"source":"void main() {}","engine":"compiled"}`))
 	f.Add([]byte(`{"bonch":"fir_32_1"}`))

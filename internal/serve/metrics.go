@@ -33,7 +33,7 @@ type Metrics struct {
 	// admission, "rate" for the per-client limiter).
 	shed map[string]int64
 	// engineRuns counts measurement dispatches by simulation engine
-	// ("compiled", "fast", "machine"), so a deployment's engine mix is
+	// ("compiled", "machine"), so a deployment's engine mix is
 	// visible at a glance.
 	engineRuns map[string]int64
 }

@@ -57,10 +57,10 @@ type Request struct {
 	// only.
 	Banks int `json:"banks,omitempty"`
 	Ports int `json:"ports,omitempty"`
-	// Engine pins the simulation engine for this request: compiled,
-	// fast, or machine. Empty uses the server's configured engine. The
-	// cluster forwarder sets it explicitly so every node computes the
-	// identical memo key for one request.
+	// Engine pins the simulation engine for this request: compiled or
+	// machine. Empty uses the server's configured engine. The cluster
+	// forwarder sets it explicitly so every node computes the identical
+	// memo key for one request.
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMs caps this request's compile+simulate wall clock; zero
 	// means the server default. The server clamps it to its maximum.
@@ -126,21 +126,13 @@ type ErrorResponse struct {
 
 // Job is a validated, executable request.
 type Job struct {
-	Prog   bench.Program
-	Mode   alloc.Mode
-	Method core.Method
-	// FMPasses, Profiled, and DupOnly are the explorer's knobs (see
-	// Request); they flow into bench.RunOptions and the memo-cache key.
-	FMPasses int
-	Profiled bool
-	DupOnly  []string
-	// Banks and Ports are the request's machine geometry (zero = the
-	// classic 2-bank, single-ported machine).
-	Banks, Ports int
-	// Engine is the request's pinned simulation engine, meaningful only
-	// when EngineSet is true (the zero Engine is a valid engine); when
-	// false the server's configured engine applies.
-	Engine    bench.Engine
+	Prog bench.Program
+	Mode alloc.Mode
+	// Opts carries every measurement knob of the request — partitioner,
+	// the explorer's knobs, machine geometry, and the pinned engine. Use
+	// Options to read them: Opts.Engine is meaningful only when
+	// EngineSet is true (the zero Engine is a valid engine).
+	Opts      bench.RunOptions
 	EngineSet bool
 	// Timeout is the request's own deadline; zero means the server
 	// default applies.
@@ -149,6 +141,18 @@ type Job struct {
 	// functions of (name, mode, partitioner) and safe to memoize.
 	// Source jobs always compile and simulate afresh.
 	Cacheable bool
+}
+
+// Options returns the job's measurement options with the engine
+// resolved: the request's own pin, or def when it carried none. The
+// memo key, the shared L2 key, and the cluster routing key all derive
+// from this one mapping.
+func (j Job) Options(def bench.Engine) bench.RunOptions {
+	ro := j.Opts
+	if !j.EngineSet {
+		ro.Engine = def
+	}
+	return ro
 }
 
 // ErrUnknownBench marks a request for a benchmark name the suite does
@@ -237,19 +241,19 @@ func (req *Request) Job(maxSource int) (Job, error) {
 		return Job{}, err
 	}
 	if req.Partitioner != "" {
-		if j.Method, err = core.ParseMethod(req.Partitioner); err != nil {
+		if j.Opts.Partitioner, err = core.ParseMethod(req.Partitioner); err != nil {
 			return Job{}, fmt.Errorf("unknown partitioner %q (want greedy, kl, anneal, fm, or exact)", req.Partitioner)
 		}
 	}
-	if req.FMPasses != 0 && j.Method != core.MethodFM {
+	if req.FMPasses != 0 && j.Opts.Partitioner != core.MethodFM {
 		return Job{}, fmt.Errorf("fm_passes requires the fm partitioner")
 	}
 	if len(req.Dup) > 0 && j.Mode != alloc.CBDup {
 		return Job{}, fmt.Errorf("dup requires mode %q", alloc.CBDup)
 	}
-	j.FMPasses = req.FMPasses
-	j.Profiled = req.Profiled
-	j.DupOnly = req.Dup
+	j.Opts.FMPasses = req.FMPasses
+	j.Opts.Profiled = req.Profiled
+	j.Opts.DupOnly = req.Dup
 	if req.Banks != 0 || req.Ports != 0 {
 		spec := machine.BankSpec{Banks: req.Banks, PortsPerBank: req.Ports}
 		if err := spec.Validate(); err != nil {
@@ -258,10 +262,10 @@ func (req *Request) Job(maxSource int) (Job, error) {
 		if !spec.IsDefault() && (j.Mode == alloc.Ideal || j.Mode == alloc.LowOrder) {
 			return Job{}, fmt.Errorf("mode %q models the classic 2-bank machine only", j.Mode)
 		}
-		j.Banks, j.Ports = req.Banks, req.Ports
+		j.Opts.Banks, j.Opts.Ports = req.Banks, req.Ports
 	}
 	if req.Engine != "" {
-		if j.Engine, err = bench.ParseEngine(req.Engine); err != nil {
+		if j.Opts.Engine, err = bench.ParseEngine(req.Engine); err != nil {
 			return Job{}, err
 		}
 		j.EngineSet = true

@@ -55,7 +55,7 @@ type Config struct {
 	Fault *faultinject.Injector
 	// Engine selects the simulation engine for every measurement. The
 	// zero value is the compiled threaded-code engine — the production
-	// default; the fast and reference engines remain selectable for
+	// default; the reference engine remains selectable for
 	// cross-checking a deployment. A request carrying an explicit
 	// "engine" field overrides it per measurement.
 	Engine bench.Engine
@@ -228,28 +228,14 @@ func (s *Server) execute(ctx context.Context, cc *pipeline.Compiler, j Job) (ben
 			return bench.Result{}, false, err
 		}
 	}
-	ro := bench.RunOptions{
-		Compiler: cc, Partitioner: j.Method,
-		FMPasses: j.FMPasses, Profiled: j.Profiled, DupOnly: j.DupOnly,
-		Banks: j.Banks, Ports: j.Ports,
-		Engine: s.engineFor(j),
-	}
+	ro := j.Options(s.cfg.Engine)
+	ro.Compiler = cc
 	s.metrics.EngineRun(ro.Engine.String())
 	if j.Cacheable {
 		return s.harness.RunCtx(ctx, j.Prog, j.Mode, ro)
 	}
 	res, err := bench.RunCtx(ctx, j.Prog, j.Mode, ro)
 	return res, false, err
-}
-
-// engineFor resolves a job's effective simulation engine: its own
-// pinned engine when the request carried one, the server's configured
-// engine otherwise.
-func (s *Server) engineFor(j Job) bench.Engine {
-	if j.EngineSet {
-		return j.Engine
-	}
-	return s.cfg.Engine
 }
 
 // HasCached reports whether this server could answer the job from its
@@ -261,12 +247,7 @@ func (s *Server) HasCached(j Job) bool {
 	if !j.Cacheable {
 		return false
 	}
-	return s.harness.Cached(j.Prog, j.Mode, bench.RunOptions{
-		Partitioner: j.Method,
-		FMPasses:    j.FMPasses, Profiled: j.Profiled, DupOnly: j.DupOnly,
-		Banks: j.Banks, Ports: j.Ports,
-		Engine: s.engineFor(j),
-	})
+	return s.harness.Cached(j.Prog, j.Mode, j.Options(s.cfg.Engine))
 }
 
 // handleRun is POST /v1/run.
@@ -324,7 +305,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.ObserveRun(res.CompileSeconds, res.SimSeconds)
-	s.reply(w, http.StatusOK, ResponseFor(res, job.Method, cached))
+	s.reply(w, http.StatusOK, ResponseFor(res, job.Opts.Partitioner, cached))
 }
 
 // retryAfterSeconds suggests a backoff of at least one second, scaled

@@ -17,12 +17,10 @@ import (
 // indices, branch/call targets resolved to block indices, and
 // statically-resolvable banks (and, under the low-order model,
 // statically-resolvable address parities) baked in at lowering time.
-// Where the predecoded engine still dispatches a switch per operation
-// per cycle, the compiled engine dispatches one indirect call per
-// operation and aggregates every statically-known counter delta
-// (cycles, occupied slots, memory accesses, dual-access cycles, even
-// low-order conflict stalls of direct accesses) to a single add per
-// basic block.
+// The engine dispatches one indirect call per operation and aggregates
+// every statically-known counter delta (cycles, occupied slots, memory
+// accesses, dual-access cycles, even low-order conflict stalls of
+// direct accesses) to a single add per basic block.
 //
 // The reference interpreter evaluates every operation of a long
 // instruction against the pre-instruction register file before any
@@ -32,13 +30,12 @@ import (
 // or symbol ordered before its writer); instructions where no such
 // order exists — a genuine anti-dependence cycle, e.g. a packed
 // register swap — fall back to a staged form that buffers results in a
-// pending-write array exactly like the reference, reusing the
-// predecoded engine's operand evaluators so the semantics stay pinned.
+// pending-write array exactly like the reference, evaluating the dense
+// operation records of oprecord.go so the semantics stay pinned.
 //
 // sim.Machine remains the reference; the differential suite pins this
 // engine to identical cycle counts, bandwidth counters, and memory
-// images across the whole benchmark suite, exactly as it pins
-// FastMachine.
+// images across the whole benchmark suite.
 
 // cOp is one compiled operation: a specialized closure over the
 // executing machine. Closures capture only lowering-time constants, so
@@ -373,10 +370,7 @@ func lowerInstr(in *compact.Instr, sb *compact.Block, funcs map[string]*cFunc, c
 	ci.ops = make([]cOp, 0, len(data))
 	ci.canFault = true
 	for k, d := range data {
-		po, err := predecodeOp(d.op, d.unit, cp.ports, &cp.bankOf, cp.nbanks)
-		if err != nil {
-			return cInstr{}, err
-		}
+		po := predecodeOp(d.op, d.unit, cp.ports, &cp.bankOf, cp.nbanks)
 		ci.ops = append(ci.ops, lowerStaged(d.op, po, k, lowOrder))
 		if d.op.IsMem() {
 			if lowOrder {
@@ -808,9 +802,9 @@ func cb2i(b bool) uint32 {
 }
 
 // lowerStaged generates one staged (two-phase) closure: it evaluates
-// against the pre-commit register file via the predecoded engine's
-// shared evaluators — keeping this rare path pinned to the reference
-// by construction — and buffers the result at pending slot k.
+// against the pre-commit register file via the operation-record
+// evaluators — keeping this rare path pinned to the reference by
+// construction — and buffers the result at pending slot k.
 func lowerStaged(op *ir.Op, po pOp, k int, lowOrder bool) cOp {
 	switch op.Kind {
 	case ir.OpLoad:
@@ -877,8 +871,8 @@ func (cp *CompiledProgram) NewMachine() *CompiledMachine {
 }
 
 // Reset restores the machine to its initial state so it can be run
-// again without reallocating. Unlike the predecoded engine's Reset,
-// this touches only the program's used address range.
+// again without reallocating. It touches only the program's used
+// address range.
 func (m *CompiledMachine) Reset() {
 	for b := range m.Banks {
 		copy(m.Banks[b], m.cp.initBanks[b])

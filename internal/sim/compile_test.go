@@ -8,9 +8,76 @@ import (
 	"time"
 
 	"dualbank/internal/alloc"
+	"dualbank/internal/compact"
+	"dualbank/internal/ir"
+	"dualbank/internal/lower"
 	"dualbank/internal/machine"
+	"dualbank/internal/minic"
+	"dualbank/internal/opt"
+	"dualbank/internal/regalloc"
 	"dualbank/internal/sim"
 )
+
+// firSource is a small FIR filter with function calls, loops, integer
+// and float arithmetic — enough to exercise every dispatch case of the
+// compiled engine while staying quick to simulate.
+const firSource = `
+float x[128] = {1.0, 2.0, 3.0, 4.0, 5.0};
+float h[32] = {0.5, 0.25, 0.125};
+float y[96];
+int checksum;
+
+float tap(float acc, float a, float b) {
+	return acc + a * b;
+}
+
+void main() {
+	int n;
+	int k;
+	int c = 0;
+	for (n = 0; n < 96; n++) {
+		float acc = 0.0;
+		for (k = 0; k < 32; k++) {
+			acc = tap(acc, x[n + k], h[k]);
+		}
+		y[n] = acc;
+		if (acc > 0.0) {
+			c = c + 1;
+		}
+	}
+	checksum = c;
+}
+`
+
+// compileSched compiles source through scheduling for tests and
+// benchmarks alike (compileTo is *testing.T-only).
+func compileSched(tb testing.TB, src string, mode alloc.Mode) *compact.Program {
+	tb.Helper()
+	file, err := minic.Parse(src)
+	if err != nil {
+		tb.Fatalf("parse: %v", err)
+	}
+	if err := minic.Analyze(file); err != nil {
+		tb.Fatalf("analyze: %v", err)
+	}
+	p, err := lower.Program(file, "t")
+	if err != nil {
+		tb.Fatalf("lower: %v", err)
+	}
+	opt.Run(p, opt.Options{})
+	if _, err := regalloc.Run(p); err != nil {
+		tb.Fatalf("regalloc: %v", err)
+	}
+	res, err := alloc.Run(p, alloc.Options{Mode: mode})
+	if err != nil {
+		tb.Fatalf("alloc: %v", err)
+	}
+	sched, err := compact.Schedule(p, compact.Config{Ports: res.Ports})
+	if err != nil {
+		tb.Fatalf("schedule: %v", err)
+	}
+	return sched
+}
 
 // TestCompiledMatchesMachine cross-checks the compiled engine against
 // the interpretive reference on the local kernel under every port
@@ -53,6 +120,122 @@ func TestCompiledMatchesMachine(t *testing.T) {
 		for i := n; i < machine.BankWords; i++ {
 			if ref.X[i] != 0 || ref.Y[i] != 0 {
 				t.Fatalf("%v: reference touched word %#x beyond the compiled arena (%d words)", mode, i, n)
+			}
+		}
+	}
+}
+
+// stagedProgram hand-builds a one-block schedule whose long
+// instructions pack register swaps: writes with no conflict-free commit
+// order, which the compiled engine lowers to its staged (two-phase)
+// form. Every other slot of a staged instruction — integer, float, and
+// direct and indexed memory operations — then runs through the dense
+// operation records. No compiled benchmark schedules such an
+// instruction, so only a hand-built program reaches this path.
+func stagedProgram(ports machine.PortModel) (*compact.Program, *ir.Symbol, *ir.Symbol) {
+	out := &ir.Symbol{Name: "out", Kind: ir.SymGlobal, Elem: ir.TInt, Size: 8, Dims: []int{8}}
+	in := &ir.Symbol{Name: "in", Kind: ir.SymGlobal, Elem: ir.TInt, Size: 8, Dims: []int{8},
+		Init: []uint32{7, 5, 9, 11}}
+	if ports == machine.PortsLowOrder {
+		in.Addr = 8 // one flat space; the address parity picks the bank
+	} else {
+		out.Bank, in.Bank = machine.BankX, machine.BankY
+	}
+	f := ir.NewFunc("main", ir.TVoid)
+	f.SetPhysRegTable()
+	blk := f.NewBlock()
+	r, fr := ir.PhysInt, ir.PhysFloat
+	alu := func(k ir.OpKind, dst, a0, a1 ir.Reg) *ir.Op {
+		return &ir.Op{Kind: k, Dst: dst, Args: [2]ir.Reg{a0, a1}}
+	}
+	load := func(dst ir.Reg, sym *ir.Symbol, idx ir.Reg) *ir.Op {
+		return &ir.Op{Kind: ir.OpLoad, Dst: dst, Sym: sym, Idx: idx, Bank: sym.Bank}
+	}
+	store := func(val ir.Reg, sym *ir.Symbol, idx ir.Reg) *ir.Op {
+		return &ir.Op{Kind: ir.OpStore, Args: [2]ir.Reg{val}, Sym: sym, Idx: idx, Bank: sym.Bank}
+	}
+	konst := func(dst ir.Reg, v int64) *ir.Op { return &ir.Op{Kind: ir.OpConst, Dst: dst, Imm: v} }
+	fkonst := func(dst ir.Reg, v float64) *ir.Op { return &ir.Op{Kind: ir.OpFConst, Dst: dst, FImm: v} }
+	// Slots: PCU, MU0 (bank X), MU1 (bank Y), AU0, AU1, DU0, DU1, FPU0, FPU1.
+	instrs := [][machine.NumUnits]*ir.Op{
+		{nil, nil, load(r(5), in, 0), konst(r(1), 6), konst(r(2), -4), konst(r(3), 2), konst(r(4), 0),
+			fkonst(fr(1), 1.5), fkonst(fr(2), -0.25)},
+		// r1, r2 = r2, r1
+		{nil, load(r(8), out, r(3)), store(r(1), in, r(4)),
+			alu(ir.OpMov, r(1), r(2), 0), alu(ir.OpMov, r(2), r(1), 0),
+			alu(ir.OpDiv, r(6), r(1), r(3)), alu(ir.OpSetLT, r(7), r(2), r(1)),
+			alu(ir.OpFMul, fr(3), fr(1), fr(2)), alu(ir.OpFAdd, fr(4), fr(1), fr(2))},
+		// f1, f2 = f2, f1
+		{nil, store(r(6), out, 0), store(r(7), in, r(3)),
+			alu(ir.OpMov, fr(1), fr(2), 0), alu(ir.OpMov, fr(2), fr(1), 0),
+			alu(ir.OpRem, r(5), r(5), r(3)), alu(ir.OpMac, r(4), r(1), r(2)),
+			alu(ir.OpFSub, fr(3), fr(3), fr(4)), alu(ir.OpFloatToInt, r(6), fr(4), 0)},
+		// r3, r2 = -r2, r3
+		{nil, store(r(4), out, 0), store(r(8), in, 0),
+			alu(ir.OpNeg, r(3), r(2), 0), alu(ir.OpMov, r(2), r(3), 0),
+			alu(ir.OpNot, r(7), r(1), 0), alu(ir.OpShl, r(8), r(5), r(3)),
+			alu(ir.OpIntToFloat, fr(4), r(1), 0), alu(ir.OpFDiv, fr(3), fr(3), fr(1))},
+		{nil, store(r(2), out, r(6)), store(r(3), in, r(5)),
+			alu(ir.OpAdd, r(5), r(7), r(8)), nil, alu(ir.OpFSetLT, r(1), fr(3), fr(4)), nil, nil, nil},
+		{alu(ir.OpRet, 0, 0, 0), store(fr(3), out, r(5)), store(r(4), in, r(5)), nil, nil, nil, nil, nil, nil},
+	}
+	sb := &compact.Block{Src: blk}
+	for _, slots := range instrs {
+		ci := new(compact.Instr)
+		copy(ci.Slots[:], slots[:])
+		for _, op := range slots {
+			if op != nil {
+				blk.Ops = append(blk.Ops, op)
+			}
+		}
+		sb.Instrs = append(sb.Instrs, ci)
+	}
+	src := &ir.Program{Name: "staged", Globals: []*ir.Symbol{out, in}}
+	src.AddFunc(f)
+	funcs := map[string]*compact.Func{"main": {Src: f, Blocks: []*compact.Block{sb}}}
+	return &compact.Program{Src: src, Funcs: funcs, Ports: ports}, out, in
+}
+
+// TestCompiledStagedMatchesMachine pins the compiled engine's staged
+// instructions to the reference under every port model: counters and
+// the memory image must agree, and the reference must show the swaps
+// took effect (so the program really exercises the two-phase rule).
+func TestCompiledStagedMatchesMachine(t *testing.T) {
+	for _, ports := range []machine.PortModel{machine.PortsBanked, machine.PortsDualPorted, machine.PortsLowOrder} {
+		sched, out, in := stagedProgram(ports)
+		ref := sim.NewMachine(sched)
+		if err := ref.Run(); err != nil {
+			t.Fatalf("%v: reference: %v", ports, err)
+		}
+		// in[2] is the first swap's compare of its own inputs (-4 < 6);
+		// in[1] and out[1] are the third swap's results, -6 (the negated
+		// r2 = 6 the first swap left) and 2; out[0] is the second's
+		// multiply-accumulate of the swapped registers.
+		for _, w := range []struct {
+			sym  *ir.Symbol
+			idx  int
+			want int32
+		}{{in, 2, 1}, {in, 1, -6}, {out, 1, 2}, {out, 0, -24}} {
+			if got, err := ref.Int32(w.sym, w.idx); err != nil || got != w.want {
+				t.Fatalf("%v: reference %s[%d] = %d (%v), want %d", ports, w.sym, w.idx, got, err, w.want)
+			}
+		}
+		cp, err := sim.Compile(sched)
+		if err != nil {
+			t.Fatalf("%v: compile: %v", ports, err)
+		}
+		cm := cp.NewMachine()
+		if err := cm.Run(); err != nil {
+			t.Fatalf("%v: compiled: %v", ports, err)
+		}
+		if cm.Counters() != ref.Counters() {
+			t.Errorf("%v: counters diverge: compiled %+v, reference %+v", ports, cm.Counters(), ref.Counters())
+		}
+		for b := range cm.Banks {
+			for i, w := range cm.Banks[b] {
+				if w != ref.Banks[b][i] {
+					t.Errorf("%v: bank %d word %d: compiled %#x, reference %#x", ports, b, i, w, ref.Banks[b][i])
+				}
 			}
 		}
 	}
@@ -266,8 +449,23 @@ func TestCompiledCycleLimit(t *testing.T) {
 	}
 }
 
+// BenchmarkMachine measures the interpretive reference engine, a fresh
+// machine per run; comparing its ns/op against BenchmarkCompiledMachine
+// on the identical schedule quantifies the compiled engine's speedup.
+func BenchmarkMachine(b *testing.B) {
+	sched := compileSched(b, firSource, alloc.CBDup)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := sim.NewMachine(sched)
+		if err := m.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompiledMachine measures the compiled engine's steady-state
-// loop, comparable against BenchmarkMachine and BenchmarkFastMachine.
+// loop, Reset+Run on a prebuilt machine; it must report 0 allocs/op.
 func BenchmarkCompiledMachine(b *testing.B) {
 	cp, err := sim.Compile(compileSched(b, firSource, alloc.CBDup))
 	if err != nil {

@@ -1,12 +1,9 @@
 package sim
 
 // CycleCount returns the retired-cycle counter; with Word it forms the
-// minimal surface shared by all three engines, letting engine-generic
+// minimal surface shared by both engines, letting engine-generic
 // callers (the benchmark harness) treat them uniformly.
 func (m *Machine) CycleCount() int64 { return m.Cycles }
-
-// CycleCount returns the retired-cycle counter.
-func (m *FastMachine) CycleCount() int64 { return m.Cycles }
 
 // CycleCount returns the retired-cycle counter.
 func (m *CompiledMachine) CycleCount() int64 { return m.Cycles }
@@ -24,11 +21,6 @@ type Counters struct {
 
 // Counters snapshots the bandwidth counters.
 func (m *Machine) Counters() Counters {
-	return Counters{m.Cycles, m.OpsExecuted, m.MemAccesses, m.DualMemCycles, m.BankConflicts}
-}
-
-// Counters snapshots the bandwidth counters.
-func (m *FastMachine) Counters() Counters {
 	return Counters{m.Cycles, m.OpsExecuted, m.MemAccesses, m.DualMemCycles, m.BankConflicts}
 }
 
