@@ -1,16 +1,19 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"dualbank/internal/alloc"
 	"dualbank/internal/core"
+	"dualbank/internal/opt"
 	"dualbank/internal/pipeline"
 )
 
-// Compile-path microbenchmarks over a real benchmark program, tracking
-// the fast compile path end to end: interference-graph construction,
-// whole-pipeline compilation, and the harness's compile+simulate unit.
+// Compile-path microbenchmarks over real benchmark programs, tracking
+// the fast compile path end to end: the front end over the whole suite,
+// interference-graph construction, whole-pipeline compilation, and the
+// harness's compile+simulate unit.
 
 // benchProgramIR compiles fft_256 once and returns its post-regalloc
 // IR for graph-construction benchmarks.
@@ -63,6 +66,22 @@ func BenchmarkRunCB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunWith(p, alloc.CB, RunOptions{Compiler: cc}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPrepare runs the front end (parse through register
+// allocation) over the 23-program suite; one op is the whole suite.
+func BenchmarkPrepare(b *testing.B) {
+	progs := append(Kernels(), Applications()...)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			if _, err := pipeline.Prepare(ctx, p.Source, p.Name, opt.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -82,7 +82,9 @@ type Options struct {
 	MaxDupArrays int
 	// Store, when non-nil, checkpoints every completed evaluation and
 	// (unless NoResume) replays existing checkpoints instead of
-	// re-simulating.
+	// re-simulating. The batched evaluator checkpoints a worker's chunk
+	// when the whole chunk returns, so a cancelled exploration keeps
+	// the evaluations its workers finished before the cancel.
 	Store *store.Store
 	// NoResume ignores existing checkpoints (they are still written).
 	NoResume bool

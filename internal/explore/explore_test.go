@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dualbank/internal/alloc"
 	"dualbank/internal/bench"
 	"dualbank/internal/core"
 	"dualbank/internal/explore/store"
@@ -108,10 +109,13 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestExploreResumeAfterKill kills an exploration partway through
-// (context cancel triggered from the progress stream), resumes it
-// from the checkpoint store, and requires the resumed frontier to be
-// byte-identical to an uninterrupted run's — with the already-computed
-// prefix replayed from the store, not re-simulated.
+// (context cancel triggered by the harness's 9th cache miss), resumes
+// it from the checkpoint store, and requires the resumed frontier to
+// be byte-identical to an uninterrupted run's — with the
+// already-computed prefix replayed from the store, not re-simulated.
+// The kill comes from the harness rather than the progress stream
+// because the batched evaluator records a worker's chunk only once the
+// whole chunk returns, usually after every measurement has finished.
 func TestExploreResumeAfterKill(t *testing.T) {
 	p := prog(t, "fir_32_1")
 	uninterrupted, err := Explore(context.Background(), []bench.Program{p}, Options{Budget: 80, Workers: 2})
@@ -125,15 +129,17 @@ func TestExploreResumeAfterKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	var events atomic.Int64
+	var misses atomic.Int64
 	const killAfter = 9
+	h := bench.NewHarness(1)
+	h.Intercept = func(context.Context, bench.Program, alloc.Mode) error {
+		if misses.Add(1) == killAfter {
+			cancel()
+		}
+		return nil
+	}
 	_, err = Explore(ctx, []bench.Program{p}, Options{
-		Budget: 80, Workers: 2, Store: st,
-		Progress: func(Event) {
-			if events.Add(1) == killAfter {
-				cancel()
-			}
-		},
+		Budget: 80, Workers: 2, Store: st, Harness: h,
 	})
 	cancel()
 	if err == nil {

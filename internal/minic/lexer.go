@@ -250,10 +250,13 @@ func isHex(c byte) bool {
 	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
-// LexAll tokenizes the whole input; used by tests and the parser.
+// LexAll tokenizes the whole input; used by tests and the parser. The
+// token buffer is allocated once, for one token per two bytes of
+// source: the benchmark and generated programs run 1.7 to 4.7 bytes
+// per token, so all but the densest few never regrow it.
 func LexAll(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var out []Token
+	out := make([]Token, 0, len(src)/2+1)
 	for {
 		t, err := l.Next()
 		if err != nil {

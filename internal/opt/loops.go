@@ -46,17 +46,13 @@ func foldBranches(f *ir.Func) bool {
 		blk   *ir.Block
 		count int
 	}
-	defs := make(map[ir.Reg]*def)
+	defs := make([]def, f.NumRegs())
 	for _, b := range f.Blocks {
 		for _, op := range b.Ops {
 			if op.Dst == ir.NoReg {
 				continue
 			}
-			d := defs[op.Dst]
-			if d == nil {
-				d = &def{}
-				defs[op.Dst] = d
-			}
+			d := &defs[op.Dst]
 			d.count++
 			d.blk = b
 			d.val = 0
@@ -73,8 +69,8 @@ func foldBranches(f *ir.Func) bool {
 		if t == nil || t.Kind != ir.OpCondBr {
 			continue
 		}
-		d := defs[t.Args[0]]
-		if d == nil || d.count != 1 {
+		d := &defs[t.Args[0]]
+		if d.count != 1 {
 			continue
 		}
 		if d.blk != f.Entry() && d.blk != b {
@@ -152,10 +148,10 @@ func mergeBlocks(f *ir.Func) bool {
 	}
 }
 
-// regUsePositions returns, for every register, whether it is used in
-// any block other than `home`.
-func usedOutside(f *ir.Func, home *ir.Block) map[ir.Reg]bool {
-	out := make(map[ir.Reg]bool)
+// usedOutside returns, indexed by register, whether the register is
+// used in any block other than `home`.
+func usedOutside(f *ir.Func, home *ir.Block) []bool {
+	out := make([]bool, f.NumRegs())
 	var buf []ir.Reg
 	for _, b := range f.Blocks {
 		if b == home {
@@ -259,30 +255,30 @@ func removePred(b, p *ir.Block) {
 	}
 }
 
-// constOneRegs returns the registers whose single definition in the
-// function is an integer constant, mapped to the constant value.
-func constRegs(f *ir.Func) map[ir.Reg]int64 {
-	defs := make(map[ir.Reg]int)
-	val := make(map[ir.Reg]int64)
+// constRegs returns, indexed by register, the value of every register
+// whose single definition in the function is an integer constant; ok
+// reports which registers have one.
+func constRegs(f *ir.Func) (val []int64, ok []bool) {
+	n := f.NumRegs()
+	defs := make([]int32, n)
+	val = make([]int64, n)
+	ok = make([]bool, n)
 	for _, b := range f.Blocks {
 		for _, op := range b.Ops {
 			if op.Dst == ir.NoReg {
 				continue
 			}
 			defs[op.Dst]++
-			if op.Kind == ir.OpConst {
-				val[op.Dst] = op.Imm
-			} else {
-				delete(val, op.Dst)
-			}
+			val[op.Dst] = op.Imm
+			ok[op.Dst] = op.Kind == ir.OpConst
 		}
 	}
-	for r := range val {
-		if defs[r] != 1 {
-			delete(val, r)
+	for r, d := range defs {
+		if d != 1 {
+			ok[r] = false
 		}
 	}
-	return val
+	return val, ok
 }
 
 // hardwareLoops rewrites counted loops to the DO/ENDDO hardware. See
@@ -297,23 +293,27 @@ func constRegs(f *ir.Func) map[ir.Reg]int64 {
 // the rotation guard) is materialized in a new preheader that ends in
 // OpDo; the compare and branch are deleted and the backedge block ends
 // in OpEndDo, which the loop hardware evaluates for free.
+//
+// Every candidate branch's natural loop is collected in one blockSet,
+// indexed by Block.ID: the IDs are dense here because mergeBlocks
+// renumbers the blocks just before this pass runs.
 func hardwareLoops(f *ir.Func) bool {
-	consts := constRegs(f)
+	consts, isConst := constRegs(f)
+	loop := newBlockSet(len(f.Blocks))
 	for _, l := range f.Blocks {
 		t := l.Terminator()
 		if t == nil || t.Kind != ir.OpCondBr {
 			continue
 		}
 		head, exit := l.Succs[0], l.Succs[1]
-		loop, ok := naturalLoop(head, l)
-		if !ok || loop[exit] {
+		if !naturalLoop(head, l, loop) || loop.has(exit) {
 			continue
 		}
 		// Single exit: only L leaves the loop, via its condbr.
-		ok = true
-		for b := range loop {
+		ok := true
+		for _, b := range loop.members {
 			for _, s := range b.Succs {
-				if !loop[s] && !(b == l && s == exit) {
+				if !loop.has(s) && !(b == l && s == exit) {
 					ok = false
 				}
 			}
@@ -363,7 +363,7 @@ func hardwareLoops(f *ir.Func) bool {
 		// compare, by adding or subtracting a constant 1.
 		updIdx := -1
 		count := 0
-		for b := range loop {
+		for _, b := range loop.members {
 			for i, op := range b.Ops {
 				if op.Dst == iReg {
 					count++
@@ -377,8 +377,7 @@ func hardwareLoops(f *ir.Func) bool {
 			continue
 		}
 		upd := l.Ops[updIdx]
-		step, isConstOne := consts[upd.Args[1]]
-		if !isConstOne || step != 1 || upd.Args[0] != iReg {
+		if step := upd.Args[1]; !isConst[step] || consts[step] != 1 || upd.Args[0] != iReg {
 			continue
 		}
 		switch {
@@ -387,11 +386,12 @@ func hardwareLoops(f *ir.Func) bool {
 		default:
 			continue
 		}
-		// The loop must be entered through exactly one outside edge.
+		// The loop must be entered through exactly one outside edge,
+		// so its header cannot be the function entry.
 		var entry *ir.Block
 		ok = true
 		for _, p := range head.Preds {
-			if loop[p] {
+			if loop.has(p) {
 				continue
 			}
 			if entry != nil {
@@ -452,34 +452,61 @@ func hardwareLoops(f *ir.Func) bool {
 	return false
 }
 
-// naturalLoop returns the blocks of the natural loop with header head
-// and backedge block tail (tail -> head).
-func naturalLoop(head, tail *ir.Block) (map[*ir.Block]bool, bool) {
-	loop := map[*ir.Block]bool{head: true, tail: true}
-	stack := []*ir.Block{tail}
+// blockSet is a set of blocks indexed by Block.ID, for a function
+// whose block IDs are dense. Starting a new set bumps the epoch rather
+// than clearing the stamps; members lists the blocks in the order they
+// were added.
+type blockSet struct {
+	stamp   []uint32
+	epoch   uint32
+	members []*ir.Block
+}
+
+func newBlockSet(n int) *blockSet { return &blockSet{stamp: make([]uint32, n)} }
+
+func (s *blockSet) reset() {
+	s.epoch++
+	s.members = s.members[:0]
+}
+
+func (s *blockSet) has(b *ir.Block) bool { return s.stamp[b.ID] == s.epoch }
+
+func (s *blockSet) add(b *ir.Block) {
+	s.stamp[b.ID] = s.epoch
+	s.members = append(s.members, b)
+}
+
+// naturalLoop fills loop with the blocks of the natural loop with
+// header head and backedge block tail (tail -> head): head, tail, and
+// every block that reaches tail without passing through head, in
+// breadth-first order from tail. It reports false, leaving loop
+// partial, when the walk takes more than 10,000 steps.
+func naturalLoop(head, tail *ir.Block, loop *blockSet) bool {
+	loop.reset()
+	loop.add(head)
+	if tail != head {
+		loop.add(tail)
+	}
 	steps := 0
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for i := 0; i < len(loop.members); i++ {
+		b := loop.members[i]
 		if b == head {
 			continue
 		}
 		for _, p := range b.Preds {
-			if !loop[p] {
-				loop[p] = true
-				stack = append(stack, p)
+			if !loop.has(p) {
+				loop.add(p)
 			}
 		}
 		if steps++; steps > 10000 {
-			return nil, false
+			return false
 		}
 	}
-	// Header must not be the function entry (needs an outside pred).
-	return loop, true
+	return true
 }
 
-func definedIn(loop map[*ir.Block]bool, r ir.Reg) bool {
-	for b := range loop {
+func definedIn(loop *blockSet, r ir.Reg) bool {
+	for _, b := range loop.members {
 		for _, op := range b.Ops {
 			if op.Dst == r {
 				return true

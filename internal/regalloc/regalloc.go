@@ -157,35 +157,48 @@ func liveness(f *ir.Func) (liveOut []bitset) {
 // --- Interference graph ---
 
 type igraph struct {
-	n     int
-	adj   [][]ir.Reg // adjacency lists
-	edges map[[2]ir.Reg]bool
-	cost  []float64 // spill cost per register
+	n    int
+	adj  [][]ir.Reg // adjacency lists
+	cost []float64  // spill cost per register
 }
 
+// addEdge records that a and b interfere. The scan finds most pairs
+// more than once; dedupe drops the repeats after it.
 func (g *igraph) addEdge(a, b ir.Reg) {
 	if a == b || a == ir.NoReg || b == ir.NoReg {
 		return
 	}
-	if a > b {
-		a, b = b, a
-	}
-	k := [2]ir.Reg{a, b}
-	if g.edges[k] {
-		return
-	}
-	g.edges[k] = true
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
+}
+
+// dedupe keeps the first occurrence of each neighbour in every
+// adjacency list, so each list names each interfering register once,
+// in the order the scan first found the pair.
+func (g *igraph) dedupe() {
+	// seen[m] == r marks m as already kept in r's list; r >= 1, so the
+	// zeroed array starts with nothing marked.
+	seen := make([]ir.Reg, g.n)
+	for r := 1; r < g.n; r++ {
+		list := g.adj[r]
+		k := 0
+		for _, m := range list {
+			if seen[m] != ir.Reg(r) {
+				seen[m] = ir.Reg(r)
+				list[k] = m
+				k++
+			}
+		}
+		g.adj[r] = list[:k]
+	}
 }
 
 func buildInterference(f *ir.Func) *igraph {
 	n := f.NumRegs()
 	g := &igraph{
-		n:     n,
-		adj:   make([][]ir.Reg, n),
-		edges: make(map[[2]ir.Reg]bool),
-		cost:  make([]float64, n),
+		n:    n,
+		adj:  make([][]ir.Reg, n),
+		cost: make([]float64, n),
 	}
 	liveOut := liveness(f)
 	live := newBitset(n)
@@ -231,6 +244,7 @@ func buildInterference(f *ir.Func) *igraph {
 			}
 		}
 	}
+	g.dedupe()
 	return g
 }
 
