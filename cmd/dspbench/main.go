@@ -106,8 +106,8 @@ func main() {
 		fmt.Println(text)
 		if *timing {
 			st := h.Stats()
-			fmt.Fprintf(os.Stderr, "dspbench: %-14s %8.3fs  cache %d hits / %d misses / %d prepares\n",
-				name, sec.Seconds, st.Hits, st.Misses, st.Prepares)
+			fmt.Fprintf(os.Stderr, "dspbench: %-14s %8.3fs  cache %d hits / %d misses / %d prepares / %d sims\n",
+				name, sec.Seconds, st.Hits, st.Misses, st.Prepares, st.Sims)
 		}
 		report.AddSection(sec)
 	}
@@ -166,8 +166,8 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "dspbench: phase totals   compile %7.3fs  sim %8.3fs over %d runs\n",
 			compileSum, simSum, len(report.Runs))
-		fmt.Fprintf(os.Stderr, "dspbench: total          %8.3fs  cache %d hits / %d misses / %d prepares (parallel=%d)\n",
-			report.TotalSeconds, report.Cache.Hits, report.Cache.Misses, report.Cache.Prepares, h.Parallel)
+		fmt.Fprintf(os.Stderr, "dspbench: total          %8.3fs  cache %d hits / %d misses / %d prepares / %d sims (parallel=%d)\n",
+			report.TotalSeconds, report.Cache.Hits, report.Cache.Misses, report.Cache.Prepares, report.Cache.Sims, h.Parallel)
 	}
 	if *jsonPath != "" {
 		check(report.WriteFile(*jsonPath))

@@ -150,7 +150,9 @@ type Result struct {
 	// and the simulation phase (lowering plus execution on the
 	// selected engine). Through a Harness the front end runs once per
 	// program, and its time is charged only to the measurement that ran
-	// it; the others' compile phase starts at their back end.
+	// it; the others' compile phase starts at their back end. A
+	// Harness's simulation phase also fingerprints the schedule, and is
+	// nothing more when that image was already simulated.
 	CompileSeconds float64
 	SimSeconds     float64
 }
@@ -222,13 +224,14 @@ func RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Res
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
-	return measure(ctx, p, mode, ro.Engine, cc, c, compileStart)
+	return measure(ctx, p, mode, ro.Engine, cc, c, compileStart, nil)
 }
 
 // runPrepared is RunCtx for a program whose front end has already
 // run: it finishes a private copy of prep under mode and ro, then
-// simulates and checks it. Its compile phase covers the back end only.
-func runPrepared(ctx context.Context, p Program, prep *pipeline.Prepared, mode alloc.Mode, ro RunOptions) (Result, error) {
+// simulates and checks it, unless memo already holds that schedule's
+// measurement. Its compile phase covers the back end only.
+func runPrepared(ctx context.Context, p Program, prep *pipeline.Prepared, mode alloc.Mode, ro RunOptions, memo *simMemo) (Result, error) {
 	cc := ro.Compiler
 	if cc == nil {
 		cc = new(pipeline.Compiler)
@@ -238,7 +241,7 @@ func runPrepared(ctx context.Context, p Program, prep *pipeline.Prepared, mode a
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
-	return measure(ctx, p, mode, ro.Engine, cc, c, compileStart)
+	return measure(ctx, p, mode, ro.Engine, cc, c, compileStart, memo)
 }
 
 // pipelineOptions translates a measurement request into compiler
@@ -261,46 +264,39 @@ func pipelineOptions(mode alloc.Mode, ro RunOptions) pipeline.Options {
 
 // measure validates c's schedule, simulates it on engine, checks the
 // program's outputs and assembles the Result. The compile phase is
-// timed from compileStart to the end of schedule validation.
-func measure(ctx context.Context, p Program, mode alloc.Mode, engine Engine, cc *pipeline.Compiler, c *pipeline.Compiled, compileStart time.Time) (Result, error) {
+// timed from compileStart to the end of schedule validation. A non-nil
+// memo supplies the cycle count of a schedule whose image it has seen
+// on engine, in place of the simulation and the output check, and
+// records every schedule that passes both.
+func measure(ctx context.Context, p Program, mode alloc.Mode, engine Engine, cc *pipeline.Compiler, c *pipeline.Compiled, compileStart time.Time, memo *simMemo) (Result, error) {
 	if err := compact.Validate(c.Sched); err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
 	compileSeconds := time.Since(compileStart).Seconds()
 	simStart := time.Now()
-	// The engines are pinned to identical observable results; the
-	// switch only selects dispatch machinery. The compiled engine
-	// recycles the compiler's batch arena, so its returned machine must
-	// be fully read (cycles, output check) before this compiler runs
-	// anything else — which measure does before returning.
-	var m simMachine
-	var err error
-	switch engine {
-	case EngineMachine:
-		m, err = c.RunCtx(ctx)
-	default:
-		m, err = c.RunCompiledCtx(ctx, cc.SimBatch())
-	}
+	key, cycles, hit, err := memo.lookup(c.Sched, engine)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
-	simSeconds := time.Since(simStart).Seconds()
-	if p.Check != nil {
-		read := func(name string, idx int) (uint32, error) {
-			g := c.Global(name)
-			if g == nil {
-				return 0, fmt.Errorf("no global %q", name)
-			}
-			return m.Word(g, idx)
+	simSeconds := 0.0
+	if hit {
+		simSeconds = time.Since(simStart).Seconds()
+	} else {
+		m, err := simulate(ctx, engine, cc, c)
+		if err != nil {
+			return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 		}
-		if err := p.Check(read); err != nil {
+		simSeconds = time.Since(simStart).Seconds()
+		if err := checkOutputs(p, c, m); err != nil {
 			return Result{}, fmt.Errorf("%s/%v: output check: %w", p.Name, mode, err)
 		}
+		cycles = m.CycleCount()
+		memo.store(key, cycles)
 	}
 	res := Result{
 		Bench:          p.Name,
 		Mode:           mode,
-		Cycles:         m.CycleCount(),
+		Cycles:         cycles,
 		Mem:            cost.Of(c.Alloc, c.Sched),
 		DupStores:      c.Alloc.DupStores,
 		CompileSeconds: compileSeconds,
@@ -310,6 +306,32 @@ func measure(ctx context.Context, p Program, mode alloc.Mode, engine Engine, cc 
 		res.Duplicated = append(res.Duplicated, s.Name)
 	}
 	return res, nil
+}
+
+// simulate runs c on engine. The engines are pinned to identical
+// observable results; the switch only selects dispatch machinery. The
+// compiled engine recycles the compiler's batch arena, so its returned
+// machine must be fully read (cycles, output check) before this
+// compiler runs anything else — which measure does before returning.
+func simulate(ctx context.Context, engine Engine, cc *pipeline.Compiler, c *pipeline.Compiled) (simMachine, error) {
+	if engine == EngineMachine {
+		return c.RunCtx(ctx)
+	}
+	return c.RunCompiledCtx(ctx, cc.SimBatch())
+}
+
+// checkOutputs validates the program's outputs in m against p.Check.
+func checkOutputs(p Program, c *pipeline.Compiled, m simMachine) error {
+	if p.Check == nil {
+		return nil
+	}
+	return p.Check(func(name string, idx int) (uint32, error) {
+		g := c.Global(name)
+		if g == nil {
+			return 0, fmt.Errorf("no global %q", name)
+		}
+		return m.Word(g, idx)
+	})
 }
 
 // Gain returns the percentage cycle-count improvement of res over the

@@ -62,11 +62,12 @@ type Harness struct {
 	timings []RunTiming
 	// prepared memoizes the front end of every program measured
 	// recently, so each run-cache miss pays only its back end; order
-	// lists its entries oldest first for eviction (see prepare).
+	// lists its entries oldest first for eviction (see prepare). Each
+	// entry also carries the program's simulation memo.
 	prepared map[prepKey]*prepEntry
 	order    []*prepEntry
 
-	hits, misses, l2hits, prepares atomic.Int64
+	hits, misses, l2hits, prepares, sims atomic.Int64
 }
 
 // ResultCache is a shared second-level result cache — typically the
@@ -260,9 +261,11 @@ func NewHarness(parallel int) *Harness {
 // accounts for every measurement request when an L2 is configured;
 // without one, L2Hits stays zero. Prepares is the number of front-end
 // runs the misses needed: one per program while the front-end memo
-// holds it.
+// holds it. Sims is the number of simulations the misses ran: a miss
+// whose schedule's image was already simulated on its engine runs
+// none.
 type CacheStats struct {
-	Hits, Misses, L2Hits, Prepares int64
+	Hits, Misses, L2Hits, Prepares, Sims int64
 }
 
 // Stats returns the cache counters.
@@ -270,6 +273,7 @@ func (h *Harness) Stats() CacheStats {
 	return CacheStats{
 		Hits: h.hits.Load(), Misses: h.misses.Load(),
 		L2Hits: h.l2hits.Load(), Prepares: h.prepares.Load(),
+		Sims: h.sims.Load(),
 	}
 }
 
@@ -420,19 +424,20 @@ func (h *Harness) Cached(p Program, mode alloc.Mode, ro RunOptions) bool {
 
 // compute is one cache-miss execution: the Intercept hook (fault
 // injection, instrumentation) runs first and may veto the measurement.
-// The program's front end comes from the memo; only the back end and
-// the simulation run here.
+// The program's front end comes from the memo; the back end runs here,
+// and so does the simulation unless the program's simulation memo
+// already measured the resulting image.
 func (h *Harness) compute(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Result, error) {
 	if h.Intercept != nil {
 		if err := h.Intercept(ctx, p, mode); err != nil {
 			return Result{}, err
 		}
 	}
-	prep, frontSeconds, err := h.prepare(ctx, p)
+	e, frontSeconds, err := h.prepare(ctx, p)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
-	res, err := runPrepared(ctx, p, prep, mode, ro)
+	res, err := runPrepared(ctx, p, e.prep, mode, ro, &e.memo)
 	if err != nil {
 		return Result{}, err
 	}
@@ -452,19 +457,21 @@ type prepKey struct{ name, source string }
 
 // prepEntry is a single-flight slot for one front end, following the
 // cacheEntry protocol, except that a failed front end is never kept:
-// its waiters see the error, and later requests run it again.
+// its waiters see the error, and later requests run it again. memo is
+// the program's simulation memo, dropped with the entry.
 type prepEntry struct {
 	key       prepKey
 	done      chan struct{}
 	prep      *pipeline.Prepared
 	err       error
 	cancelled bool
+	memo      simMemo
 }
 
-// prepare returns p's front end from the memo, running it on a miss.
+// prepare returns p's memo entry, running its front end on a miss.
 // frontSeconds is the front end's wall clock when this call ran it,
 // and zero when it came from the memo or from another request's run.
-func (h *Harness) prepare(ctx context.Context, p Program) (prep *pipeline.Prepared, frontSeconds float64, err error) {
+func (h *Harness) prepare(ctx context.Context, p Program) (e *prepEntry, frontSeconds float64, err error) {
 	key := prepKey{name: p.Name, source: p.Source}
 	for {
 		h.mu.Lock()
@@ -481,9 +488,9 @@ func (h *Harness) prepare(ctx context.Context, p Program) (prep *pipeline.Prepar
 				}
 				continue
 			}
-			return e.prep, 0, e.err
+			return e, 0, e.err
 		}
-		e := &prepEntry{key: key, done: make(chan struct{})}
+		e := &prepEntry{key: key, done: make(chan struct{}), memo: simMemo{sims: &h.sims}}
 		h.prepared[key] = e
 		h.order = append(h.order, e)
 		for len(h.order) > prepMemoSize {
@@ -512,7 +519,7 @@ func (h *Harness) prepare(ctx context.Context, p Program) (prep *pipeline.Prepar
 			h.mu.Unlock()
 		}
 		close(e.done)
-		return e.prep, frontSeconds, e.err
+		return e, frontSeconds, e.err
 	}
 }
 

@@ -76,7 +76,7 @@ func checkStaged(t *testing.T, p Program, cells []stagedCell) {
 			for i := range next {
 				ro := cells[i].ro
 				ro.Compiler = cc
-				got[i], errs[i] = runPrepared(ctx, p, prep, cells[i].mode, ro)
+				got[i], errs[i] = runPrepared(ctx, p, prep, cells[i].mode, ro, nil)
 			}
 		}()
 	}

@@ -25,8 +25,11 @@ import (
 // Magic identifies image files.
 var Magic = [4]byte{'D', 'S', 'P', 'B'}
 
-// Version is the image format version.
-const Version = 1
+// Version is the image format version. Version 2 carries the bank
+// geometry in the header and a slot for every unit of the widest
+// machine, so an N-bank program keeps its extra memory units; Decode
+// rejects every other version.
+const Version = 2
 
 // op field presence flags.
 const (
@@ -123,18 +126,52 @@ func (r *reader) str() (string, error) {
 	return s, nil
 }
 
-// Encode serialises a scheduled program.
+// Encoder serialises scheduled programs into one buffer it reuses, so
+// a caller encoding many programs (the measurement harness fingerprints
+// every schedule it measures) stops allocating once the buffer and
+// index tables have grown. The zero value is ready to use. An Encoder
+// is not safe for concurrent use.
+type Encoder struct {
+	w     writer
+	index map[*ir.Symbol]int
+	funcs map[string]int
+}
+
+// Encode serialises a scheduled program into a fresh image.
 func Encode(p *compact.Program) ([]byte, error) {
-	w := &writer{}
-	w.buf = append(w.buf, Magic[:]...)
+	return new(Encoder).Encode(p)
+}
+
+// Encode serialises p into the encoder's buffer. The image aliases
+// that buffer: it is valid until the encoder's next call.
+func (e *Encoder) Encode(p *compact.Program) ([]byte, error) {
+	if err := p.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("encode: %w", err)
+	}
+	if e.index == nil {
+		e.index = make(map[*ir.Symbol]int)
+		e.funcs = make(map[string]int)
+	}
+	// The tables are emptied on the way out, so a pooled encoder does
+	// not keep the last program reachable.
+	defer clear(e.index)
+	defer clear(e.funcs)
+	w := &e.w
+	w.buf = append(w.buf[:0], Magic[:]...)
 	w.u8(Version)
 	w.u8(uint8(p.Ports))
+	w.u8(uint8(p.Spec.Banks))
+	w.u8(uint8(p.Spec.PortsPerBank))
+	w.uvarint(uint64(len(p.Spec.UnitBinding)))
+	for _, b := range p.Spec.UnitBinding {
+		w.u8(uint8(b))
+	}
 	w.str(p.Src.Name)
 
 	// Symbol table. Index spans globals then each function's locals, in
 	// program order.
 	syms := p.Src.Symbols()
-	index := make(map[*ir.Symbol]int, len(syms))
+	index := e.index
 	for i, s := range syms {
 		index[s] = i
 	}
@@ -169,7 +206,7 @@ func Encode(p *compact.Program) ([]byte, error) {
 	}
 
 	// Function table.
-	funcIndex := make(map[string]int, len(p.Src.Funcs))
+	funcIndex := e.funcs
 	w.uvarint(uint64(len(p.Src.Funcs)))
 	for i, f := range p.Src.Funcs {
 		funcIndex[f.Name] = i
@@ -217,8 +254,7 @@ func encodeInstr(w *writer, in *compact.Instr, symIndex map[*ir.Symbol]int, func
 	}
 	w.u8(uint8(mask))
 	w.u8(uint8(mask >> 8))
-	for u := 0; u < machine.NumUnits; u++ {
-		op := in.Slots[u]
+	for _, op := range in.Slots {
 		if op == nil {
 			continue
 		}
@@ -303,6 +339,10 @@ func Decode(data []byte) (*compact.Program, error) {
 		return nil, fmt.Errorf("encode: unsupported image version %d", ver)
 	}
 	ports, err := r.u8()
+	if err != nil {
+		return nil, err
+	}
+	spec, err := decodeSpec(r)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +434,8 @@ func Decode(data []byte) (*compact.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &compact.Program{Src: prog, Funcs: make(map[string]*compact.Func), Ports: machine.PortModel(ports)}
+	out := &compact.Program{Src: prog, Funcs: make(map[string]*compact.Func), Ports: machine.PortModel(ports), Spec: spec}
+	units := spec.NumUnits()
 	funcNames := make([]string, 0, nFuncs)
 
 	type pendingCall struct {
@@ -488,7 +529,7 @@ func Decode(data []byte) (*compact.Program, error) {
 			}
 			sb := &compact.Block{Src: b}
 			for ii := uint64(0); ii < ni; ii++ {
-				in, ops, callRefs, err := decodeInstr(r, syms)
+				in, ops, callRefs, err := decodeInstr(r, syms, units)
 				if err != nil {
 					return nil, fmt.Errorf("encode: %s block %d: %w", fname, bi, err)
 				}
@@ -535,12 +576,51 @@ func Decode(data []byte) (*compact.Program, error) {
 	return out, nil
 }
 
+// decodeSpec reads and validates the header's bank geometry: bank
+// count, ports per bank, and the unit binding (zero entries for the
+// default one).
+func decodeSpec(r *reader) (machine.BankSpec, error) {
+	var spec machine.BankSpec
+	banks, err := r.u8()
+	if err != nil {
+		return spec, err
+	}
+	ports, err := r.u8()
+	if err != nil {
+		return spec, err
+	}
+	spec.Banks, spec.PortsPerBank = int(banks), int(ports)
+	n, err := r.uvarint()
+	if err != nil {
+		return spec, err
+	}
+	if n > machine.MaxMemUnits {
+		return spec, fmt.Errorf("encode: unit binding has %d entries (max %d)", n, machine.MaxMemUnits)
+	}
+	if n > 0 {
+		spec.UnitBinding = make([]int8, n)
+		for j := range spec.UnitBinding {
+			b, err := r.u8()
+			if err != nil {
+				return spec, err
+			}
+			spec.UnitBinding[j] = int8(b)
+		}
+	}
+	if err := spec.Validate(); err != nil {
+		return spec, fmt.Errorf("encode: %w", err)
+	}
+	return spec, nil
+}
+
 type callRef struct {
 	op *ir.Op
 	fi int
 }
 
-func decodeInstr(r *reader, syms []*ir.Symbol) (*compact.Instr, []*ir.Op, []callRef, error) {
+// decodeInstr reads one long instruction for a machine with the given
+// number of units; a slot beyond them is corruption.
+func decodeInstr(r *reader, syms []*ir.Symbol, units int) (*compact.Instr, []*ir.Op, []callRef, error) {
 	lo, err := r.u8()
 	if err != nil {
 		return nil, nil, nil, err
@@ -550,10 +630,13 @@ func decodeInstr(r *reader, syms []*ir.Symbol) (*compact.Instr, []*ir.Op, []call
 		return nil, nil, nil, err
 	}
 	mask := uint16(lo) | uint16(hi)<<8
+	if mask>>uint(units) != 0 {
+		return nil, nil, nil, fmt.Errorf("slot mask %#x names a unit beyond the machine's %d", mask, units)
+	}
 	in := &compact.Instr{}
 	var ops []*ir.Op
 	var calls []callRef
-	for u := 0; u < machine.NumUnits; u++ {
+	for u := 0; u < units; u++ {
 		if mask&(1<<uint(u)) == 0 {
 			continue
 		}

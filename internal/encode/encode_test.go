@@ -1,96 +1,227 @@
 package encode_test
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"dualbank/internal/alloc"
 	"dualbank/internal/bench"
+	"dualbank/internal/compact"
 	"dualbank/internal/encode"
+	"dualbank/internal/machine"
+	"dualbank/internal/opt"
 	"dualbank/internal/pipeline"
 	"dualbank/internal/sim"
 )
 
-// roundTrip compiles a benchmark, encodes it, decodes the image, runs
-// BOTH programs on the VLIW simulator, and compares cycle counts and
-// every output word.
-func roundTrip(t *testing.T, name string, mode alloc.Mode) {
-	t.Helper()
-	p, ok := bench.ByName(name)
-	if !ok {
-		t.Fatalf("no benchmark %q", name)
+// geometries are the bank geometries BENCH_hw.json sweeps, 2x1…4x2.
+var geometries = []machine.BankSpec{
+	{Banks: 2, PortsPerBank: 1}, {Banks: 3, PortsPerBank: 1}, {Banks: 4, PortsPerBank: 1},
+	{Banks: 2, PortsPerBank: 2}, {Banks: 3, PortsPerBank: 2}, {Banks: 4, PortsPerBank: 2},
+}
+
+// geometryModes returns the modes a geometry is measured under: all
+// seven on the classic machine, the partitioned ones elsewhere.
+func geometryModes(spec machine.BankSpec) []alloc.Mode {
+	if spec.IsDefault() {
+		return []alloc.Mode{
+			alloc.SingleBank, alloc.CB, alloc.CBProfiled,
+			alloc.CBDup, alloc.FullDup, alloc.Ideal, alloc.LowOrder,
+		}
 	}
-	c, err := pipeline.Compile(p.Source, name, pipeline.Options{Mode: mode})
+	return []alloc.Mode{alloc.CB, alloc.CBProfiled, alloc.CBDup}
+}
+
+// roundTripSuite prepares each program once and round-trips it under
+// every geometry's modes.
+func roundTripSuite(t *testing.T, progs []bench.Program) {
+	t.Helper()
+	cc := new(pipeline.Compiler)
+	for _, p := range progs {
+		prep, err := pipeline.Prepare(context.Background(), p.Source, p.Name, opt.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range geometries {
+			for _, mode := range geometryModes(spec) {
+				c, err := cc.Finish(context.Background(), prep, pipeline.Options{Mode: mode, Spec: spec})
+				if err != nil {
+					t.Fatalf("%s %v %s: %v", p.Name, mode, spec, err)
+				}
+				roundTrip(t, fmt.Sprintf("%s %v %s", p.Name, mode, spec), c.Sched)
+			}
+		}
+	}
+}
+
+// roundTrip encodes a schedule, decodes the image, and runs both
+// programs on both engines, comparing all five counters and every word
+// of every bank. The decoded program must also keep the geometry and
+// every operation, and re-encode to the same bytes.
+func roundTrip(t *testing.T, label string, sched *compact.Program) {
+	t.Helper()
+	img, err := encode.Encode(sched)
+	if err != nil {
+		t.Fatalf("%s: encode: %v", label, err)
+	}
+	dec, err := encode.Decode(img)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", label, err)
+	}
+	if !reflect.DeepEqual(dec.Spec, sched.Spec) || dec.Ports != sched.Ports {
+		t.Fatalf("%s: decoded as %s ports %v, want %s ports %v", label, dec.Spec, dec.Ports, sched.Spec, sched.Ports)
+	}
+	if got, want := opCount(dec), opCount(sched); got != want {
+		t.Fatalf("%s: decoded image has %d ops, want %d", label, got, want)
+	}
+	again, err := encode.Encode(dec)
+	if err != nil {
+		t.Fatalf("%s: re-encode: %v", label, err)
+	}
+	if !bytes.Equal(again, img) {
+		t.Fatalf("%s: re-encoding the decoded program changed the image", label)
+	}
+
+	m1, m2 := sim.NewMachine(sched), sim.NewMachine(dec)
+	if err := m1.Run(); err != nil {
+		t.Fatalf("%s: machine run: %v", label, err)
+	}
+	if err := m2.Run(); err != nil {
+		t.Fatalf("%s: decoded image, machine run: %v", label, err)
+	}
+	sameRun(t, label+" machine", m1.Counters(), m2.Counters(), m1.Banks, m2.Banks)
+
+	cm1, cm2 := compiledRun(t, label, sched), compiledRun(t, label+" decoded", dec)
+	sameRun(t, label+" compiled", cm1.Counters(), cm2.Counters(), cm1.Banks, cm2.Banks)
+}
+
+// compiledRun runs sched on the compiled engine.
+func compiledRun(t *testing.T, label string, sched *compact.Program) *sim.CompiledMachine {
+	t.Helper()
+	cp, err := sim.Compile(sched)
+	if err != nil {
+		t.Fatalf("%s: lower: %v", label, err)
+	}
+	m := cp.NewMachine()
+	if err := m.Run(); err != nil {
+		t.Fatalf("%s: compiled run: %v", label, err)
+	}
+	return m
+}
+
+// sameRun compares two runs' counters and bank images.
+func sameRun(t *testing.T, label string, c1, c2 sim.Counters, b1, b2 [][]uint32) {
+	t.Helper()
+	if c1 != c2 {
+		t.Fatalf("%s: counters %+v, decoded %+v", label, c1, c2)
+	}
+	if !slices.EqualFunc(b1, b2, slices.Equal) {
+		t.Fatalf("%s: bank images differ", label)
+	}
+}
+
+// opCount counts the operations a schedule issues.
+func opCount(p *compact.Program) int {
+	n := 0
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				n += in.Count()
+			}
+		}
+	}
+	return n
+}
+
+// TestRoundTripKernels round-trips the twelve kernels at every swept
+// geometry.
+func TestRoundTripKernels(t *testing.T) {
+	roundTripSuite(t, bench.Kernels())
+}
+
+// TestRoundTripApplications round-trips the eleven applications at
+// every swept geometry: duplication (lpc), calls (spectral's fft),
+// heavy integer code (adpcm) and the low-order organisation.
+func TestRoundTripApplications(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	roundTripSuite(t, bench.Applications())
+}
+
+// TestRoundTripUnitBinding round-trips a machine whose memory units
+// reach the banks in a non-default order: the image must keep the
+// binding, or the decoded program would access other banks.
+func TestRoundTripUnitBinding(t *testing.T) {
+	p, _ := bench.ByName("fft_256")
+	spec := machine.BankSpec{Banks: 2, PortsPerBank: 2, UnitBinding: []int8{1, 1, 0, 0}}
+	for _, mode := range []alloc.Mode{alloc.CB, alloc.CBDup} {
+		c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: mode, Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		roundTrip(t, fmt.Sprintf("fft_256 %v bound %v", mode, spec.UnitBinding), c.Sched)
+	}
+}
+
+// TestDecodeRejectsOtherVersions checks that a version 1 image, which
+// had no geometry and only nine slots, is refused rather than misread.
+func TestDecodeRejectsOtherVersions(t *testing.T) {
+	p, _ := bench.ByName("fir_32_1")
+	c, err := pipeline.Compile(p.Source, "fir", pipeline.Options{Mode: alloc.CB})
 	if err != nil {
 		t.Fatal(err)
 	}
 	img, err := encode.Encode(c.Sched)
 	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	dec, err := encode.Decode(img)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-
-	m1 := sim.NewMachine(c.Sched)
-	if err := m1.Run(); err != nil {
 		t.Fatal(err)
 	}
-	m2 := sim.NewMachine(dec)
-	if err := m2.Run(); err != nil {
-		t.Fatalf("decoded image run: %v", err)
-	}
-	if m1.Cycles != m2.Cycles {
-		t.Fatalf("cycle mismatch: original %d, decoded %d", m1.Cycles, m2.Cycles)
-	}
-	// Compare every global, word for word, matching symbols by name.
-	decSyms := map[string]int{}
-	for i, s := range dec.Src.Globals {
-		decSyms[s.Name] = i
-	}
-	for _, g := range c.IR.Globals {
-		di, ok := decSyms[g.Name]
-		if !ok {
-			t.Fatalf("decoded image lost global %s", g.Name)
-		}
-		dg := dec.Src.Globals[di]
-		if dg.Size != g.Size || dg.Bank != g.Bank || dg.Addr != g.Addr {
-			t.Fatalf("global %s metadata mismatch: %+v vs %+v", g.Name, g, dg)
-		}
-		for i := 0; i < g.Size; i++ {
-			w1, err := m1.Word(g, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w2, err := m2.Word(dg, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w1 != w2 {
-				t.Fatalf("%s[%d]: original %#x, decoded %#x", g.Name, i, w1, w2)
-			}
-		}
+	img[4] = 1
+	if _, err := encode.Decode(img); err == nil || !strings.Contains(err.Error(), "unsupported image version 1") {
+		t.Fatalf("version 1 image: %v", err)
 	}
 }
 
-func TestRoundTripKernels(t *testing.T) {
-	for _, name := range []string{"fir_32_1", "iir_4_64", "mult_4_4", "fft_256"} {
-		for _, mode := range []alloc.Mode{alloc.SingleBank, alloc.CB, alloc.Ideal} {
-			roundTrip(t, name, mode)
+// TestDecodeRejectsBadGeometry corrupts the header's geometry: an
+// invalid geometry fails validation, and so does a valid one too narrow
+// for the instructions that follow.
+func TestDecodeRejectsBadGeometry(t *testing.T) {
+	p, _ := bench.ByName("fft_256")
+	c, err := pipeline.Compile(p.Source, "fft", pipeline.Options{Mode: alloc.CB, Spec: machine.BankSpec{Banks: 4, PortsPerBank: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := encode.Encode(c.Sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header: magic, version, port model, banks, ports per bank.
+	for _, tc := range []struct {
+		at   int
+		val  byte
+		want string
+	}{
+		{6, 1, "1 banks out of range"},
+		{6, 9, "9 banks out of range"},
+		{7, 3, "needs 12 memory units"},
+	} {
+		mut := append([]byte(nil), img...)
+		mut[tc.at] = tc.val
+		if _, err := encode.Decode(mut); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("header byte %d = %d: %v, want %q", tc.at, tc.val, err, tc.want)
 		}
 	}
-}
-
-func TestRoundTripApplications(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+	// fft_256 at 4x2 issues on MU2…MU7, which a 2x1 machine lacks.
+	mut := append([]byte(nil), img...)
+	mut[6], mut[7] = 2, 1
+	if _, err := encode.Decode(mut); err == nil || !strings.Contains(err.Error(), "beyond the machine's 9") {
+		t.Errorf("4x2 image decoded as 2x1: %v", err)
 	}
-	// Exercise duplication (lpc), calls (spectral's fft), heavy integer
-	// code (adpcm) and the low-order organisation.
-	roundTrip(t, "lpc", alloc.CBDup)
-	roundTrip(t, "spectral", alloc.CB)
-	roundTrip(t, "adpcm", alloc.CB)
-	roundTrip(t, "trellis", alloc.LowOrder)
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
