@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,34 +35,63 @@ import (
 )
 
 func main() {
-	fig7 := flag.Bool("fig7", false, "run the kernel experiment (Figure 7)")
-	fig8 := flag.Bool("fig8", false, "run the application experiment (Figure 8)")
-	table3 := flag.Bool("table3", false, "run the performance/cost table (Table 3)")
-	orgs := flag.Bool("organizations", false, "compare memory organisations (low-order vs high-order vs dual-ported)")
-	tables := flag.Bool("tables", false, "print the benchmark inventories (Tables 1 and 2)")
-	sweep := flag.Bool("sweep", false, "sweep FIR filter order vs CB gain")
-	all := flag.Bool("all", false, "run everything")
-	one := flag.String("bench", "", "run a single benchmark across all modes")
-	selective := flag.String("selective", "", "run PCR-driven selective duplication on one benchmark")
-	list := flag.Bool("list", false, "list benchmark names")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool width for the experiment harness")
-	timing := flag.Bool("timing", false, "report per-section wall clock, per-run compile/simulate split, and cache traffic on stderr")
-	partitioner := flag.String("partitioner", "greedy", "graph partitioner for -bench runs: greedy, kl, anneal, fm, or exact")
-	engineName := flag.String("engine", "compiled", "simulation engine: "+bench.EngineNames())
-	simbench := flag.Bool("simbench", false, "measure per-engine simulator throughput (not part of -all)")
-	simcheck := flag.String("simcheck", "", "re-measure simulator throughput and fail if the compiled/machine speedup regressed >10% vs this baseline JSON")
-	jsonPath := flag.String("json", "", "write harness results and timings to this JSON file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// usageError is a failure that exits 2, like a bad flag, rather than 1.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// run is main with injectable arguments and streams, returning the
+// exit code, so tests can drive the whole harness in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dspbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig7 := fs.Bool("fig7", false, "run the kernel experiment (Figure 7)")
+	fig8 := fs.Bool("fig8", false, "run the application experiment (Figure 8)")
+	table3 := fs.Bool("table3", false, "run the performance/cost table (Table 3)")
+	orgs := fs.Bool("organizations", false, "compare memory organisations (low-order vs high-order vs dual-ported)")
+	tables := fs.Bool("tables", false, "print the benchmark inventories (Tables 1 and 2)")
+	sweep := fs.Bool("sweep", false, "sweep FIR filter order vs CB gain")
+	all := fs.Bool("all", false, "run everything")
+	one := fs.String("bench", "", "run a single benchmark across all modes")
+	selective := fs.String("selective", "", "run PCR-driven selective duplication on one benchmark")
+	list := fs.Bool("list", false, "list benchmark names")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool width for the experiment harness")
+	timing := fs.Bool("timing", false, "report per-section wall clock, per-run compile/simulate split, and cache traffic on stderr")
+	partitioner := fs.String("partitioner", "greedy", "graph partitioner for -bench runs: greedy, kl, anneal, fm, or exact")
+	engineName := fs.String("engine", "compiled", "simulation engine: "+bench.EngineNames())
+	simbench := fs.Bool("simbench", false, "measure per-engine simulator throughput (not part of -all)")
+	simcheck := fs.String("simcheck", "", "re-measure simulator throughput and fail if the compiled/machine speedup regressed >10% vs this baseline JSON")
+	jsonPath := fs.String("json", "", "write harness results and timings to this JSON file")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dspbench:", err)
+		var ue usageError
+		if errors.As(err, &ue) {
+			return 2
+		}
+		return 1
+	}
 
 	engine, err := bench.ParseEngine(*engineName)
-	check(err)
+	if err != nil {
+		return fail(err)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		check(err)
-		check(pprof.StartCPUProfile(f))
+		if err != nil {
+			return fail(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(err)
+		}
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
@@ -69,21 +100,27 @@ func main() {
 
 	if *list {
 		for _, n := range bench.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 	if *selective != "" {
-		runSelective(*selective)
-		return
+		if err := runSelective(stdout, *selective); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	if *one != "" {
-		runOne(*one, *partitioner, engine)
-		return
+		if err := runOne(stdout, *one, *partitioner, engine); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	if *simbench || *simcheck != "" {
-		runSimBench(*simcheck, *jsonPath)
-		return
+		if err := runSimBench(stdout, stderr, *simcheck, *jsonPath); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	if !*fig7 && !*fig8 && !*table3 && !*orgs && !*tables && !*sweep {
 		*all = true
@@ -97,60 +134,66 @@ func main() {
 	// section runs one experiment, prints its text (stdout stays
 	// byte-identical to the serial harness), and records rows and
 	// wall-clock in the JSON report.
-	section := func(name string, run func() (bench.Section, string, error)) {
+	section := func(name string, run func() (bench.Section, string, error)) error {
 		s0 := time.Now()
 		sec, text, err := run()
-		check(err)
+		if err != nil {
+			return err
+		}
 		sec.Name = name
 		sec.Seconds = time.Since(s0).Seconds()
-		fmt.Println(text)
+		fmt.Fprintln(stdout, text)
 		if *timing {
 			st := h.Stats()
-			fmt.Fprintf(os.Stderr, "dspbench: %-14s %8.3fs  cache %d hits / %d misses / %d prepares / %d sims\n",
+			fmt.Fprintf(stderr, "dspbench: %-14s %8.3fs  cache %d hits / %d misses / %d prepares / %d sims\n",
 				name, sec.Seconds, st.Hits, st.Misses, st.Prepares, st.Sims)
 		}
 		report.AddSection(sec)
+		return nil
 	}
 
 	if *tables || *all {
-		fmt.Println(bench.RenderTables())
+		fmt.Fprintln(stdout, bench.RenderTables())
 	}
-	if *fig7 || *all {
-		section("figure7", func() (bench.Section, string, error) {
+	sections := []struct {
+		on   bool
+		name string
+		run  func() (bench.Section, string, error)
+	}{
+		{*fig7, "figure7", func() (bench.Section, string, error) {
 			rows, err := h.Figure7()
 			return bench.Section{Figure: rows}, bench.RenderFigure(
 				"Figure 7: Performance Gain for DSP Kernels (over single-bank baseline)",
 				rows, bench.Figure7Modes), err
-		})
-	}
-	if *fig8 || *all {
-		section("figure8", func() (bench.Section, string, error) {
+		}},
+		{*fig8, "figure8", func() (bench.Section, string, error) {
 			rows, err := h.Figure8()
 			return bench.Section{Figure: rows}, bench.RenderFigure(
 				"Figure 8: Performance Gain for DSP Applications (over single-bank baseline)",
 				rows, bench.Figure8Modes), err
-		})
-	}
-	if *table3 || *all {
-		section("table3", func() (bench.Section, string, error) {
+		}},
+		{*table3, "table3", func() (bench.Section, string, error) {
 			rows, err := h.Table3()
 			return bench.Section{Table3: rows}, bench.RenderTable3(rows), err
-		})
-	}
-	if *orgs || *all {
-		section("organizations", func() (bench.Section, string, error) {
+		}},
+		{*orgs, "organizations", func() (bench.Section, string, error) {
 			rows, err := h.Organizations()
 			return bench.Section{Figure: rows}, bench.RenderFigure(
 				"Memory organisations: low-order interleaved (hardware conflict stalls) vs high-order banked (CB/Dup) vs dual-ported",
 				rows, bench.OrganizationModes), err
-		})
-	}
-	if *sweep || *all {
-		section("sweep_fir", func() (bench.Section, string, error) {
+		}},
+		{*sweep, "sweep_fir", func() (bench.Section, string, error) {
 			rows, err := h.SweepFIR([]int{8, 16, 32, 64, 128, 256}, 16)
 			return bench.Section{Sweep: rows}, bench.RenderSweep(
 				"FIR order sensitivity: CB gain vs filter length (16 samples)", rows), err
-		})
+		}},
+	}
+	for _, s := range sections {
+		if s.on || *all {
+			if err := section(s.name, s.run); err != nil {
+				return fail(err)
+			}
+		}
 	}
 
 	report.Cache = h.Stats()
@@ -161,34 +204,51 @@ func main() {
 		for _, rt := range report.Runs {
 			compileSum += rt.CompileSeconds
 			simSum += rt.SimSeconds
-			fmt.Fprintf(os.Stderr, "dspbench: run %-14s %-12v compile %7.3fs  sim %8.3fs\n",
+			fmt.Fprintf(stderr, "dspbench: run %-14s %-12v compile %7.3fs  sim %8.3fs\n",
 				rt.Bench, rt.Mode, rt.CompileSeconds, rt.SimSeconds)
 		}
-		fmt.Fprintf(os.Stderr, "dspbench: phase totals   compile %7.3fs  sim %8.3fs over %d runs\n",
+		fmt.Fprintf(stderr, "dspbench: phase totals   compile %7.3fs  sim %8.3fs over %d runs\n",
 			compileSum, simSum, len(report.Runs))
-		fmt.Fprintf(os.Stderr, "dspbench: total          %8.3fs  cache %d hits / %d misses / %d prepares / %d sims (parallel=%d)\n",
+		fmt.Fprintf(stderr, "dspbench: total          %8.3fs  cache %d hits / %d misses / %d prepares / %d sims (parallel=%d)\n",
 			report.TotalSeconds, report.Cache.Hits, report.Cache.Misses, report.Cache.Prepares, report.Cache.Sims, h.Parallel)
 	}
 	if *jsonPath != "" {
-		check(report.WriteFile(*jsonPath))
+		if err := report.WriteFile(*jsonPath); err != nil {
+			return fail(err)
+		}
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
-		check(err)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
 		runtime.GC()
-		check(pprof.WriteHeapProfile(f))
-		f.Close()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			return fail(err)
+		}
 	}
+	return 0
 }
 
-func runOne(name, partitioner string, engine bench.Engine) {
+// lookup finds a benchmark by name; an unknown name is a usage error.
+func lookup(name string) (bench.Program, error) {
 	p, ok := bench.ByName(name)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "dspbench: unknown benchmark %q (use -list)\n", name)
-		os.Exit(2)
+		return bench.Program{}, usageError(fmt.Sprintf("unknown benchmark %q (use -list)", name))
+	}
+	return p, nil
+}
+
+func runOne(stdout io.Writer, name, partitioner string, engine bench.Engine) error {
+	p, err := lookup(name)
+	if err != nil {
+		return err
 	}
 	method, err := core.ParseMethod(partitioner)
-	check(err)
+	if err != nil {
+		return err
+	}
 	modes := []alloc.Mode{
 		alloc.SingleBank, alloc.CB, alloc.CBProfiled,
 		alloc.CBDup, alloc.FullDup, alloc.Ideal,
@@ -197,77 +257,81 @@ func runOne(name, partitioner string, engine bench.Engine) {
 	var base bench.Result
 	for _, m := range modes {
 		res, err := bench.RunWith(p, m, bench.RunOptions{Partitioner: method, Compiler: cc, Engine: engine})
-		check(err)
+		if err != nil {
+			return err
+		}
 		if m == alloc.SingleBank {
 			base = res
-			fmt.Printf("%-12s cycles=%-10d cost=%d\n", m, res.Cycles, res.Mem.Total())
+			fmt.Fprintf(stdout, "%-12s cycles=%-10d cost=%d\n", m, res.Cycles, res.Mem.Total())
 			continue
 		}
-		fmt.Printf("%-12s cycles=%-10d gain=%+6.1f%% cost=%-8d dupStores=%d dup=%v\n",
+		fmt.Fprintf(stdout, "%-12s cycles=%-10d gain=%+6.1f%% cost=%-8d dupStores=%d dup=%v\n",
 			m, res.Cycles, bench.Gain(base, res), res.Mem.Total(), res.DupStores, res.Duplicated)
 	}
+	return nil
 }
 
 // runSimBench measures per-engine simulator throughput over the
 // standard suite, optionally writing a BENCH_sim.json-style report and
 // optionally gating on a committed baseline: with a non-empty
-// checkPath the run exits 1 if any benchmark's compiled-over-machine
+// checkPath the run fails if any benchmark's compiled-over-machine
 // speedup fell more than 10% below the baseline's. The speedup ratio —
 // not raw ns/run — is what's compared, so the check transfers across
 // host speeds.
-func runSimBench(checkPath, jsonPath string) {
+func runSimBench(stdout, stderr io.Writer, checkPath, jsonPath string) error {
 	rows, err := bench.SimBench(bench.SimBenchSuite, 100*time.Millisecond)
-	check(err)
-	fmt.Print(bench.RenderSimBench(rows))
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(stdout, bench.RenderSimBench(rows))
 	if jsonPath != "" {
 		report := &bench.Report{GOMAXPROCS: runtime.GOMAXPROCS(0), SimBench: rows}
-		check(report.WriteFile(jsonPath))
+		if err := report.WriteFile(jsonPath); err != nil {
+			return err
+		}
 	}
 	if checkPath == "" {
-		return
+		return nil
 	}
 	baseline, err := bench.ReadReport(checkPath)
-	check(err)
+	if err != nil {
+		return err
+	}
 	if len(baseline.SimBench) == 0 {
-		fmt.Fprintf(os.Stderr, "dspbench: %s carries no simbench rows\n", checkPath)
-		os.Exit(1)
+		return fmt.Errorf("%s carries no simbench rows", checkPath)
 	}
 	if fails := bench.SimCheck(rows, baseline.SimBench, 0.10); len(fails) > 0 {
 		for _, f := range fails {
-			fmt.Fprintln(os.Stderr, "dspbench: REGRESSION:", f)
+			fmt.Fprintln(stderr, "dspbench: REGRESSION:", f)
 		}
-		os.Exit(1)
+		return fmt.Errorf("compiled-engine regression vs %s", checkPath)
 	}
-	fmt.Printf("simcheck: no compiled-engine regression vs %s\n", checkPath)
+	fmt.Fprintf(stdout, "simcheck: no compiled-engine regression vs %s\n", checkPath)
+	return nil
 }
 
 // runSelective demonstrates the paper's §5 refinement: duplicate only
 // the arrays whose performance gain justifies their memory cost.
-func runSelective(name string) {
-	p, ok := bench.ByName(name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "dspbench: unknown benchmark %q (use -list)\n", name)
-		os.Exit(2)
+func runSelective(stdout io.Writer, name string) error {
+	p, err := lookup(name)
+	if err != nil {
+		return err
 	}
 	res, err := pipeline.CompileSelective(p.Source, p.Name, pipeline.SelectiveOptions{})
-	check(err)
-	fmt.Printf("selective duplication for %s\n", p.Name)
-	fmt.Printf("plain CB: %d cycles, PCR %.3f\n", res.BaseCycles, res.BasePCR)
-	fmt.Printf("candidates: %v\n", res.Candidates)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "selective duplication for %s\n", p.Name)
+	fmt.Fprintf(stdout, "plain CB: %d cycles, PCR %.3f\n", res.BaseCycles, res.BasePCR)
+	fmt.Fprintf(stdout, "candidates: %v\n", res.Candidates)
 	for _, tr := range res.Trials {
 		verdict := "rejected"
 		if tr.Kept {
 			verdict = "kept"
 		}
-		fmt.Printf("  %-10s %-8s cycles=%-8d PG=%.2f CI=%.2f PCR=%.3f  (%s)\n",
+		fmt.Fprintf(stdout, "  %-10s %-8s cycles=%-8d PG=%.2f CI=%.2f PCR=%.3f  (%s)\n",
 			tr.Symbol, verdict, tr.Cycles, tr.PG, tr.CI, tr.PCR, tr.Reason)
 	}
-	fmt.Printf("chosen: %v\n", res.Chosen)
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dspbench:", err)
-		os.Exit(1)
-	}
+	fmt.Fprintf(stdout, "chosen: %v\n", res.Chosen)
+	return nil
 }

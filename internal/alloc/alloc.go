@@ -20,10 +20,18 @@
 // the static stack frames follow. Every memory operation is then
 // tagged with the bank holding its data, the information the
 // compaction pass uses to pick memory units.
+//
+// The pass runs in two steps. NewPlan decides each symbol's bank: it
+// reads the program and its interference graph and writes neither, so
+// one program and graph can be planned from many goroutines. Apply
+// carries a plan out on a program — the planned one or any clone of
+// it — inserting the coherence stores, tagging the memory operations
+// and laying out the banks. Run does both on one program.
 package alloc
 
 import (
 	"fmt"
+	"slices"
 
 	"dualbank/internal/core"
 	_ "dualbank/internal/exact" // registers the MethodExact backend
@@ -120,8 +128,9 @@ type Options struct {
 	// (the pipeline does when asked).
 	Profiled bool
 	// Scanner, when non-nil, supplies reusable scratch storage for
-	// interference-graph construction, so pipelines that allocate many
-	// programs back to back avoid rebuilding it each time.
+	// Run's interference-graph construction, so pipelines that allocate
+	// many programs back to back avoid rebuilding it each time. NewPlan
+	// takes its graph ready-made and ignores it.
 	Scanner *core.Scanner
 	// Spec is the bank/port geometry. The zero value is the classic
 	// 2-bank, 1-port machine, which takes the historical allocation
@@ -143,6 +152,9 @@ type Options struct {
 }
 
 // Result describes the allocation for reporting and the cost model.
+// Graph, Part and PartK come from the applied Plan: they name the
+// planned program's symbols, which are the allocated program's own
+// only when the plan was applied in place, and are shared read-only.
 type Result struct {
 	Mode  Mode
 	Graph *core.Graph     // nil unless the mode partitions
@@ -171,131 +183,300 @@ type Result struct {
 	Spec machine.BankSpec
 }
 
-// Run performs data allocation on p according to opts. It mutates
-// symbol bank/address assignments and memory-op tags, and inserts
-// coherence stores for duplicated data.
-func Run(p *ir.Program, opts Options) (*Result, error) {
+// Policy returns the interference-graph weight policy the options
+// partition under, and false when the mode does not partition.
+func (o Options) Policy() (core.WeightPolicy, bool) {
+	switch {
+	case !o.Mode.Partitioned():
+		return 0, false
+	case o.Mode == CBProfiled || o.Profiled:
+		return core.WeightProfiled, true
+	}
+	return core.WeightStatic, true
+}
+
+// fmPasses maps Options.FMPasses onto core's pass-bound convention.
+func (o Options) fmPasses() int {
+	switch {
+	case o.FMPasses > 0:
+		return o.FMPasses
+	case o.FMPasses < 0:
+		return 0
+	}
+	return -1
+}
+
+// Plan is the allocation decision for one program: every symbol's
+// bank, and how Apply carries the decision out. A Plan is a value over
+// the program's symbol indexes, not its symbols, so it applies to any
+// clone of the planned program. It is never modified after NewPlan
+// returns.
+type Plan struct {
+	Mode  Mode
+	Ports machine.PortModel
+	Spec  machine.BankSpec
+	// BankPerm is the validated bank permutation; nil is the identity.
+	BankPerm      []int
+	InterruptSafe bool
+	// Banks holds each symbol's bank, indexed like the program's
+	// Symbols(). BankBoth marks a duplicated symbol.
+	Banks []machine.Bank
+
+	// Graph, Part and PartK are the analysis behind the decision, for
+	// reports; nil unless the mode partitions. They name the planned
+	// program's symbols and are shared by every application of the plan.
+	Graph *core.Graph
+	Part  *core.Partition
+	PartK *core.KPartition
+}
+
+// Key returns the plan's decision as a compact string. Plans with
+// equal keys make the same program out of clones of one planned
+// program, and compaction schedules it alike: the key holds the
+// geometry, port model, permutation (identity as nil), interrupt-safe
+// flag and every symbol's bank. The mode and the analysis are left
+// out, so modes that reach one decision share a key.
+func (pl *Plan) Key() string {
+	spec := pl.Spec.Norm()
+	perm := pl.BankPerm
+	if isIdentity(perm) {
+		perm = nil
+	}
+	safe := byte(0)
+	if pl.InterruptSafe {
+		safe = 1
+	}
+	buf := make([]byte, 0, 6+len(perm)+len(spec.UnitBinding)+len(pl.Banks))
+	buf = append(buf, byte(spec.Banks), byte(spec.PortsPerBank), byte(pl.Ports), safe, byte(len(perm)))
+	for _, b := range perm {
+		buf = append(buf, byte(b))
+	}
+	buf = append(buf, byte(len(spec.UnitBinding)))
+	for _, b := range spec.UnitBinding {
+		buf = append(buf, byte(b))
+	}
+	for _, b := range pl.Banks {
+		buf = append(buf, byte(b))
+	}
+	return string(buf)
+}
+
+// isIdentity reports whether perm maps every bank to itself.
+func isIdentity(perm []int) bool {
+	for i, b := range perm {
+		if b != i {
+			return false
+		}
+	}
+	return true
+}
+
+// NewPlan decides the allocation of p under opts. g is p's
+// interference graph under opts.Policy(), built by the caller; modes
+// that do not partition ignore it, and may pass nil. NewPlan reads p
+// and g and writes neither, so concurrent calls may share both once
+// g's CSR view is built.
+func NewPlan(p *ir.Program, g *core.Graph, opts Options) (*Plan, error) {
 	if err := opts.Spec.Validate(); err != nil {
 		return nil, err
 	}
+	if _, ok := opts.Policy(); ok && (g == nil || len(g.Nodes) != numSymbols(p)) {
+		return nil, fmt.Errorf("alloc: mode %v needs the program's interference graph", opts.Mode)
+	}
 	if !opts.Spec.IsDefault() {
-		return runK(p, opts)
+		return planK(p, g, opts)
 	}
 	// Default 2-bank machine: the permutation is the identity or the
 	// X/Y swap, and the historical path runs bit for bit on the
 	// (possibly swapped) bank pair.
-	bankX, bankY := machine.BankX, machine.BankY
-	if perm := opts.BankPerm; perm != nil {
-		if len(perm) != 2 || perm[0] == perm[1] || perm[0] < 0 || perm[0] > 1 {
-			return nil, fmt.Errorf("alloc: bank permutation %v invalid for 2 banks", perm)
-		}
-		if perm[0] == 1 {
-			bankX, bankY = bankY, bankX
-		}
+	bankX, bankY, err := classicBanks(opts.BankPerm)
+	if err != nil {
+		return nil, err
 	}
-	res := &Result{Mode: opts.Mode, Ports: machine.PortsBanked, Spec: opts.Spec}
-
+	pl := newPlan(p, opts)
 	switch opts.Mode {
 	case SingleBank:
-		for _, s := range p.Symbols() {
-			s.Bank = bankX
-			s.Duplicated = false
-		}
+		pl.fill(bankX)
 	case Ideal:
-		res.Ports = machine.PortsDualPorted
-		for _, s := range p.Symbols() {
-			s.Bank = bankX
-			s.Duplicated = false
-		}
+		pl.Ports = machine.PortsDualPorted
+		pl.fill(bankX)
 	case LowOrder:
-		res.Ports = machine.PortsLowOrder
 		// Placement cannot steer banks: the bank is the address parity.
 		// Symbols are laid out flat; memory operations stay untagged
 		// and the scheduler pairs them freely, betting on the hardware.
-		for _, s := range p.Symbols() {
-			s.Bank = machine.BankNone
-			s.Duplicated = false
-		}
+		pl.Ports = machine.PortsLowOrder
+		pl.fill(machine.BankNone)
 	case FullDup:
-		for _, s := range p.Symbols() {
-			s.Bank = machine.BankBoth
-			s.Duplicated = true
-		}
+		pl.fill(machine.BankBoth)
 	case CB, CBProfiled, CBDup:
-		policy := core.WeightStatic
-		if opts.Mode == CBProfiled || opts.Profiled {
-			policy = core.WeightProfiled
-		}
-		sc := opts.Scanner
-		if sc == nil {
-			sc = new(core.Scanner)
-		}
-		g := sc.BuildGraph(p, policy)
-		fmPasses := -1
-		if opts.FMPasses > 0 {
-			fmPasses = opts.FMPasses
-		} else if opts.FMPasses < 0 {
-			fmPasses = 0
-		}
-		part := g.PartitionWithPasses(opts.Method, fmPasses)
-		res.Graph, res.Part = g, part
+		part := g.PartitionWithPasses(opts.Method, opts.fmPasses())
+		pl.Graph, pl.Part = g, part
 		for _, s := range part.SetX {
-			s.Bank = bankX
-			s.Duplicated = false
+			pl.Banks[g.NodeIndex(s)] = bankX
 		}
 		for _, s := range part.SetY {
-			s.Bank = bankY
-			s.Duplicated = false
+			pl.Banks[g.NodeIndex(s)] = bankY
 		}
-		if opts.Mode == CBDup {
-			// Partial duplication. With no filter, replicate the arrays
-			// flagged while building the graph — those with simultaneous
-			// data-ready accesses that no partition can separate
-			// (Figure 6). With a filter, the caller names the exact
-			// duplication set: any partitioned array it accepts is
-			// replicated, marked or not, which is how the explorer
-			// searches duplication subsets beyond the paper's policy.
-			for _, s := range g.Nodes {
-				if !s.IsArray() {
-					continue
-				}
-				if opts.DupFilter != nil {
-					if !opts.DupFilter(s) {
-						continue
-					}
-				} else if !g.DupMarks[s] {
-					continue
-				}
-				s.Bank = machine.BankBoth
-				s.Duplicated = true
-			}
-		}
+		pl.duplicate(g, opts)
 		// Save/restore slots are partitioned mechanically: successive
 		// slots of each function alternate between the banks.
-		for _, f := range p.Funcs {
-			next := bankX
-			for _, s := range f.Locals {
-				if !s.Save {
-					continue
-				}
-				s.Bank = next
-				s.Duplicated = false
-				next = next.Other()
-			}
-		}
+		pl.rotateSaves(p, []machine.Bank{bankX, bankY})
 	default:
 		return nil, fmt.Errorf("alloc: unknown mode %v", opts.Mode)
 	}
+	return pl, nil
+}
 
-	insertCoherenceStores(p, opts, res, bankX, bankY)
-	tagMemOps(p)
-	if err := layout(p, res); err != nil {
-		return nil, err
+// classicBanks returns the classic machine's bank pair under perm: X
+// and Y, or Y and X for the swap {1, 0}.
+func classicBanks(perm []int) (bankX, bankY machine.Bank, err error) {
+	if perm == nil {
+		return machine.BankX, machine.BankY, nil
+	}
+	if len(perm) != 2 || perm[0] == perm[1] || perm[0] < 0 || perm[0] > 1 {
+		return 0, 0, fmt.Errorf("alloc: bank permutation %v invalid for 2 banks", perm)
+	}
+	if perm[0] == 1 {
+		return machine.BankY, machine.BankX, nil
+	}
+	return machine.BankX, machine.BankY, nil
+}
+
+// numSymbols returns len(p.Symbols()) without building the slice.
+func numSymbols(p *ir.Program) int {
+	n := len(p.Globals)
+	for _, f := range p.Funcs {
+		n += len(f.Locals)
+	}
+	return n
+}
+
+// newPlan returns an empty plan for p under opts: every symbol
+// unassigned, the ports banked.
+func newPlan(p *ir.Program, opts Options) *Plan {
+	return &Plan{
+		Mode: opts.Mode, Ports: machine.PortsBanked, Spec: opts.Spec,
+		BankPerm: slices.Clone(opts.BankPerm), InterruptSafe: opts.InterruptSafe,
+		Banks: make([]machine.Bank, numSymbols(p)),
+	}
+}
+
+// fill places every symbol in bank b.
+func (pl *Plan) fill(b machine.Bank) {
+	for i := range pl.Banks {
+		pl.Banks[i] = b
+	}
+}
+
+// duplicate marks CBDup's replicated arrays. With no filter, replicate
+// the arrays flagged while building the graph — those with
+// simultaneous data-ready accesses that no partition can separate
+// (Figure 6). With a filter, the caller names the exact duplication
+// set: any partitioned array it accepts is replicated, marked or not,
+// which is how the explorer searches duplication subsets beyond the
+// paper's policy.
+func (pl *Plan) duplicate(g *core.Graph, opts Options) {
+	if opts.Mode != CBDup {
+		return
+	}
+	for i, s := range g.Nodes {
+		if !s.IsArray() {
+			continue
+		}
+		if opts.DupFilter != nil {
+			if !opts.DupFilter(s) {
+				continue
+			}
+		} else if !g.DupMarks[s] {
+			continue
+		}
+		pl.Banks[i] = machine.BankBoth
+	}
+}
+
+// rotateSaves deals each function's save/restore slots through banks
+// in turn, outside the graph, as §3.1 prescribes.
+func (pl *Plan) rotateSaves(p *ir.Program, banks []machine.Bank) {
+	i := len(p.Globals)
+	for _, f := range p.Funcs {
+		next := 0
+		for _, s := range f.Locals {
+			if s.Save {
+				pl.Banks[i] = banks[next]
+				next = (next + 1) % len(banks)
+			}
+			i++
+		}
+	}
+}
+
+// Apply carries plan out on p, which must be the planned program or a
+// clone of it. It sets every symbol's bank and duplication, inserts
+// coherence stores for duplicated data, tags the memory operations and
+// assigns addresses, then verifies the program.
+func Apply(p *ir.Program, plan *Plan) (*Result, error) {
+	if n := numSymbols(p); n != len(plan.Banks) {
+		return nil, fmt.Errorf("alloc: plan covers %d symbols, program has %d", len(plan.Banks), n)
+	}
+	i := 0
+	place := func(syms []*ir.Symbol) {
+		for _, s := range syms {
+			s.Bank = plan.Banks[i]
+			s.Duplicated = s.Bank == machine.BankBoth
+			i++
+		}
+	}
+	place(p.Globals)
+	for _, f := range p.Funcs {
+		place(f.Locals)
+	}
+	res := &Result{
+		Mode: plan.Mode, Graph: plan.Graph, Part: plan.Part, PartK: plan.PartK,
+		Ports: plan.Ports, Spec: plan.Spec,
+	}
+	if plan.Spec.IsDefault() {
+		bankX, bankY, err := classicBanks(plan.BankPerm)
+		if err != nil {
+			return nil, err
+		}
+		insertCoherenceStores(p, plan.InterruptSafe, res, bankX, bankY)
+		tagMemOps(p)
+		if err := layout(p, res); err != nil {
+			return nil, err
+		}
+	} else {
+		k := plan.Spec.Norm().Banks
+		insertCoherenceStoresK(p, plan.InterruptSafe, res, kPerm(plan.BankPerm, k))
+		tagMemOps(p)
+		if err := layoutK(p, res, k); err != nil {
+			return nil, err
+		}
 	}
 	if err := ir.Verify(p); err != nil {
 		return nil, fmt.Errorf("alloc: %w", err)
 	}
 	return res, nil
+}
+
+// Run performs data allocation on p according to opts: it builds p's
+// interference graph when the mode partitions, plans, and applies the
+// plan to p itself. It mutates symbol bank/address assignments and
+// memory-op tags, and inserts coherence stores for duplicated data.
+// The profiled policy reads p's blocks' ExecCount.
+func Run(p *ir.Program, opts Options) (*Result, error) {
+	var g *core.Graph
+	if policy, ok := opts.Policy(); ok {
+		sc := opts.Scanner
+		if sc == nil {
+			sc = new(core.Scanner)
+		}
+		g = sc.BuildGraph(p, policy)
+	}
+	plan, err := NewPlan(p, g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return Apply(p, plan)
 }
 
 // insertCoherenceStores doubles every store to a duplicated symbol:
@@ -304,7 +485,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 // The two stores carry different bank tags, so the dependence graph
 // lets them issue in the same long instruction when both memory units
 // are free.
-func insertCoherenceStores(p *ir.Program, opts Options, res *Result, bankX, bankY machine.Bank) {
+func insertCoherenceStores(p *ir.Program, interruptSafe bool, res *Result, bankX, bankY machine.Bank) {
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
 			var out []*ir.Op
@@ -319,7 +500,7 @@ func insertCoherenceStores(p *ir.Program, opts Options, res *Result, bankX, bank
 						Bank: bankY,
 					}
 					op.DupPair, clone.DupPair = clone, op
-					if opts.InterruptSafe {
+					if interruptSafe {
 						op.Atomic, clone.Atomic = true, true
 					}
 					out = append(out, op, clone)

@@ -12,33 +12,23 @@ import (
 // non-default machine.BankSpec geometries: the same pipeline — assign
 // banks, expand duplicated stores, tag memory operations, lay out
 // addresses — over k banks instead of two. The default 2-bank spec
-// never reaches this code (Run branches before it), so the historical
-// allocation stays bit for bit intact.
+// never reaches this code (NewPlan and Apply branch before it), so the
+// historical allocation stays bit for bit intact.
 
-// runK performs data allocation for a non-default bank spec.
-func runK(p *ir.Program, opts Options) (*Result, error) {
+// planK decides the allocation for a non-default bank spec.
+func planK(p *ir.Program, g *core.Graph, opts Options) (*Plan, error) {
 	spec := opts.Spec.Norm()
 	k := spec.Banks
-	res := &Result{Mode: opts.Mode, Ports: machine.PortsBanked, Spec: opts.Spec}
-
-	perm := opts.BankPerm
-	if perm == nil {
-		perm = make([]int, k)
-		for i := range perm {
-			perm[i] = i
-		}
-	}
+	perm := kPerm(opts.BankPerm, k)
 	if err := checkPerm(perm, k); err != nil {
 		return nil, err
 	}
 	bankAt := func(b int) machine.Bank { return machine.BankAt(perm[b]) }
 
+	pl := newPlan(p, opts)
 	switch opts.Mode {
 	case SingleBank:
-		for _, s := range p.Symbols() {
-			s.Bank = bankAt(0)
-			s.Duplicated = false
-		}
+		pl.fill(bankAt(0))
 	case Ideal, LowOrder:
 		// Both modes are defined against the paper's fixed 2-bank
 		// machine: Ideal is its dual-ported upper bound, LowOrder its
@@ -47,78 +37,44 @@ func runK(p *ir.Program, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("alloc: mode %v requires the default 2-bank machine (spec %s)",
 			opts.Mode, spec)
 	case FullDup:
-		for _, s := range p.Symbols() {
-			s.Bank = machine.BankBoth
-			s.Duplicated = true
-		}
+		pl.fill(machine.BankBoth)
 	case CB, CBProfiled, CBDup:
-		policy := core.WeightStatic
-		if opts.Mode == CBProfiled || opts.Profiled {
-			policy = core.WeightProfiled
-		}
-		sc := opts.Scanner
-		if sc == nil {
-			sc = new(core.Scanner)
-		}
-		g := sc.BuildGraph(p, policy)
-		fmPasses := -1
-		if opts.FMPasses > 0 {
-			fmPasses = opts.FMPasses
-		} else if opts.FMPasses < 0 {
-			fmPasses = 0
-		}
-		part := g.PartitionK(k, opts.Method, fmPasses)
-		res.Graph, res.PartK = g, part
+		part := g.PartitionK(k, opts.Method, opts.fmPasses())
+		pl.Graph, pl.PartK = g, part
 		for b, set := range part.Sets {
 			for _, s := range set {
-				s.Bank = bankAt(b)
-				s.Duplicated = false
+				pl.Banks[g.NodeIndex(s)] = bankAt(b)
 			}
 		}
-		if opts.Mode == CBDup {
-			for _, s := range g.Nodes {
-				if !s.IsArray() {
-					continue
-				}
-				if opts.DupFilter != nil {
-					if !opts.DupFilter(s) {
-						continue
-					}
-				} else if !g.DupMarks[s] {
-					continue
-				}
-				s.Bank = machine.BankBoth
-				s.Duplicated = true
-			}
-		}
+		pl.duplicate(g, opts)
 		// Save/restore slots rotate through the banks mechanically, in
 		// permutation order — the k-ary form of §3.1's alternation.
-		for _, f := range p.Funcs {
-			next := 0
-			for _, s := range f.Locals {
-				if !s.Save {
-					continue
-				}
-				s.Bank = bankAt(next)
-				s.Duplicated = false
-				next = (next + 1) % k
-			}
+		rot := make([]machine.Bank, k)
+		for b := range rot {
+			rot[b] = bankAt(b)
 		}
+		pl.rotateSaves(p, rot)
 	default:
 		return nil, fmt.Errorf("alloc: unknown mode %v", opts.Mode)
 	}
+	if opts.InterruptSafe && k > 2 {
+		// The store-lock discipline is a pairwise instruction-bundling
+		// contract; an atomic k-way bundle is not modeled.
+		return nil, fmt.Errorf("alloc: interrupt-safe duplication requires the 2-bank machine (%d banks)", k)
+	}
+	return pl, nil
+}
 
-	if err := insertCoherenceStoresK(p, opts, res, perm); err != nil {
-		return nil, err
+// kPerm returns perm, or the identity on k banks when perm is nil.
+func kPerm(perm []int, k int) []int {
+	if perm != nil {
+		return perm
 	}
-	tagMemOps(p)
-	if err := layoutK(p, res, k); err != nil {
-		return nil, err
+	perm = make([]int, k)
+	for i := range perm {
+		perm[i] = i
 	}
-	if err := ir.Verify(p); err != nil {
-		return nil, fmt.Errorf("alloc: %w", err)
-	}
-	return res, nil
+	return perm
 }
 
 // checkPerm validates a bank permutation for k banks.
@@ -142,13 +98,8 @@ func checkPerm(perm []int, k int) error {
 // banks in permutation order. Each carries a distinct single-bank tag,
 // so the dependence graph lets all k issue in one long instruction
 // when enough memory units are free.
-func insertCoherenceStoresK(p *ir.Program, opts Options, res *Result, perm []int) error {
+func insertCoherenceStoresK(p *ir.Program, interruptSafe bool, res *Result, perm []int) {
 	k := len(perm)
-	if opts.InterruptSafe && k > 2 {
-		// The store-lock discipline is a pairwise instruction-bundling
-		// contract; an atomic k-way bundle is not modeled.
-		return fmt.Errorf("alloc: interrupt-safe duplication requires the 2-bank machine (%d banks)", k)
-	}
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
 			var out []*ir.Op
@@ -166,7 +117,7 @@ func insertCoherenceStoresK(p *ir.Program, opts Options, res *Result, perm []int
 						}
 						if c == 1 {
 							op.DupPair, clone.DupPair = clone, op
-							if opts.InterruptSafe {
+							if interruptSafe {
 								op.Atomic, clone.Atomic = true, true
 							}
 						}
@@ -185,7 +136,6 @@ func insertCoherenceStoresK(p *ir.Program, opts Options, res *Result, perm []int
 			res.Duplicated = append(res.Duplicated, s)
 		}
 	}
-	return nil
 }
 
 // layoutK assigns word addresses over k banks: first the duplicated

@@ -45,7 +45,7 @@ func PrintFunc(p *compact.Program, name string) string {
 		for _, in := range b.Instrs {
 			sb.WriteString("    ")
 			first := true
-			for u := 0; u < machine.NumUnits; u++ {
+			for u := 0; u < machine.MaxUnits; u++ {
 				op := in.Slots[u]
 				if op == nil {
 					continue

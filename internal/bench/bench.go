@@ -150,9 +150,10 @@ type Result struct {
 	// and the simulation phase (lowering plus execution on the
 	// selected engine). Through a Harness the front end runs once per
 	// program, and its time is charged only to the measurement that ran
-	// it; the others' compile phase starts at their back end. A
-	// Harness's simulation phase also fingerprints the schedule, and is
-	// nothing more when that image was already simulated.
+	// it; the others' compile phase starts at their back end. When a
+	// Harness reuses the measurement of an allocation it already
+	// measured, the compile phase is the planning alone and the
+	// simulation phase is zero.
 	CompileSeconds float64
 	SimSeconds     float64
 }
@@ -228,20 +229,36 @@ func RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Res
 }
 
 // runPrepared is RunCtx for a program whose front end has already
-// run: it finishes a private copy of prep under mode and ro, then
-// simulates and checks it, unless memo already holds that schedule's
-// measurement. Its compile phase covers the back end only.
-func runPrepared(ctx context.Context, p Program, prep *pipeline.Prepared, mode alloc.Mode, ro RunOptions, memo *simMemo) (Result, error) {
+// run: it plans prep's allocation under mode and ro and, unless memo
+// already holds that plan's measurement on the engine, finishes a
+// private copy of prep under the plan, then simulates and checks it.
+// Its compile phase covers the back end only.
+func runPrepared(ctx context.Context, p Program, prep *pipeline.Prepared, mode alloc.Mode, ro RunOptions, memo *planMemo) (Result, error) {
 	cc := ro.Compiler
 	if cc == nil {
 		cc = new(pipeline.Compiler)
 	}
 	compileStart := time.Now()
-	c, err := cc.Finish(ctx, prep, pipelineOptions(mode, ro))
+	plan, err := cc.Plan(ctx, prep, pipelineOptions(mode, ro))
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
-	return measure(ctx, p, mode, ro.Engine, cc, c, compileStart, memo)
+	key := memoKey{plan: plan.Key(), engine: ro.Engine}
+	if res, ok := memo.lookup(key); ok {
+		res.Bench, res.Mode = p.Name, mode
+		res.CompileSeconds, res.SimSeconds = time.Since(compileStart).Seconds(), 0
+		return res, nil
+	}
+	c, err := cc.Apply(prep, plan)
+	if err != nil {
+		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
+	}
+	res, err := measure(ctx, p, mode, ro.Engine, cc, c, compileStart, memo)
+	if err != nil {
+		return Result{}, err
+	}
+	memo.store(key, res)
+	return res, nil
 }
 
 // pipelineOptions translates a measurement request into compiler
@@ -265,38 +282,26 @@ func pipelineOptions(mode alloc.Mode, ro RunOptions) pipeline.Options {
 // measure validates c's schedule, simulates it on engine, checks the
 // program's outputs and assembles the Result. The compile phase is
 // timed from compileStart to the end of schedule validation. A non-nil
-// memo supplies the cycle count of a schedule whose image it has seen
-// on engine, in place of the simulation and the output check, and
-// records every schedule that passes both.
-func measure(ctx context.Context, p Program, mode alloc.Mode, engine Engine, cc *pipeline.Compiler, c *pipeline.Compiled, compileStart time.Time, memo *simMemo) (Result, error) {
+// memo counts the simulation.
+func measure(ctx context.Context, p Program, mode alloc.Mode, engine Engine, cc *pipeline.Compiler, c *pipeline.Compiled, compileStart time.Time, memo *planMemo) (Result, error) {
 	if err := compact.Validate(c.Sched); err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
 	compileSeconds := time.Since(compileStart).Seconds()
 	simStart := time.Now()
-	key, cycles, hit, err := memo.lookup(c.Sched, engine)
+	memo.simulating()
+	m, err := simulate(ctx, engine, cc, c)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
-	simSeconds := 0.0
-	if hit {
-		simSeconds = time.Since(simStart).Seconds()
-	} else {
-		m, err := simulate(ctx, engine, cc, c)
-		if err != nil {
-			return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
-		}
-		simSeconds = time.Since(simStart).Seconds()
-		if err := checkOutputs(p, c, m); err != nil {
-			return Result{}, fmt.Errorf("%s/%v: output check: %w", p.Name, mode, err)
-		}
-		cycles = m.CycleCount()
-		memo.store(key, cycles)
+	simSeconds := time.Since(simStart).Seconds()
+	if err := checkOutputs(p, c, m); err != nil {
+		return Result{}, fmt.Errorf("%s/%v: output check: %w", p.Name, mode, err)
 	}
 	res := Result{
 		Bench:          p.Name,
 		Mode:           mode,
-		Cycles:         cycles,
+		Cycles:         m.CycleCount(),
 		Mem:            cost.Of(c.Alloc, c.Sched),
 		DupStores:      c.Alloc.DupStores,
 		CompileSeconds: compileSeconds,

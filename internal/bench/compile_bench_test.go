@@ -85,42 +85,3 @@ func BenchmarkPrepare(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFingerprint prices the simulation memo's key against the
-// work a memo hit skips. For each program's CB schedule, "fingerprint"
-// encodes and hashes it, and "simulate" lowers, runs and checks it on
-// the compiled engine with a recycled arena, as a harness miss does.
-func BenchmarkFingerprint(b *testing.B) {
-	ctx := context.Background()
-	for _, name := range []string{"fft_256", "adpcm", "histogram"} {
-		p, ok := ByName(name)
-		if !ok {
-			b.Fatalf("no %s benchmark", name)
-		}
-		cc := new(pipeline.Compiler)
-		c, err := cc.Compile(p.Source, p.Name, pipeline.Options{Mode: alloc.CB})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name+"/fingerprint", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := fingerprint(c.Sched, EngineCompiled); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/simulate", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := simulate(ctx, EngineCompiled, cc, c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := checkOutputs(p, c, m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -63,9 +63,11 @@ type Harness struct {
 	// prepared memoizes the front end of every program measured
 	// recently, so each run-cache miss pays only its back end; order
 	// lists its entries oldest first for eviction (see prepare). Each
-	// entry also carries the program's simulation memo.
-	prepared map[prepKey]*prepEntry
-	order    []*prepEntry
+	// entry also carries the program's back-end memo. droppedGraphs
+	// counts the graphs of entries eviction dropped.
+	prepared      map[prepKey]*prepEntry
+	order         []*prepEntry
+	droppedGraphs int64
 
 	hits, misses, l2hits, prepares, sims atomic.Int64
 }
@@ -261,19 +263,27 @@ func NewHarness(parallel int) *Harness {
 // accounts for every measurement request when an L2 is configured;
 // without one, L2Hits stays zero. Prepares is the number of front-end
 // runs the misses needed: one per program while the front-end memo
-// holds it. Sims is the number of simulations the misses ran: a miss
-// whose schedule's image was already simulated on its engine runs
-// none.
+// holds it. Graphs is the number of interference graphs those programs
+// built: at most one per program and weight policy, counted when the
+// program leaves the memo or at the call. Sims is the number of
+// simulations the misses ran: a miss whose allocation was already
+// measured on its engine runs none.
 type CacheStats struct {
-	Hits, Misses, L2Hits, Prepares, Sims int64
+	Hits, Misses, L2Hits, Prepares, Graphs, Sims int64
 }
 
 // Stats returns the cache counters.
 func (h *Harness) Stats() CacheStats {
+	h.mu.Lock()
+	graphs := h.droppedGraphs
+	for _, e := range h.order {
+		graphs += e.graphs()
+	}
+	h.mu.Unlock()
 	return CacheStats{
 		Hits: h.hits.Load(), Misses: h.misses.Load(),
 		L2Hits: h.l2hits.Load(), Prepares: h.prepares.Load(),
-		Sims: h.sims.Load(),
+		Graphs: graphs, Sims: h.sims.Load(),
 	}
 }
 
@@ -424,9 +434,9 @@ func (h *Harness) Cached(p Program, mode alloc.Mode, ro RunOptions) bool {
 
 // compute is one cache-miss execution: the Intercept hook (fault
 // injection, instrumentation) runs first and may veto the measurement.
-// The program's front end comes from the memo; the back end runs here,
-// and so does the simulation unless the program's simulation memo
-// already measured the resulting image.
+// The program's front end comes from the memo. The allocation is
+// planned here; the rest of the back end and the simulation run too,
+// unless the program's back-end memo already measured that plan.
 func (h *Harness) compute(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Result, error) {
 	if h.Intercept != nil {
 		if err := h.Intercept(ctx, p, mode); err != nil {
@@ -458,14 +468,27 @@ type prepKey struct{ name, source string }
 // prepEntry is a single-flight slot for one front end, following the
 // cacheEntry protocol, except that a failed front end is never kept:
 // its waiters see the error, and later requests run it again. memo is
-// the program's simulation memo, dropped with the entry.
+// the program's back-end memo, dropped with the entry.
 type prepEntry struct {
 	key       prepKey
 	done      chan struct{}
 	prep      *pipeline.Prepared
 	err       error
 	cancelled bool
-	memo      simMemo
+	memo      planMemo
+}
+
+// graphs returns how many interference graphs e's program has built.
+func (e *prepEntry) graphs() int64 {
+	select {
+	case <-e.done:
+	default:
+		return 0
+	}
+	if e.prep == nil {
+		return 0
+	}
+	return int64(e.prep.Graphs())
 }
 
 // prepare returns p's memo entry, running its front end on a miss.
@@ -490,13 +513,14 @@ func (h *Harness) prepare(ctx context.Context, p Program) (e *prepEntry, frontSe
 			}
 			return e, 0, e.err
 		}
-		e := &prepEntry{key: key, done: make(chan struct{}), memo: simMemo{sims: &h.sims}}
+		e := &prepEntry{key: key, done: make(chan struct{}), memo: planMemo{sims: &h.sims}}
 		h.prepared[key] = e
 		h.order = append(h.order, e)
 		for len(h.order) > prepMemoSize {
 			// Drop the oldest slot. It may be in flight — its computer
 			// and waiters hold the entry itself — or already gone.
 			old := h.order[0]
+			h.droppedGraphs += old.graphs()
 			n := copy(h.order, h.order[1:])
 			h.order[n] = nil
 			h.order = h.order[:n]

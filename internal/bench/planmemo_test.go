@@ -80,17 +80,18 @@ var allModes = []alloc.Mode{
 	alloc.CBDup, alloc.FullDup, alloc.Ideal, alloc.LowOrder,
 }
 
-// TestSimMemoMatrixSound runs the 23 × 7 matrix at 2x1 and at 4x2
-// (where Ideal and LowOrder must fail as they do unstaged) and a
-// 50-program generated sample through the simulation memo. Every
-// result, memo hits included, must match the unstaged measurement.
+// TestSimMemoMatrixSound runs the 23 × 7 matrix at 2x1, permuted and
+// unpermuted, and at 4x2 (where Ideal and LowOrder must fail as they
+// do unstaged), and a 50-program generated sample, through the
+// back-end memo. Every result, memo hits included, must match the
+// unstaged measurement.
 func TestSimMemoMatrixSound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memo matrix in short mode")
 	}
 	var cells []memoCell
 	for _, p := range append(Kernels(), Applications()...) {
-		for _, ro := range []RunOptions{{}, {Banks: 4, Ports: 2}} {
+		for _, ro := range []RunOptions{{}, {BankPerm: []int{1, 0}}, {Banks: 4, Ports: 2}} {
 			for _, mode := range allModes {
 				cells = append(cells, memoCell{p, mode, ro})
 			}
@@ -117,7 +118,7 @@ func TestSimMemoMatrixSound(t *testing.T) {
 	}
 }
 
-// memoEntries returns how many measurements p's simulation memo holds.
+// memoEntries returns how many measurements p's back-end memo holds.
 func memoEntries(h *Harness, p Program) int {
 	h.mu.Lock()
 	e := h.prepared[prepKey{name: p.Name, source: p.Source}]
@@ -127,7 +128,7 @@ func memoEntries(h *Harness, p Program) int {
 	}
 	e.memo.mu.Lock()
 	defer e.memo.mu.Unlock()
-	return len(e.memo.cycles)
+	return len(e.memo.res)
 }
 
 // wantSims checks the harness's simulation count and p's memo size.
@@ -137,22 +138,23 @@ func wantSims(t *testing.T, h *Harness, p Program, sims int64, entries int) {
 		t.Fatalf("%d simulations, want %d (stats %+v)", st.Sims, sims, st)
 	}
 	if n := memoEntries(h, p); n != entries {
-		t.Fatalf("simulation memo holds %d entries, want %d", n, entries)
+		t.Fatalf("back-end memo holds %d entries, want %d", n, entries)
 	}
 }
 
 // TestSimMemoCancelledNotStored cancels a simulation mid-run. It must
-// store nothing, so the next request for the same image simulates.
+// store nothing, so the next request for the same plan simulates.
 func TestSimMemoCancelledNotStored(t *testing.T) {
 	h := NewHarness(1)
 	p := FIR(256, 64)
 	checkLive(t, h, p, alloc.SingleBank)
 	wantSims(t, h, p, 1, 1)
 
-	// The request asks for Done twice: waiting on the memoized front
-	// end (call 1) and as the simulation starts (call 2). Tripping on
-	// the second cancels the run at its first poll.
-	ctx := newTripCtx("Done", 2)
+	// The request asks for Done three times: waiting on the memoized
+	// front end (call 1), waiting to build the interference graph
+	// (call 2), and as the simulation starts (call 3). Tripping on the
+	// third cancels the run at its first poll.
+	ctx := newTripCtx("Done", 3)
 	_, _, err := h.RunCtx(ctx, p, alloc.CB, RunOptions{})
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "(CB): sim: main: context canceled") {
 		t.Fatalf("cancelled request returned %v, want a cancelled simulation", err)
@@ -163,7 +165,7 @@ func TestSimMemoCancelledNotStored(t *testing.T) {
 }
 
 // TestSimMemoFailedCheckNotStored fails a measurement's output check.
-// It must store nothing: the next request for the same image, under a
+// It must store nothing: the next request for the same plan, under a
 // run-cache key of its own, simulates and checks again, and only then
 // does a third request hit.
 func TestSimMemoFailedCheckNotStored(t *testing.T) {
@@ -178,7 +180,7 @@ func TestSimMemoFailedCheckNotStored(t *testing.T) {
 	wantSims(t, h, p, 1, 0)
 
 	// The partitioner is part of the run-cache key but cannot change a
-	// single-bank schedule, so these requests share one image.
+	// single-bank allocation, so these requests share one plan.
 	for _, method := range []core.Method{core.MethodFM, core.MethodAnneal} {
 		res, cached, err := h.RunCtx(context.Background(), p, alloc.SingleBank, RunOptions{Partitioner: method})
 		if err != nil || cached {
@@ -196,7 +198,7 @@ func TestSimMemoFailedCheckNotStored(t *testing.T) {
 }
 
 // TestSimMemoTransientFaultNotStored injects a transient fault into the
-// first request for a fresh image. It stores nothing, and the live
+// first request for a fresh plan. It stores nothing, and the live
 // request that follows simulates.
 func TestSimMemoTransientFaultNotStored(t *testing.T) {
 	h := NewHarness(1)
@@ -222,7 +224,7 @@ func TestSimMemoTransientFaultNotStored(t *testing.T) {
 }
 
 // TestSimMemoEngineSeparate checks that a measurement on one engine
-// never stands in for the other: the same image simulates once per
+// never stands in for the other: the same plan simulates once per
 // engine, and then hits on each.
 func TestSimMemoEngineSeparate(t *testing.T) {
 	h := NewHarness(1)

@@ -22,12 +22,12 @@ func TestFigure5GreedyPartition(t *testing.T) {
 	g := NewGraph([]*ir.Symbol{a, b, c, d})
 	blkTop := &ir.Block{LoopDepth: 0}  // weight 1 edges
 	blkLoop := &ir.Block{LoopDepth: 1} // weight 2 edge
-	g.addEvent(a, b, blkTop, WeightStatic)
-	g.addEvent(a, c, blkTop, WeightStatic)
-	g.addEvent(a, d, blkLoop, WeightStatic)
-	g.addEvent(b, c, blkTop, WeightStatic)
-	g.addEvent(b, d, blkTop, WeightStatic)
-	g.addEvent(c, d, blkTop, WeightStatic)
+	g.addEvent(a, b, blkTop, 0, WeightStatic)
+	g.addEvent(a, c, blkTop, 0, WeightStatic)
+	g.addEvent(a, d, blkLoop, 0, WeightStatic)
+	g.addEvent(b, c, blkTop, 0, WeightStatic)
+	g.addEvent(b, d, blkTop, 0, WeightStatic)
+	g.addEvent(c, d, blkTop, 0, WeightStatic)
 
 	p := g.Partition()
 	wantTrace := []int64{7, 3, 2}
@@ -66,17 +66,17 @@ func TestFigure4EdgeWeights(t *testing.T) {
 	top := &ir.Block{LoopDepth: 0}
 	loop := &ir.Block{LoopDepth: 1}
 
-	g.addEvent(b, d, top, WeightStatic)
-	g.addEvent(b, d, top, WeightStatic) // second discovery, same weight
+	g.addEvent(b, d, top, 0, WeightStatic)
+	g.addEvent(b, d, top, 0, WeightStatic) // second discovery, same weight
 	if w := g.Weight(b, d); w != 1 {
 		t.Errorf("weight(B,D) = %d, want 1", w)
 	}
-	g.addEvent(a, d, loop, WeightStatic)
+	g.addEvent(a, d, loop, 0, WeightStatic)
 	if w := g.Weight(a, d); w != 2 {
 		t.Errorf("weight(A,D) = %d, want 2", w)
 	}
 	// Loop discovery upgrades an outside-loop edge.
-	g.addEvent(b, d, loop, WeightStatic)
+	g.addEvent(b, d, loop, 0, WeightStatic)
 	if w := g.Weight(b, d); w != 2 {
 		t.Errorf("weight(B,D) after loop discovery = %d, want 2", w)
 	}
@@ -89,8 +89,8 @@ func TestProfiledWeights(t *testing.T) {
 	g := NewGraph([]*ir.Symbol{a, b})
 	hot := &ir.Block{ExecCount: 1000}
 	cold := &ir.Block{ExecCount: 3}
-	g.addEvent(a, b, hot, WeightProfiled)
-	g.addEvent(a, b, cold, WeightProfiled)
+	g.addEvent(a, b, hot, hot.ExecCount, WeightProfiled)
+	g.addEvent(a, b, cold, cold.ExecCount, WeightProfiled)
 	if w := g.Weight(a, b); w != 1003 {
 		t.Errorf("profiled weight = %d, want 1003", w)
 	}
@@ -101,7 +101,7 @@ func TestProfiledWeights(t *testing.T) {
 func TestDuplicationMark(t *testing.T) {
 	s := sym("signal")
 	g := NewGraph([]*ir.Symbol{s})
-	g.addEvent(s, s, &ir.Block{LoopDepth: 2}, WeightStatic)
+	g.addEvent(s, s, &ir.Block{LoopDepth: 2}, 0, WeightStatic)
 	if !g.DupMarks[s] {
 		t.Fatal("same-array event should mark for duplication")
 	}
@@ -212,8 +212,8 @@ func TestPartitionTraceMonotone(t *testing.T) {
 	a, b, c, d := sym("A"), sym("B"), sym("C"), sym("D")
 	g := NewGraph([]*ir.Symbol{a, b, c, d})
 	top := &ir.Block{LoopDepth: 0}
-	g.addEvent(a, b, top, WeightStatic)
-	g.addEvent(c, d, top, WeightStatic)
+	g.addEvent(a, b, top, 0, WeightStatic)
+	g.addEvent(c, d, top, 0, WeightStatic)
 	p := g.Partition()
 	for i := 1; i < len(p.Trace); i++ {
 		if p.Trace[i] >= p.Trace[i-1] {
@@ -228,7 +228,7 @@ func TestPartitionTraceMonotone(t *testing.T) {
 func TestGraphString(t *testing.T) {
 	a, b := sym("A"), sym("B")
 	g := NewGraph([]*ir.Symbol{a, b})
-	g.addEvent(a, b, &ir.Block{LoopDepth: 0}, WeightStatic)
+	g.addEvent(a, b, &ir.Block{LoopDepth: 0}, 0, WeightStatic)
 	g.DupMarks[a] = true
 	out := g.String()
 	if out != "(A, B) w=1\ndup: A\n" {

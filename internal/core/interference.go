@@ -196,8 +196,17 @@ func (g *Graph) PairCount(a, b *ir.Symbol) int {
 // Edges returns the number of edges in the graph.
 func (g *Graph) Edges() int { return len(g.edges) }
 
-// addEvent records one discovery of the pair (a, b) in block blk.
-func (g *Graph) addEvent(a, b *ir.Symbol, blk *ir.Block, policy WeightPolicy) {
+// NodeIndex returns s's index in Nodes, or -1 if s is not a node.
+func (g *Graph) NodeIndex(s *ir.Symbol) int {
+	if i, ok := g.index[s]; ok {
+		return int(i)
+	}
+	return -1
+}
+
+// addEvent records one discovery of the pair (a, b) in block blk,
+// which ran count times in the profiling run.
+func (g *Graph) addEvent(a, b *ir.Symbol, blk *ir.Block, count int64, policy WeightPolicy) {
 	if a == b {
 		g.DupMarks[a] = true
 		return
@@ -210,7 +219,7 @@ func (g *Graph) addEvent(a, b *ir.Symbol, blk *ir.Block, policy WeightPolicy) {
 			e.w = w
 		}
 	case WeightProfiled:
-		e.w += blk.ExecCount
+		e.w += count
 	}
 	g.csr = nil
 }
@@ -317,13 +326,34 @@ type Scanner struct {
 
 // BuildGraph runs the Figure-3 algorithm over every basic block of the
 // program and returns the completed interference graph, reusing the
-// scanner's scratch storage across blocks.
+// scanner's scratch storage across blocks. The profiled policy reads
+// each block's count from Block.ExecCount.
 func (sc *Scanner) BuildGraph(p *ir.Program, policy WeightPolicy) *Graph {
+	return sc.build(p, policy, nil)
+}
+
+// BuildProfiledGraph is BuildGraph under the profiled policy with the
+// block counts passed in, in function then block order, rather than
+// read from the blocks. The scan only reads p, so goroutines may build
+// graphs of one shared program at once, each with its own Scanner.
+func (sc *Scanner) BuildProfiledGraph(p *ir.Program, counts []int64) *Graph {
+	return sc.build(p, WeightProfiled, counts)
+}
+
+// build scans every block; counts, when non-nil, overrides the blocks'
+// ExecCount fields.
+func (sc *Scanner) build(p *ir.Program, policy WeightPolicy, counts []int64) *Graph {
 	g := NewGraph(p.Symbols())
 	g.rankByFirstUse(p)
+	i := 0
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
-			g.scanBlock(sc, b, policy)
+			count := b.ExecCount
+			if counts != nil {
+				count = counts[i]
+			}
+			g.scanBlock(sc, b, count, policy)
+			i++
 		}
 	}
 	return g
@@ -404,10 +434,10 @@ func classSlots() [machine.NumClasses]int {
 // Operations are not actually packed into instructions here; that
 // happens later, in the compaction pass proper.
 func (g *Graph) ScanBlock(b *ir.Block, policy WeightPolicy) {
-	g.scanBlock(new(Scanner), b, policy)
+	g.scanBlock(new(Scanner), b, b.ExecCount, policy)
 }
 
-func (g *Graph) scanBlock(sc *Scanner, b *ir.Block, policy WeightPolicy) {
+func (g *Graph) scanBlock(sc *Scanner, b *ir.Block, count int64, policy WeightPolicy) {
 	dg := sc.ddg.Build(b)
 	n := len(dg.Ops)
 	if n == 0 {
@@ -504,7 +534,7 @@ func (g *Graph) scanBlock(sc *Scanner, b *ir.Block, policy WeightPolicy) {
 				// so it re-enters the next DRS.
 				if dg.Ops[i].IsMem() && firstMem >= 0 && sc.recorded[i] != sc.epoch {
 					sc.recorded[i] = sc.epoch
-					g.addEvent(dg.Ops[firstMem].Sym, dg.Ops[i].Sym, b, policy)
+					g.addEvent(dg.Ops[firstMem].Sym, dg.Ops[i].Sym, b, count, policy)
 				}
 			}
 			if !progress {

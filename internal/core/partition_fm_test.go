@@ -15,12 +15,12 @@ func figure4Graph() *Graph {
 	g := NewGraph([]*ir.Symbol{a, b, c, d})
 	top := &ir.Block{LoopDepth: 0}
 	loop := &ir.Block{LoopDepth: 1}
-	g.addEvent(a, b, top, WeightStatic)
-	g.addEvent(a, c, top, WeightStatic)
-	g.addEvent(a, d, loop, WeightStatic)
-	g.addEvent(b, c, top, WeightStatic)
-	g.addEvent(b, d, top, WeightStatic)
-	g.addEvent(c, d, top, WeightStatic)
+	g.addEvent(a, b, top, 0, WeightStatic)
+	g.addEvent(a, c, top, 0, WeightStatic)
+	g.addEvent(a, d, loop, 0, WeightStatic)
+	g.addEvent(b, c, top, 0, WeightStatic)
+	g.addEvent(b, d, top, 0, WeightStatic)
+	g.addEvent(c, d, top, 0, WeightStatic)
 	return g
 }
 

@@ -26,9 +26,11 @@ import (
 
 	"dualbank/internal/alloc"
 	"dualbank/internal/bench"
+	"dualbank/internal/core"
 	"dualbank/internal/cost"
 	"dualbank/internal/explore/store"
 	"dualbank/internal/machine"
+	"dualbank/internal/opt"
 	"dualbank/internal/pipeline"
 )
 
@@ -696,17 +698,22 @@ func (e *engine) progress(benchName string, ev Eval) {
 	e.mu.Unlock()
 }
 
-// DupCandidates compiles a CBDup probe of p and returns the
-// duplication-candidate arrays: marked is the set the paper's
-// interference analysis would replicate, arrays every partitioned
-// array (marked first, then the rest, each sorted) — the explorer's
-// duplication search space.
+// DupCandidates returns p's duplication-candidate arrays: marked is
+// the set the paper's interference analysis would replicate, arrays
+// every partitioned array (marked first, then the rest, each sorted) —
+// the explorer's duplication search space. It runs p's front end and
+// reads the static interference graph the CB planner partitions,
+// without allocating or compacting anything.
 func DupCandidates(p bench.Program) (marked, arrays []string, err error) {
-	c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: alloc.CBDup})
+	ctx := context.Background()
+	prep, err := pipeline.Prepare(ctx, p.Source, p.Name, opt.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
-	g := c.Alloc.Graph
+	g, err := new(pipeline.Compiler).Graph(ctx, prep, core.WeightStatic)
+	if err != nil {
+		return nil, nil, err
+	}
 	var rest []string
 	for _, s := range g.Nodes {
 		if !s.IsArray() {

@@ -3,11 +3,16 @@ package explore
 import (
 	"context"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
+	"dualbank/internal/alloc"
 	"dualbank/internal/bench"
+	"dualbank/internal/genmc"
 	"dualbank/internal/machine"
+	"dualbank/internal/pipeline"
 )
 
 // sweepProgs and sweepSpecs are one design-space sweep's inputs: the
@@ -26,35 +31,105 @@ var sweepSpecs = []machine.BankSpec{
 	{Banks: 2, PortsPerBank: 2}, {Banks: 3, PortsPerBank: 2}, {Banks: 4, PortsPerBank: 2},
 }
 
-// TestSweepPreparesOncePerProgram runs one design-space sweep — the
+// sweepPass runs one design-space sweep through h: the
 // default-budget exploration of the six-program baseline suite, then
-// the hardware sweep over every 2x1…4x2 geometry — through one harness
-// and counts its front-end runs: one per program, however many
-// configurations each program is measured under. It also counts the
-// simulations: most configurations compile to a schedule already
-// simulated, so 465 back ends need only 125 simulations.
+// the hardware sweep over every 2x1…4x2 geometry.
+func sweepPass(progs []bench.Program, h *bench.Harness) error {
+	if _, err := Explore(context.Background(), progs, Options{Harness: h}); err != nil {
+		return err
+	}
+	_, err := ExploreHW(context.Background(), progs, sweepSpecs, Options{Harness: h})
+	return err
+}
+
+// TestSweepPreparesOncePerProgram runs one design-space sweep through
+// one harness and counts its front-end runs: one per program, however
+// many configurations each program is measured under. It counts the
+// interference graphs, at most one per program and weight policy, and
+// the simulations: most configurations reach an allocation already
+// measured, so 465 back ends need only 125 simulations.
 func TestSweepPreparesOncePerProgram(t *testing.T) {
 	progs := sweepProgs(t)
 	h := bench.NewHarness(1)
-	if _, err := Explore(context.Background(), progs, Options{Harness: h}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExploreHW(context.Background(), progs, sweepSpecs, Options{Harness: h}); err != nil {
+	if err := sweepPass(progs, h); err != nil {
 		t.Fatal(err)
 	}
 	st := h.Stats()
 	if st.Misses != 465 || st.Prepares != int64(len(progs)) {
 		t.Fatalf("sweep ran %d front ends for %d measurements, want %d for 465", st.Prepares, st.Misses, len(progs))
 	}
+	if st.Graphs > int64(2*len(progs)) {
+		t.Fatalf("sweep built %d interference graphs, want at most %d", st.Graphs, 2*len(progs))
+	}
 	if st.Sims != 125 {
 		t.Fatalf("sweep ran %d simulations for 465 measurements, want 125", st.Sims)
+	}
+}
+
+// BenchmarkSweepPass times one sweep pass through a fresh harness, as
+// the explore-sweep workload runs it.
+func BenchmarkSweepPass(b *testing.B) {
+	var progs []bench.Program
+	for _, name := range []string{"fir_32_1", "iir_1_1", "mult_4_4", "fft_256", "adpcm", "histogram"} {
+		p, ok := bench.ByName(name)
+		if !ok {
+			b.Fatalf("no %s benchmark", name)
+		}
+		progs = append(progs, p)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := sweepPass(progs, bench.NewHarness(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestDupCandidatesMatchCompile pins DupCandidates, which reads the
+// prepared program's static graph, to the duplication candidates of a
+// full CBDup compile over the suite and a generated sample.
+func TestDupCandidatesMatchCompile(t *testing.T) {
+	progs := append(bench.Kernels(), bench.Applications()...)
+	for _, k := range genmc.Population(50, 1) {
+		p, ok := bench.ByName(genmc.Generate(k).Name)
+		if !ok {
+			t.Fatalf("generated program %v does not resolve", k)
+		}
+		progs = append(progs, p)
+	}
+	for _, p := range progs {
+		c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: alloc.CBDup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantMarked, rest []string
+		for _, s := range c.Alloc.Graph.Nodes {
+			if !s.IsArray() {
+				continue
+			}
+			if c.Alloc.Graph.DupMarks[s] {
+				wantMarked = append(wantMarked, s.Name)
+			} else {
+				rest = append(rest, s.Name)
+			}
+		}
+		sort.Strings(wantMarked)
+		sort.Strings(rest)
+		wantArrays := append(append([]string(nil), wantMarked...), rest...)
+		marked, arrays, err := DupCandidates(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(marked, wantMarked) || !slices.Equal(arrays, wantArrays) {
+			t.Errorf("%s: DupCandidates (%v, %v), compile (%v, %v)", p.Name, marked, arrays, wantMarked, wantArrays)
+		}
 	}
 }
 
 // TestSweepMemoSound runs one sweep's measurements through one harness
 // with four batches in flight per program: the exploration on four
 // workers, then every geometry's arms four geometries at a time. Every
-// outcome, simulation-memo hits included, must match the unstaged
+// outcome, back-end memo hits included, must match the unstaged
 // bench.RunCtx measurement of its cell, apart from timings.
 func TestSweepMemoSound(t *testing.T) {
 	ctx := context.Background()

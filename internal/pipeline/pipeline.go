@@ -7,7 +7,11 @@
 // The passes before data allocation do not depend on the mode, so a
 // caller measuring one program under many configurations can split
 // the compile in two: Prepare runs that front end once, and Finish
-// runs the back end per configuration on a private clone of its IR.
+// runs the back end per configuration. Finish itself has two steps:
+// Plan decides the allocation from the program's interference graph,
+// which the Prepared builds once per weight policy and shares, and
+// Apply carries the plan out on a private clone of the IR and compacts
+// it. A caller that has already measured a plan can skip its Apply.
 package pipeline
 
 import (
@@ -113,39 +117,46 @@ func (cc *Compiler) CompileCtx(ctx context.Context, source, name string, o Optio
 	if err != nil {
 		return nil, err
 	}
-	if o.profiles() {
-		// Profile-driven edge weights: execute the program once at the
-		// IR level to annotate every basic block with its execution
-		// count before building the interference graph.
-		if err := profile(ctx, p.prog); err != nil {
-			return nil, fmt.Errorf("%s: profiling run: %w", name, err)
-		}
+	plan, err := cc.Plan(ctx, p, o)
+	if err != nil {
+		return nil, err
 	}
-	return cc.backEnd(p, p.prog, o)
+	return cc.backEnd(p, p.prog, plan)
 }
 
 // Prepared is a program after the front end — parsed, analyzed,
 // lowered, optimized, verified and register-allocated — which is
-// everything the allocation mode does not affect. It is immutable once
-// Prepare returns, and safe for concurrent Finish calls: each Finish
-// runs the back end on its own clone of the IR. The Pr profiling run's
-// block counts are computed once, by the first Finish that needs them,
-// and kept here beside the IR rather than in its blocks.
+// everything the allocation mode does not affect. Its IR is immutable
+// once Prepare returns, and safe for concurrent Plan and Finish calls:
+// planning only reads it, and each Finish runs the back end on its own
+// clone. The interference graph of each weight policy is built once,
+// by the first Plan that needs it, and kept here beside the IR.
 type Prepared struct {
 	name string
 	prog *ir.Program
 	regs map[string]regalloc.Stats
 
-	// profiling is a one-slot semaphore held while a profiling run is
-	// in flight; counts holds the finished run's block counts, in
-	// function then block order.
-	profiling chan struct{}
-	counts    atomic.Pointer[[]int64]
+	// building is a one-slot semaphore held while a graph is built;
+	// graphs holds the finished graph of each weight policy.
+	building chan struct{}
+	graphs   [2]atomic.Pointer[core.Graph]
 }
 
 // IR returns the prepared program. It is shared by every Finish of p
 // and must not be modified.
 func (p *Prepared) IR() *ir.Program { return p.prog }
+
+// Graphs returns how many interference graphs p has built: at most
+// one per weight policy.
+func (p *Prepared) Graphs() int {
+	n := 0
+	for i := range p.graphs {
+		if p.graphs[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // Prepare runs the front end: parse, analyze, lower, optimize, verify
 // and register-allocate. Cancellation is checked between passes.
@@ -184,106 +195,112 @@ func Prepare(ctx context.Context, source, name string, o opt.Options) (*Prepared
 	if err := pass(); err != nil {
 		return nil, err
 	}
-	return &Prepared{name: name, prog: prog, regs: regStats, profiling: make(chan struct{}, 1)}, nil
+	// Build the lazy function index now: the graph scan and the
+	// profiling run look functions up on the shared IR, and must only
+	// read it.
+	prog.Func("main")
+	return &Prepared{name: name, prog: prog, regs: regStats, building: make(chan struct{}, 1)}, nil
 }
 
-// Finish runs the back end — profiling when the options call for it,
-// data allocation and compaction — on a fresh clone of p's IR, reusing
-// the compiler's scratch state. o.Opt is ignored: p fixed the front
-// end. The returned Compiled shares only p's register-allocation
-// statistics, which are read-only.
+// Finish runs the back end — allocation planning, then Apply — on a
+// fresh clone of p's IR, reusing the compiler's scratch state. o.Opt
+// is ignored: p fixed the front end. The returned Compiled shares only
+// p's register-allocation statistics and the plan's analysis, which
+// are read-only.
 func (cc *Compiler) Finish(ctx context.Context, p *Prepared, o Options) (*Compiled, error) {
+	plan, err := cc.Plan(ctx, p, o)
+	if err != nil {
+		return nil, err
+	}
+	return cc.Apply(p, plan)
+}
+
+// Plan decides o's data allocation for p without cloning or writing
+// p's IR. Partitioned modes read p's interference graph under their
+// weight policy, which Graph builds on first use. o.Opt is ignored.
+func (cc *Compiler) Plan(ctx context.Context, p *Prepared, o Options) (*alloc.Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%s: compile: %w", p.name, err)
 	}
-	prog := p.prog.Clone()
-	if o.profiles() {
-		if err := p.stampProfile(ctx, prog); err != nil {
-			return nil, fmt.Errorf("%s: profiling run: %w", p.name, err)
-		}
-	}
-	return cc.backEnd(p, prog, o)
-}
-
-// profiles reports whether the options weight interference edges by a
-// profiling run.
-func (o Options) profiles() bool {
-	return o.Mode == alloc.CBProfiled || (o.Profiled && o.Mode.Partitioned())
-}
-
-// profile executes prog once at the IR level, leaving every block's
-// execution count in Block.ExecCount.
-func profile(ctx context.Context, prog *ir.Program) error {
-	in := sim.NewInterp(prog)
-	in.Profile = true
-	return in.RunContext(ctx)
-}
-
-// stampProfile writes p's profiling counts onto prog, a clone of p's
-// IR, running the profile on prog first if no earlier Finish has. A
-// failed or cancelled run records nothing, so the next caller retries.
-func (p *Prepared) stampProfile(ctx context.Context, prog *ir.Program) error {
-	if c := p.counts.Load(); c != nil {
-		stampCounts(prog, *c)
-		return nil
-	}
-	select {
-	case p.profiling <- struct{}{}:
-	case <-ctx.Done():
-		return fmt.Errorf("awaiting shared profile: %w", ctx.Err())
-	}
-	defer func() { <-p.profiling }()
-	if c := p.counts.Load(); c != nil {
-		stampCounts(prog, *c)
-		return nil
-	}
-	// prog is a fresh clone, so profiling it directly leaves the counts
-	// where this Finish needs them; they are then copied out for later
-	// callers.
-	if err := profile(ctx, prog); err != nil {
-		return err
-	}
-	var counts []int64
-	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			counts = append(counts, b.ExecCount)
-		}
-	}
-	p.counts.Store(&counts)
-	return nil
-}
-
-// stampCounts writes per-block execution counts, in function then
-// block order, onto prog.
-func stampCounts(prog *ir.Program, counts []int64) {
-	i := 0
-	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			b.ExecCount = counts[i]
-			i++
-		}
-	}
-}
-
-// backEnd runs data allocation and compaction on prog, which belongs
-// to this call alone.
-func (cc *Compiler) backEnd(p *Prepared, prog *ir.Program, o Options) (*Compiled, error) {
-	allocOpts := alloc.Options{
+	ao := alloc.Options{
 		Mode: o.Mode, InterruptSafe: o.InterruptSafe,
-		Method: o.Partitioner, FMPasses: o.FMPasses,
-		Profiled: o.Profiled && o.Mode.Partitioned(),
-		Scanner:  &cc.scanner, Spec: o.Spec, BankPerm: o.BankPerm,
+		Method: o.Partitioner, FMPasses: o.FMPasses, Profiled: o.Profiled,
+		Spec: o.Spec, BankPerm: o.BankPerm,
 	}
 	if o.DupOnly != nil {
 		filter := o.DupOnly
-		allocOpts.DupFilter = func(s *ir.Symbol) bool { return filter[s.Name] }
+		ao.DupFilter = func(s *ir.Symbol) bool { return filter[s.Name] }
 	}
-	allocRes, err := alloc.Run(prog, allocOpts)
+	var g *core.Graph
+	if policy, ok := ao.Policy(); ok {
+		var err error
+		if g, err = cc.Graph(ctx, p, policy); err != nil {
+			return nil, err
+		}
+	}
+	plan, err := alloc.NewPlan(p.prog, g, ao)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", p.name, err)
+	}
+	return plan, nil
+}
+
+// Graph returns p's interference graph under policy. The first call
+// for a policy builds it with the compiler's scanner; the profiled
+// graph first runs the program once at the IR level to count block
+// executions (Pr's edge weights). Both read p's IR and never write it,
+// and the graph's CSR view is built before it is shared, so every
+// later reader only reads. A cancelled or failed profiling run records
+// nothing, and the next caller runs it again.
+func (cc *Compiler) Graph(ctx context.Context, p *Prepared, policy core.WeightPolicy) (*core.Graph, error) {
+	if g := p.graphs[policy].Load(); g != nil {
+		return g, nil
+	}
+	wrap := func(err error) error {
+		if policy == core.WeightProfiled {
+			return fmt.Errorf("%s: profiling run: %w", p.name, err)
+		}
+		return fmt.Errorf("%s: compile: %w", p.name, err)
+	}
+	select {
+	case p.building <- struct{}{}:
+	case <-ctx.Done():
+		return nil, wrap(fmt.Errorf("awaiting shared graph: %w", ctx.Err()))
+	}
+	defer func() { <-p.building }()
+	if g := p.graphs[policy].Load(); g != nil {
+		return g, nil
+	}
+	var g *core.Graph
+	if policy == core.WeightProfiled {
+		counts, err := sim.NewInterp(p.prog).BlockCounts(ctx)
+		if err != nil {
+			return nil, wrap(err)
+		}
+		g = cc.scanner.BuildProfiledGraph(p.prog, counts)
+	} else {
+		g = cc.scanner.BuildGraph(p.prog, policy)
+	}
+	g.CSR()
+	p.graphs[policy].Store(g)
+	return g, nil
+}
+
+// Apply carries plan, which Plan made for p, out on a fresh clone of
+// p's IR and compacts the result.
+func (cc *Compiler) Apply(p *Prepared, plan *alloc.Plan) (*Compiled, error) {
+	return cc.backEnd(p, p.prog.Clone(), plan)
+}
+
+// backEnd applies plan to prog, which belongs to this call alone, and
+// compacts it.
+func (cc *Compiler) backEnd(p *Prepared, prog *ir.Program, plan *alloc.Plan) (*Compiled, error) {
+	allocRes, err := alloc.Apply(prog, plan)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.name, err)
 	}
 	sched, err := compact.ScheduleWith(prog,
-		compact.Config{Ports: allocRes.Ports, Spec: o.Spec, BankPerm: o.BankPerm}, &cc.scratch)
+		compact.Config{Ports: plan.Ports, Spec: plan.Spec, BankPerm: plan.BankPerm}, &cc.scratch)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.name, err)
 	}

@@ -38,6 +38,10 @@ type Interp struct {
 	// ir.Block.ExecCount.
 	Profile bool
 
+	// counts, set by BlockCounts, holds each function's block counts,
+	// indexed by block ID.
+	counts map[*ir.Func][]int64
+
 	mem   map[*ir.Symbol][]uint32
 	regs  []uint32 // global file when the program is in physical form
 	phys  bool
@@ -91,6 +95,30 @@ func (in *Interp) RunContext(ctx context.Context) error {
 	return err
 }
 
+// BlockCounts executes main() like RunContext and returns the number of
+// times each basic block ran, in function then block order. Unlike
+// Profile it writes nothing into the program, so a program other
+// goroutines are reading can be profiled. The program must pass
+// ir.Verify, which makes every block's ID its index.
+func (in *Interp) BlockCounts(ctx context.Context) ([]int64, error) {
+	n := 0
+	for _, f := range in.Prog.Funcs {
+		n += len(f.Blocks)
+	}
+	flat := make([]int64, n)
+	in.counts = make(map[*ir.Func][]int64, len(in.Prog.Funcs))
+	n = 0
+	for _, f := range in.Prog.Funcs {
+		in.counts[f] = flat[n : n+len(f.Blocks)]
+		n += len(f.Blocks)
+	}
+	defer func() { in.counts = nil }()
+	if err := in.RunContext(ctx); err != nil {
+		return nil, err
+	}
+	return flat, nil
+}
+
 // Word returns the raw word at sym[idx].
 func (in *Interp) Word(sym *ir.Symbol, idx int) uint32 { return in.mem[sym][idx] }
 
@@ -121,6 +149,7 @@ func (in *Interp) call(f *ir.Func) (uint32, error) {
 		regs = make([]uint32, f.NumRegs())
 	}
 
+	counts := in.counts[f]
 	b := f.Entry()
 	for i := 0; i < len(b.Ops); {
 		op := b.Ops[i]
@@ -132,7 +161,9 @@ func (in *Interp) call(f *ir.Func) (uint32, error) {
 			if err := in.cancel.poll(); err != nil {
 				return 0, fmt.Errorf("interp: %s: %w", f.Name, err)
 			}
-			if in.Profile {
+			if counts != nil {
+				counts[b.ID]++
+			} else if in.Profile {
 				b.ExecCount++
 			}
 		}

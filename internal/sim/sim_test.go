@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/big"
 	"strings"
@@ -228,6 +230,29 @@ func TestInterpProfileCounts(t *testing.T) {
 	}
 	if loopCount != 10 {
 		t.Fatalf("hot block executed %d times, want 10", loopCount)
+	}
+
+	// BlockCounts takes the same counts without writing the program.
+	var want []int64
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			want = append(want, b.ExecCount)
+			b.ExecCount = 0
+		}
+	}
+	got, err := sim.NewInterp(p).BlockCounts(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("BlockCounts %v, Profile counts %v", got, want)
+	}
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			if b.ExecCount != 0 {
+				t.Fatalf("%s %s: BlockCounts wrote ExecCount", f.Name, b)
+			}
+		}
 	}
 }
 
