@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -40,26 +41,38 @@ void main() {
 `
 
 func main() {
-	dot := flag.Bool("dot", false, "emit the interference graph in Graphviz format and exit")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run analyses the file named in args, or the Figure 4 sample, and
+// writes the report to stdout.
+func run(stdout io.Writer, args []string) error {
+	fs := flag.NewFlagSet("explorer", flag.ExitOnError)
+	dot := fs.Bool("dot", false, "emit the interference graph in Graphviz format and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	src, name := sample, "figure4"
-	if flag.NArg() > 0 {
-		b, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() > 0 {
+		b, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		src, name = string(b), flag.Arg(0)
+		src, name = string(b), fs.Arg(0)
 	} else {
-		fmt.Println("(no file given: analysing the paper's Figure 4 example)")
+		fmt.Fprintln(stdout, "(no file given: analysing the paper's Figure 4 example)")
 	}
 
 	a, err := explore.Analyze(src, name)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *dot {
-		fmt.Print(a.Dot())
-		return
+		_, err := io.WriteString(stdout, a.Dot())
+		return err
 	}
-	a.WriteText(os.Stdout)
+	a.WriteText(stdout)
+	return nil
 }

@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"dualbank"
 	"dualbank/internal/alloc"
@@ -20,44 +22,53 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compiles and measures the lpc benchmark and writes the
+// walk-through to stdout. It takes no arguments.
+func run(stdout io.Writer, _ []string) error {
 	p, _ := bench.ByName("lpc")
 
-	fmt.Println("The Figure 6 loop (from the lpc benchmark source):")
-	fmt.Println()
-	fmt.Println("    for (i = 0; i < lim; i++) {")
-	fmt.Println("        acc += s[i] * s[i + m];")
-	fmt.Println("    }")
-	fmt.Println()
+	fmt.Fprintln(stdout, "The Figure 6 loop (from the lpc benchmark source):")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "    for (i = 0; i < lim; i++) {")
+	fmt.Fprintln(stdout, "        acc += s[i] * s[i + m];")
+	fmt.Fprintln(stdout, "    }")
+	fmt.Fprintln(stdout)
 
 	// Show what the analysis finds.
 	c, err := dualbank.Compile(p.Source, "lpc", dualbank.Options{Mode: dualbank.Duplication})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("Symbols the compaction-based analysis marks for duplication:")
+	fmt.Fprintln(stdout, "Symbols the compaction-based analysis marks for duplication:")
 	for _, s := range c.Alloc.Duplicated {
-		fmt.Printf("  %s (%d words) — now present in both banks at address %d\n",
+		fmt.Fprintf(stdout, "  %s (%d words) — now present in both banks at address %d\n",
 			s.Name, s.Size, s.Addr)
 	}
-	fmt.Printf("Coherence stores inserted: %d\n\n", c.Alloc.DupStores)
+	fmt.Fprintf(stdout, "Coherence stores inserted: %d\n\n", c.Alloc.DupStores)
 
 	base, err := bench.Run(p, alloc.SingleBank)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("%-22s %10s %8s\n", "mode", "cycles", "gain")
-	fmt.Printf("%-22s %10d %8s\n", "single bank", base.Cycles, "--")
+	fmt.Fprintf(stdout, "%-22s %10s %8s\n", "mode", "cycles", "gain")
+	fmt.Fprintf(stdout, "%-22s %10d %8s\n", "single bank", base.Cycles, "--")
 	for _, mode := range []alloc.Mode{alloc.CB, alloc.CBDup, alloc.Ideal} {
 		res, err := bench.Run(p, mode)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-22s %10d %+7.1f%%\n", label(mode), res.Cycles, bench.Gain(base, res))
+		fmt.Fprintf(stdout, "%-22s %10d %+7.1f%%\n", label(mode), res.Cycles, bench.Gain(base, res))
 	}
-	fmt.Println()
-	fmt.Println("CB partitioning alone barely helps lpc: its hot loop's two")
-	fmt.Println("accesses hit one array. Partial duplication recovers nearly")
-	fmt.Println("all of the dual-ported ideal — the paper's 3% -> 34% result.")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "CB partitioning alone barely helps lpc: its hot loop's two")
+	fmt.Fprintln(stdout, "accesses hit one array. Partial duplication recovers nearly")
+	fmt.Fprintln(stdout, "all of the dual-ported ideal — the paper's 3% -> 34% result.")
+	return nil
 }
 
 func label(m alloc.Mode) string {

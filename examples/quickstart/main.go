@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"dualbank"
 )
@@ -29,30 +31,39 @@ void main() {
 `
 
 func main() {
-	fmt.Println("Figure 1: N-th order FIR filter, sum += A[i]*B[i]")
-	fmt.Println()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compiles and simulates the FIR filter under both modes and writes
+// the listings and cycle counts to stdout. It takes no arguments.
+func run(stdout io.Writer, _ []string) error {
+	fmt.Fprintln(stdout, "Figure 1: N-th order FIR filter, sum += A[i]*B[i]")
+	fmt.Fprintln(stdout)
 
 	var cycles [2]int64
 	for i, mode := range []dualbank.Mode{dualbank.SingleBank, dualbank.CB} {
 		c, err := dualbank.Compile(src, "fir", dualbank.Options{Mode: mode})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		m, err := c.Run()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cycles[i] = m.Cycles
 		sum, err := m.Float32(c.Global("sum"), 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("=== mode %s: %d cycles, sum = %g ===\n", mode, m.Cycles, sum)
-		fmt.Println(dualbank.Assembly(c))
+		fmt.Fprintf(stdout, "=== mode %s: %d cycles, sum = %g ===\n", mode, m.Cycles, sum)
+		fmt.Fprintln(stdout, dualbank.Assembly(c))
 	}
-	fmt.Printf("CB partitioning speedup over single bank: %.2fx\n",
+	fmt.Fprintf(stdout, "CB partitioning speedup over single bank: %.2fx\n",
 		float64(cycles[0])/float64(cycles[1]))
-	fmt.Println("Note how A and B occupy different banks under CB, so the")
-	fmt.Println("inner loop issues both element loads in one instruction —")
-	fmt.Println("the dual-bank parallel move of the DSP56001 listing in Figure 1(b).")
+	fmt.Fprintln(stdout, "Note how A and B occupy different banks under CB, so the")
+	fmt.Fprintln(stdout, "inner loop issues both element loads in one instruction —")
+	fmt.Fprintln(stdout, "the dual-bank parallel move of the DSP56001 listing in Figure 1(b).")
+	return nil
 }

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"dualbank"
 	"dualbank/internal/compact"
@@ -42,53 +44,65 @@ void main() {
 `
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compiles the filter, round-trips it through a ROM image and
+// writes both runs' results to stdout. It takes no arguments.
+func run(stdout io.Writer, _ []string) error {
 	c, err := dualbank.Compile(src, "nlms", dualbank.Options{Mode: dualbank.CB})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	img, err := encode.Encode(c.Sched)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("ROM image: %d bytes for %d long instructions + data tables\n",
+	fmt.Fprintf(stdout, "ROM image: %d bytes for %d long instructions + data tables\n",
 		len(img), c.Sched.StaticInstrs())
 
 	// "Ship" the bytes, then boot a machine from them alone.
 	loaded, err := encode.Decode(img)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	m1 := sim.NewMachine(c.Sched)
 	if err := m1.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	m2 := sim.NewMachine(loaded)
 	if err := m2.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("original build: %d cycles; booted from image: %d cycles\n", m1.Cycles, m2.Cycles)
+	fmt.Fprintf(stdout, "original build: %d cycles; booted from image: %d cycles\n", m1.Cycles, m2.Cycles)
 
-	g1, g2 := c.Global("h"), findGlobal(loaded, "h")
-	fmt.Print("adapted filter taps (image run): ")
+	g1 := c.Global("h")
+	g2, err := findGlobal(loaded, "h")
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(stdout, "adapted filter taps (image run): ")
 	for i := 0; i < g2.Size; i++ {
 		v2, _ := m2.Float32(g2, i)
 		v1, _ := m1.Float32(g1, i)
 		if v1 != v2 {
-			log.Fatalf("tap %d differs: %g vs %g", i, v1, v2)
+			return fmt.Errorf("tap %d differs: %g vs %g", i, v1, v2)
 		}
-		fmt.Printf("%.4f ", v2)
+		fmt.Fprintf(stdout, "%.4f ", v2)
 	}
-	fmt.Println()
-	fmt.Println("round trip exact: the image is the program.")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "round trip exact: the image is the program.")
+	return nil
 }
 
-func findGlobal(p *compact.Program, name string) *ir.Symbol {
+func findGlobal(p *compact.Program, name string) (*ir.Symbol, error) {
 	for _, g := range p.Src.Globals {
 		if g.Name == name {
-			return g
+			return g, nil
 		}
 	}
-	log.Fatalf("image lost global %q", name)
-	return nil
+	return nil, fmt.Errorf("image lost global %q", name)
 }

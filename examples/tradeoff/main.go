@@ -12,7 +12,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"dualbank/internal/bench"
@@ -20,29 +22,41 @@ import (
 )
 
 func main() {
-	name := flag.String("bench", "lpc", "application benchmark to explore (see dspbench -list)")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run explores the benchmark named by the -bench flag in args and
+// writes its frontier to stdout.
+func run(stdout io.Writer, args []string) error {
+	fs := flag.NewFlagSet("tradeoff", flag.ExitOnError)
+	name := fs.String("bench", "lpc", "application benchmark to explore (see dspbench -list)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	p, ok := bench.ByName(*name)
 	if !ok {
-		log.Fatalf("unknown benchmark %q; available: %s", *name, strings.Join(bench.Names(), ", "))
+		return fmt.Errorf("unknown benchmark %q; available: %s", *name, strings.Join(bench.Names(), ", "))
 	}
 	base, rows, err := explore.Fixed(context.Background(), p, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Performance/cost frontier for %s\n", p.Name)
-	fmt.Printf("baseline: %d cycles, cost %d words (X=%d Y=%d stack=%d instr=%d)\n\n",
+	fmt.Fprintf(stdout, "Performance/cost frontier for %s\n", p.Name)
+	fmt.Fprintf(stdout, "baseline: %d cycles, cost %d words (X=%d Y=%d stack=%d instr=%d)\n\n",
 		base.Cycles, base.Mem.Total(), base.Mem.XData, base.Mem.YData, base.Mem.Stack, base.Mem.Instr)
-	fmt.Printf("%-14s %10s %6s %6s %6s %6s   %s\n",
+	fmt.Fprintf(stdout, "%-14s %10s %6s %6s %6s %6s   %s\n",
 		"mode", "cycles", "PG", "CI", "PCR", "cost", "duplicated")
 	for _, row := range rows {
-		fmt.Printf("%-14s %10d %6.2f %6.2f %6.2f %6d   %s\n",
+		fmt.Fprintf(stdout, "%-14s %10d %6.2f %6.2f %6.2f %6d   %s\n",
 			row.Mode, row.Cycles, row.Metrics.PG, row.Metrics.CI, row.Metrics.PCR, row.Cost,
 			strings.Join(row.Duplicated, ","))
 	}
-	fmt.Println()
-	fmt.Println("PCR > 1 means the speedup outweighs the memory cost; the paper")
-	fmt.Println("uses this to argue full duplication is never cost-effective while")
-	fmt.Println("partitioning (and selective duplication) usually is.")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "PCR > 1 means the speedup outweighs the memory cost; the paper")
+	fmt.Fprintln(stdout, "uses this to argue full duplication is never cost-effective while")
+	fmt.Fprintln(stdout, "partitioning (and selective duplication) usually is.")
+	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"dualbank/internal/compact"
 	"dualbank/internal/core"
 	"dualbank/internal/cost"
+	"dualbank/internal/genmc"
 	"dualbank/internal/ir"
 	"dualbank/internal/machine"
 	"dualbank/internal/pipeline"
@@ -63,7 +64,12 @@ func I32(r Reader, name string, idx int) (int32, error) {
 	return int32(w), err
 }
 
-// Program is one benchmark: source plus output validation.
+// Program is one benchmark: source plus output validation. A Program
+// with an empty Source only names a benchmark ByName resolves:
+// Harness.RunCtx builds it on the cache miss that needs it, so a
+// request the memo answers never builds its program. Only the harness
+// resolves such a reference; RunCtx and the other direct runners need
+// the source.
 type Program struct {
 	Name   string
 	Desc   string // the Table 1/2 description
@@ -131,6 +137,17 @@ func ByName(name string) (Program, bool) {
 		return p, true
 	}
 	return generatedByName(name)
+}
+
+// Known reports whether ByName resolves name, without building the
+// program: a suite name, or a canonical generated name.
+func Known(name string) bool {
+	suite.once.Do(initSuite)
+	if _, ok := suite.byName[name]; ok {
+		return true
+	}
+	_, ok := genmc.ParseName(name)
+	return ok
 }
 
 // Result is one (benchmark, mode) measurement.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"sort"
-	"sync"
 
 	"dualbank/internal/genmc"
 )
@@ -15,44 +14,23 @@ import (
 // keys validate outputs exactly like suite runs do — and because the
 // program is a pure function of its name, generated keys flow through
 // the memo cache, the cluster routing ring, and the shared L2
-// unchanged.
+// unchanged. Nothing keeps a built program: a name-only Program defers
+// the build to the harness miss that needs it (see Program).
 
-// genCacheMax bounds the memo of materialized generated programs.
-// Load generators sweep wide key ranges; regeneration costs well under
-// a millisecond, so when the cache fills it is simply dropped rather
-// than tracking recency.
-const genCacheMax = 1024
-
-var generated struct {
-	mu    sync.Mutex
-	progs map[string]Program
-}
-
-// generatedByName materializes the program a canonical generated name
-// denotes, memoized under generated.mu.
+// generatedByName builds the program a canonical generated name
+// denotes.
 func generatedByName(name string) (Program, bool) {
-	k, ok := genmc.ParseName(name)
+	gp, ok := genmc.FromName(name)
 	if !ok {
 		return Program{}, false
 	}
-	generated.mu.Lock()
-	defer generated.mu.Unlock()
-	if p, ok := generated.progs[name]; ok {
-		return p, true
-	}
-	gp := genmc.Generate(k)
-	p := Program{
+	return Program{
 		Name:   gp.Name,
 		Desc:   gp.Desc,
 		Kind:   Kernel,
 		Source: gp.Source,
 		Check:  genCheck(gp.Out),
-	}
-	if generated.progs == nil || len(generated.progs) >= genCacheMax {
-		generated.progs = make(map[string]Program, 64)
-	}
-	generated.progs[name] = p
-	return p, true
+	}, true
 }
 
 // genCheck builds a Check comparing every global array against the

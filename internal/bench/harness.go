@@ -44,9 +44,10 @@ type Harness struct {
 	Engine Engine
 
 	// Intercept, when non-nil, runs before every cache-miss
-	// computation. A non-nil return aborts the measurement with that
-	// error — the fault-injection and instrumentation seam. Set it
-	// before the harness sees traffic; it is read without locking.
+	// computation, with the program built. A non-nil return aborts the
+	// measurement with that error — the fault-injection and
+	// instrumentation seam. Set it before the harness sees traffic; it
+	// is read without locking.
 	Intercept func(ctx context.Context, p Program, mode alloc.Mode) error
 
 	// L2, when non-nil, is a shared second-level result cache consulted
@@ -314,7 +315,8 @@ func (h *Harness) run(p Program, mode alloc.Mode, cc *pipeline.Compiler) (Result
 // never start (and then abandon) a fresh computation. Transient
 // failures (errors exposing Transient() bool, e.g. injected faults)
 // are likewise never cached: the entry is removed so the next request
-// retries.
+// retries. p may only name its benchmark (see Program): it is built
+// inside the single-flight slot, on a miss, after the L2 lookup.
 func (h *Harness) RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (res Result, cached bool, err error) {
 	return h.runEntry(ctx, newRunKey(p, mode, ro), p, mode, ro)
 }
@@ -432,12 +434,20 @@ func (h *Harness) Cached(p Program, mode alloc.Mode, ro RunOptions) bool {
 	}
 }
 
-// compute is one cache-miss execution: the Intercept hook (fault
-// injection, instrumentation) runs first and may veto the measurement.
-// The program's front end comes from the memo. The allocation is
-// planned here; the rest of the back end and the simulation run too,
-// unless the program's back-end memo already measured that plan.
+// compute is one cache-miss execution. A name-only program is built
+// first (see Program); then the Intercept hook (fault injection,
+// instrumentation) runs and may veto the measurement. The program's
+// front end comes from the memo. The allocation is planned here; the
+// rest of the back end and the simulation run too, unless the
+// program's back-end memo already measured that plan.
 func (h *Harness) compute(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Result, error) {
+	if p.Source == "" {
+		built, ok := ByName(p.Name)
+		if !ok {
+			return Result{}, fmt.Errorf("%s/%v: unknown benchmark", p.Name, mode)
+		}
+		p = built
+	}
 	if h.Intercept != nil {
 		if err := h.Intercept(ctx, p, mode); err != nil {
 			return Result{}, err

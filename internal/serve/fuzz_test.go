@@ -11,14 +11,17 @@ import (
 // The decoder is the service's entire parse surface — everything past
 // it runs on validated input — so the invariants are strict: it must
 // never panic, and whenever it accepts a body the resulting Job must be
-// internally consistent (a runnable program, a bounded source, a
-// non-negative timeout, and a known mode).
+// internally consistent (a non-empty source within the cap, or a name
+// the harness can build into a checked program; a non-negative
+// timeout; and a known mode).
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"bench":"fir_32_1"}`))
 	f.Add([]byte(`{"bench":"fft_1024","mode":"Dup","partitioner":"fm","timeout_ms":500}`))
 	f.Add([]byte(`{"source":"void main() {}","mode":"CB"}`))
 	f.Add([]byte(`{"bench":"fir_32_1","mode":"zig"}`))
 	f.Add([]byte(`{"bench":"nope"}`))
+	f.Add([]byte(`{"bench":"gen_window_12"}`))
+	f.Add([]byte(`{"bench":"gen_window_012"}`))
 	f.Add([]byte(`{"bench":`))
 	f.Add([]byte(`{"bench":"fir_32_1"}{"bench":"fir_32_1"}`))
 	f.Add([]byte(`{"bench":"fir_32_1","timeout_ms":-1}`))
@@ -38,16 +41,14 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if j.Prog.Source == "" {
-			t.Fatalf("accepted job with no source: %q", data)
-		}
-		if !j.Cacheable && len(j.Prog.Source) > maxSource {
-			t.Fatalf("accepted oversized source (%d bytes): %q", len(j.Prog.Source), data)
-		}
 		if j.Cacheable {
-			if _, ok := bench.ByName(j.Prog.Name); !ok {
-				t.Fatalf("cacheable job names unknown benchmark %q: %q", j.Prog.Name, data)
+			// A named job carries no source until the harness builds it.
+			p, ok := bench.ByName(j.Prog.Name)
+			if !ok || p.Source == "" || p.Check == nil {
+				t.Fatalf("named job %q does not build a checked program: %q", j.Prog.Name, data)
 			}
+		} else if j.Prog.Source == "" || len(j.Prog.Source) > maxSource {
+			t.Fatalf("accepted source job with %d bytes of source (cap %d): %q", len(j.Prog.Source), maxSource, data)
 		}
 		if j.Timeout < 0 {
 			t.Fatalf("accepted negative timeout %v: %q", j.Timeout, data)

@@ -138,7 +138,8 @@ func (m *Metrics) RequestDone(code int) {
 	m.mu.Unlock()
 }
 
-// ObserveRun records one successful measurement's phase latencies.
+// ObserveRun records the phase latencies of one successful measurement
+// this server executed.
 func (m *Metrics) ObserveRun(compileSeconds, simSeconds float64) {
 	m.mu.Lock()
 	m.compile.observe(compileSeconds)

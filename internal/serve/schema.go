@@ -126,6 +126,9 @@ type ErrorResponse struct {
 
 // Job is a validated, executable request.
 type Job struct {
+	// Prog is the request's source program, or for a named benchmark a
+	// name-only Program (see bench.Program) that only the harness
+	// builds.
 	Prog bench.Program
 	Mode alloc.Mode
 	// Opts carries every measurement knob of the request — partitioner,
@@ -200,8 +203,9 @@ func ParseMode(s string) (alloc.Mode, error) {
 
 // DecodeRequest parses and validates one request body. It enforces the
 // source-size cap, rejects unknown JSON fields, resolves the mode and
-// partitioner, and looks benchmark names up in the suite. It never
-// panics on hostile input — the fuzz target holds it to that.
+// partitioner, and validates benchmark names without building their
+// programs. It never panics on hostile input — the fuzz target holds
+// it to that.
 func DecodeRequest(data []byte, maxSource int) (Job, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -272,11 +276,10 @@ func (req *Request) Job(maxSource int) (Job, error) {
 	}
 
 	if req.Bench != "" {
-		p, ok := bench.ByName(req.Bench)
-		if !ok {
+		if !bench.Known(req.Bench) {
 			return Job{}, fmt.Errorf("%w %q (see /v1/benchmarks)", ErrUnknownBench, req.Bench)
 		}
-		j.Prog = p
+		j.Prog = bench.Program{Name: req.Bench}
 		j.Cacheable = true
 		return j, nil
 	}

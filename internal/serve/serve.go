@@ -304,7 +304,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusFor(err), err)
 		return
 	}
-	s.metrics.ObserveRun(res.CompileSeconds, res.SimSeconds)
+	if !cached {
+		// A cached answer replays a stored measurement's phase times;
+		// the histograms cover executed measurements only.
+		s.metrics.ObserveRun(res.CompileSeconds, res.SimSeconds)
+	}
 	s.reply(w, http.StatusOK, ResponseFor(res, job.Opts.Partitioner, cached))
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -177,37 +178,43 @@ func TestServeExplorerKnobs(t *testing.T) {
 	}
 }
 
-// TestServeCacheFlag checks the memo-cache contract over the wire: the
-// first named-benchmark request computes, the second is a hit with an
-// identical measurement, and source requests never cache.
+// TestServeCacheFlag checks the memo-cache contract over the wire, for
+// a suite name and a generated name: the first named-benchmark request
+// computes (and passes its output check), the second is a hit whose
+// body differs only in the cached flag, and source requests never
+// cache.
 func TestServeCacheFlag(t *testing.T) {
 	s := serve.New(serve.Config{Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	var first, second serve.Response
-	for i, out := range []*serve.Response{&first, &second} {
-		code, data := postRun(t, ts.Client(), ts.URL, `{"bench":"iir_1_1","mode":"CB"}`)
-		if code != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, code, data)
+	for _, name := range []string{"iir_1_1", "gen_window_12"} {
+		body := fmt.Sprintf(`{"bench":%q,"mode":"CB"}`, name)
+		var first, second serve.Response
+		for i, out := range []*serve.Response{&first, &second} {
+			code, data := postRun(t, ts.Client(), ts.URL, body)
+			if code != http.StatusOK {
+				t.Fatalf("%s: request %d: status %d: %s", name, i, code, data)
+			}
+			if err := json.Unmarshal(data, out); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := json.Unmarshal(data, out); err != nil {
-			t.Fatal(err)
+		if first.Cached {
+			t.Errorf("%s: first request claimed a cache hit", name)
 		}
-	}
-	if first.Cached {
-		t.Error("first request claimed a cache hit")
-	}
-	if !second.Cached {
-		t.Error("second request missed the cache")
-	}
-	if first.Cycles != second.Cycles || first.MemTotal != second.MemTotal {
-		t.Errorf("cache changed the measurement: %+v vs %+v", first, second)
+		if !second.Cached {
+			t.Errorf("%s: second request missed the cache", name)
+		}
+		second.Cached = false
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: cache changed the answer: %+v vs %+v", name, first, second)
+		}
 	}
 	st := s.CacheStats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("cache stats = %+v, want 1 hit / 1 miss", st)
+	if st.Misses != 2 || st.Hits != 2 {
+		t.Errorf("cache stats = %+v, want 2 hits / 2 misses", st)
 	}
 
 	src := `{"source":"int y[1];\nvoid main() { y[0] = 7; }"}`
@@ -247,6 +254,9 @@ func TestServeErrors(t *testing.T) {
 		{"neither bench nor source", `{"mode":"CB"}`, http.StatusBadRequest},
 		{"both bench and source", `{"bench":"fir_32_1","source":"void main() {}"}`, http.StatusBadRequest},
 		{"unknown bench", `{"bench":"nope"}`, http.StatusNotFound},
+		{"generated name, leading zero", `{"bench":"gen_window_012"}`, http.StatusNotFound},
+		{"generated name, unknown archetype", `{"bench":"gen_cube_5"}`, http.StatusNotFound},
+		{"generated name, no seed", `{"bench":"gen_window"}`, http.StatusNotFound},
 		{"unknown mode", `{"bench":"fir_32_1","mode":"zigzag"}`, http.StatusBadRequest},
 		{"unknown partitioner", `{"bench":"fir_32_1","partitioner":"magic"}`, http.StatusBadRequest},
 		{"negative timeout", `{"bench":"fir_32_1","timeout_ms":-5}`, http.StatusBadRequest},
@@ -265,6 +275,13 @@ func TestServeErrors(t *testing.T) {
 			if err := json.Unmarshal(data, &er); err != nil || er.Error == "" {
 				t.Errorf("error body not ErrorResponse: %s", data)
 			}
+			if code == http.StatusNotFound {
+				var req serve.Request
+				json.Unmarshal([]byte(tc.body), &req)
+				if want := fmt.Sprintf("unknown benchmark %q (see /v1/benchmarks)", req.Bench); er.Error != want {
+					t.Errorf("error %q, want %q", er.Error, want)
+				}
+			}
 		})
 	}
 
@@ -275,6 +292,34 @@ func TestServeErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/run: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestDecodeGeneratedNameAllocs: decoding validates a generated name
+// without building its program, so it allocates about as much as a
+// suite name does. Each run decodes a name not seen before, so no memo
+// can hide a build.
+func TestDecodeGeneratedNameAllocs(t *testing.T) {
+	const runs = 50
+	bodies := make([][]byte, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf(`{"bench":"gen_window_%d","mode":"cb"}`, 7000+i))
+	}
+	next := 0
+	generated := testing.AllocsPerRun(runs, func() {
+		if _, err := serve.DecodeRequest(bodies[next], 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	suiteBody := []byte(`{"bench":"fir_32_1","mode":"cb"}`)
+	suite := testing.AllocsPerRun(runs, func() {
+		if _, err := serve.DecodeRequest(suiteBody, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if generated > suite+2 {
+		t.Errorf("decoding a generated name allocates %.0f times, a suite name %.0f", generated, suite)
 	}
 }
 
@@ -322,9 +367,12 @@ func TestServeInventoryAndHealth(t *testing.T) {
 		t.Errorf("/healthz: %d %q", resp.StatusCode, body)
 	}
 
-	// One real run so the histograms have a sample, then scrape.
-	if code, data := postRun(t, ts.Client(), ts.URL, `{"bench":"fir_32_1"}`); code != http.StatusOK {
-		t.Fatalf("warm-up run: %d: %s", code, data)
+	// One real run so the histograms have a sample, and its memo hit,
+	// which the histograms must not count again; then scrape.
+	for i := 0; i < 2; i++ {
+		if code, data := postRun(t, ts.Client(), ts.URL, `{"bench":"fir_32_1"}`); code != http.StatusOK {
+			t.Fatalf("run %d: %d: %s", i, code, data)
+		}
 	}
 	resp, err = ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -336,6 +384,7 @@ func TestServeInventoryAndHealth(t *testing.T) {
 		"dspservd_in_flight 0",
 		"dspservd_pool_workers 1",
 		"dspservd_cache_misses_total 1",
+		"dspservd_cache_hits_total 1",
 		`dspservd_requests_total{code="200"}`,
 		"dspservd_compile_seconds_count 1",
 		"dspservd_simulate_seconds_count 1",
