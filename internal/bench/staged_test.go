@@ -21,12 +21,13 @@ import (
 
 // irFingerprint hashes everything a back end could write into a shared
 // IR: the printed program, every block's profile count, every symbol's
-// allocation fields, and every function's frame sizes.
+// allocation fields and initializer words, and every function's frame
+// sizes.
 func irFingerprint(p *ir.Program) [32]byte {
 	var b strings.Builder
 	b.WriteString(p.String())
 	for _, s := range p.Symbols() {
-		fmt.Fprintf(&b, "%s %v %d %v\n", s.Name, s.Bank, s.Addr, s.Duplicated)
+		fmt.Fprintf(&b, "%s %v %d %v %x\n", s.Name, s.Bank, s.Addr, s.Duplicated, s.Init)
 	}
 	for _, f := range p.Funcs {
 		fmt.Fprintf(&b, "%s %d %d\n", f.Name, f.FrameWordsX, f.FrameWordsY)

@@ -2,10 +2,27 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"dualbank/internal/machine"
 )
+
+// FloatToInt defines the architecture's float-to-int conversion
+// (OpFloatToInt): truncation toward zero with saturation and NaN
+// mapping to zero, making the operation fully deterministic. Every
+// simulator and constant initializers convert through it.
+func FloatToInt(f float32) int32 {
+	switch {
+	case f != f: // NaN
+		return 0
+	case f >= 2147483647:
+		return math.MaxInt32
+	case f <= -2147483648:
+		return math.MinInt32
+	}
+	return int32(f)
+}
 
 // OpKind enumerates the machine operations of the model architecture.
 type OpKind int8
@@ -59,7 +76,7 @@ const (
 
 	// Conversions (execute on the unit of their source domain).
 	OpIntToFloat
-	OpFloatToInt // truncates toward zero
+	OpFloatToInt // FloatToInt: truncates toward zero, saturating
 
 	// Memory (ClassMemory). Address = Sym.Addr + Idx (+ frame base for
 	// locals). Idx == NoReg means a direct scalar access.

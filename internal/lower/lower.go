@@ -869,6 +869,10 @@ func (lw *lowerer) incDec(e *minic.IncDecExpr) (ir.Reg, error) {
 // --- Constant initializers ---
 
 // constWords evaluates a declaration initializer to raw 32-bit words.
+// A constant initializer takes the value the same assignment takes at
+// run time: the machine loads the literal's 32-bit value (an integer
+// wrapped to int32, a float rounded to float32), then converts it to
+// the declared type.
 func constWords(d *minic.VarDecl) ([]uint32, error) {
 	if len(d.Dims) == 0 {
 		w, err := constWord(d.Init, d.Type)
@@ -878,32 +882,59 @@ func constWords(d *minic.VarDecl) ([]uint32, error) {
 		return []uint32{w}, nil
 	}
 	lst := d.Init.(*minic.InitList)
-	return flattenInit(lst, d.Type, d.Dims)
-}
-
-func flattenInit(lst *minic.InitList, t minic.TypeName, dims []int) ([]uint32, error) {
-	var out []uint32
-	for _, e := range lst.Elems {
-		if sub, ok := e.(*minic.InitList); ok {
-			row, err := flattenInit(sub, t, dims[1:])
-			if err != nil {
-				return nil, err
-			}
-			for len(row) < dims[1] {
-				row = append(row, 0)
-			}
-			out = append(out, row...)
-			continue
-		}
-		w, err := constWord(e, t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
+	words := make([]uint32, initWords(lst, d.Dims))
+	if err := flattenInit(words, lst, d.Type, d.Dims); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return words, nil
 }
 
+// initWords counts the words lst initializes: one per element, and a
+// whole row per nested list.
+func initWords(lst *minic.InitList, dims []int) int {
+	n := len(lst.Vals)
+	for _, e := range lst.Elems {
+		if _, ok := e.(*minic.InitList); ok {
+			n += dims[1] - 1
+		}
+	}
+	return n
+}
+
+// flattenInit writes lst's words into out, sized by initWords and
+// zeroed, so a short row comes out zero-padded.
+func flattenInit(out []uint32, lst *minic.InitList, t minic.TypeName, dims []int) error {
+	elems := lst.Elems
+	i := 0
+	for _, v := range lst.Vals {
+		switch v.Kind {
+		case minic.InitInt:
+			out[i] = intWord(v.Int(), t)
+		case minic.InitFloat:
+			out[i] = floatWord(v.Float(), t)
+		default:
+			e := elems[0]
+			elems = elems[1:]
+			if sub, ok := e.(*minic.InitList); ok {
+				if err := flattenInit(out[i:i+dims[1]], sub, t, dims[1:]); err != nil {
+					return err
+				}
+				i += dims[1]
+				continue
+			}
+			w, err := constWord(e, t)
+			if err != nil {
+				return err
+			}
+			out[i] = w
+		}
+		i++
+	}
+	return nil
+}
+
+// constWord evaluates a constant expression: a literal under any
+// number of minus signs.
 func constWord(e minic.Expr, t minic.TypeName) (uint32, error) {
 	neg := false
 	for {
@@ -920,21 +951,35 @@ func constWord(e minic.Expr, t minic.TypeName) (uint32, error) {
 		if neg {
 			v = -v
 		}
-		if t == minic.TypeFloat {
-			return math.Float32bits(float32(v)), nil
-		}
-		return uint32(int32(v)), nil
+		return intWord(v, t), nil
 	case *minic.FloatLit:
 		v := e.Val
 		if neg {
 			v = -v
 		}
-		if t == minic.TypeFloat {
-			return math.Float32bits(float32(v)), nil
-		}
-		return uint32(int32(v)), nil
+		return floatWord(v, t), nil
 	}
 	return 0, fmt.Errorf("lower: non-constant initializer %T", e)
+}
+
+// intWord is the word an integer literal gives a constant of type t:
+// wrapped to int32, then converted like OpIntToFloat.
+func intWord(v int64, t minic.TypeName) uint32 {
+	i := int32(v)
+	if t == minic.TypeFloat {
+		return math.Float32bits(float32(i))
+	}
+	return uint32(i)
+}
+
+// floatWord is the word a float literal gives a constant of type t:
+// rounded to float32, then converted like OpFloatToInt.
+func floatWord(v float64, t minic.TypeName) uint32 {
+	f := float32(v)
+	if t == minic.TypeFloat {
+		return math.Float32bits(f)
+	}
+	return uint32(ir.FloatToInt(f))
 }
 
 // checkNoRecursion rejects call-graph cycles: static stack allocation

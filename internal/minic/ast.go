@@ -1,5 +1,7 @@
 package minic
 
+import "math"
+
 // TypeName is a MiniC scalar type.
 type TypeName int8
 
@@ -236,12 +238,42 @@ type IncDecExpr struct {
 	X       Expr // Ident or IndexExpr
 }
 
-// InitList is a brace-enclosed array initializer. Elements are constant
-// expressions (literals, possibly negated).
+// InitList is a brace-enclosed array initializer, one entry of Vals
+// per element in source order. The parser packs a plain literal
+// element (an integer or float literal, negated at most once) into its
+// InitVal with no AST node; every other element — a nested list, or an
+// expression sema checks — is an InitExpr entry standing for the next
+// expression of Elems.
 type InitList struct {
 	exprBase
+	Vals  []InitVal
 	Elems []Expr
 }
+
+// InitKind says what one initializer element holds.
+type InitKind uint8
+
+const (
+	// InitExpr stands for the next expression of InitList.Elems.
+	InitExpr InitKind = iota
+	// InitInt is a packed integer literal, its sign applied.
+	InitInt
+	// InitFloat is a packed float literal, its sign applied.
+	InitFloat
+)
+
+// InitVal is one initializer element: an int64, or a float64's bits,
+// for a packed literal.
+type InitVal struct {
+	Kind InitKind
+	bits uint64
+}
+
+// Int returns an InitInt element's value.
+func (v InitVal) Int() int64 { return int64(v.bits) }
+
+// Float returns an InitFloat element's value.
+func (v InitVal) Float() float64 { return math.Float64frombits(v.bits) }
 
 // VarSym is the semantic object for a declared variable; it links the
 // front-end name to the IR symbol created during lowering.

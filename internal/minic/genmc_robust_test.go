@@ -85,6 +85,37 @@ var mutations = []struct {
 	}},
 }
 
+// labelled is one front-end input with a name for diagnostics.
+type labelled struct{ label, src string }
+
+// damaged applies one damage strategy to every archetype, 60 seeded
+// trials each.
+func damaged(name string, apply func(string, *rand.Rand) string) []labelled {
+	var out []labelled
+	rng := rand.New(rand.NewSource(1069))
+	for _, a := range genmc.Archetypes() {
+		src := genmc.Generate(genmc.Derive(a, 17)).Source
+		for trial := 0; trial < 60; trial++ {
+			out = append(out, labelled{fmt.Sprintf("%s/%v trial %d", name, a, trial), apply(src, rng)})
+		}
+	}
+	return out
+}
+
+// truncations cuts one compact program of each archetype at every byte
+// position.
+func truncations() []labelled {
+	var out []labelled
+	for _, a := range genmc.Archetypes() {
+		k := genmc.Knobs{Archetype: a, Seed: 9, Arrays: 2, Size: 16, Loops: 1, Depth: 2, Stmts: 2}
+		src := genmc.Generate(k).Source
+		for i := 0; i <= len(src); i++ {
+			out = append(out, labelled{fmt.Sprintf("%v cut at %d", a, i), src[:i]})
+		}
+	}
+	return out
+}
+
 // TestFrontEndSurvivesDamagedGenerated: every damage strategy applied
 // to every archetype, many seeded trials each — diagnostics, never
 // panics.
@@ -93,13 +124,8 @@ func TestFrontEndSurvivesDamagedGenerated(t *testing.T) {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(1069))
-			for _, a := range genmc.Archetypes() {
-				src := genmc.Generate(genmc.Derive(a, 17)).Source
-				for trial := 0; trial < 60; trial++ {
-					damaged := m.apply(src, rng)
-					frontEnd(t, fmt.Sprintf("%s/%v trial %d", m.name, a, trial), damaged)
-				}
+			for _, in := range damaged(m.name, m.apply) {
+				frontEnd(t, in.label, in.src)
 			}
 		})
 	}
@@ -109,12 +135,8 @@ func TestFrontEndSurvivesDamagedGenerated(t *testing.T) {
 // archetype at every byte position — the exhaustive version of the
 // truncate strategy, covering every possible EOF-in-construct point.
 func TestFrontEndSurvivesEveryTruncation(t *testing.T) {
-	for _, a := range genmc.Archetypes() {
-		k := genmc.Knobs{Archetype: a, Seed: 9, Arrays: 2, Size: 16, Loops: 1, Depth: 2, Stmts: 2}
-		src := genmc.Generate(k).Source
-		for i := 0; i <= len(src); i++ {
-			frontEnd(t, fmt.Sprintf("%v cut at %d", a, i), src[:i])
-		}
+	for _, in := range truncations() {
+		frontEnd(t, in.label, in.src)
 	}
 }
 

@@ -1,24 +1,23 @@
 package minic
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
-// Lexer turns MiniC source text into a token stream.
+// Lexer turns MiniC source text into a token stream. It tracks the
+// offset where the current line starts instead of a column, so
+// advancing over a byte other than a newline is one increment.
 type Lexer struct {
-	src  string
-	off  int
-	line int
-	col  int
+	src       string
+	off       int
+	line      int
+	lineStart int
 }
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1}
 }
 
-func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
+func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.off - l.lineStart + 1} }
 
 func (l *Lexer) peek() byte {
 	if l.off >= len(l.src) {
@@ -34,16 +33,12 @@ func (l *Lexer) peek2() byte {
 	return l.src[l.off+1]
 }
 
-func (l *Lexer) advance() byte {
-	c := l.src[l.off]
-	l.off++
-	if c == '\n' {
+func (l *Lexer) advance() {
+	if l.src[l.off] == '\n' {
 		l.line++
-		l.col = 1
-	} else {
-		l.col++
+		l.lineStart = l.off + 1
 	}
-	return c
+	l.off++
 }
 
 func (l *Lexer) skipSpaceAndComments() error {
@@ -98,8 +93,8 @@ func (l *Lexer) Next() (Token, error) {
 		return l.number(pos)
 	case isAlpha(c):
 		start := l.off
-		for l.off < len(l.src) && (isAlpha(l.peek()) || isDigit(l.peek())) {
-			l.advance()
+		for l.off < len(l.src) && (isAlpha(l.src[l.off]) || isDigit(l.src[l.off])) {
+			l.off++
 		}
 		word := l.src[start:l.off]
 		if k, ok := keywords[word]; ok {
@@ -191,9 +186,18 @@ func (l *Lexer) Next() (Token, error) {
 	return Token{}, errf(pos, "unexpected character %q", string(c))
 }
 
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// number lexes an integer or float literal. Its digits are accumulated
+// while scanning: a decimal integer of at most 18 digits cannot
+// overflow int64, and a float of at most 15 digits and no exponent is
+// that integer over a power of ten, both exact in float64, so the one
+// division rounds correctly, as strconv would. Longer literals go
+// through strconv.
 func (l *Lexer) number(pos Pos) (Token, error) {
 	start := l.off
-	isFloat := false
 	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
 		l.advance()
 		l.advance()
@@ -206,18 +210,25 @@ func (l *Lexer) number(pos Pos) (Token, error) {
 		}
 		return Token{Kind: INTLIT, Pos: pos, Int: int64(int32(uint32(v)))}, nil
 	}
+	var acc int64
+	digits, frac := 0, 0
 	for l.off < len(l.src) && isDigit(l.peek()) {
-		l.advance()
+		acc = acc*10 + int64(l.src[l.off]-'0')
+		l.off++
+		digits++
 	}
+	isFloat, exact := false, true
 	if l.peek() == '.' {
 		isFloat = true
 		l.advance()
 		for l.off < len(l.src) && isDigit(l.peek()) {
-			l.advance()
+			acc = acc*10 + int64(l.src[l.off]-'0')
+			l.off++
+			frac++
 		}
 	}
 	if l.peek() == 'e' || l.peek() == 'E' {
-		isFloat = true
+		isFloat, exact = true, false
 		l.advance()
 		if l.peek() == '+' || l.peek() == '-' {
 			l.advance()
@@ -233,30 +244,44 @@ func (l *Lexer) number(pos Pos) (Token, error) {
 		l.advance()
 	}
 	if isFloat {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(text, "f"), 64)
+		if exact && digits+frac <= 15 {
+			return Token{Kind: FLOATLIT, Pos: pos, Flt: float64(acc) / pow10[frac]}, nil
+		}
+		v, err := strconv.ParseFloat(text, 64)
 		if err != nil {
 			return Token{}, errf(pos, "bad float literal %q", text)
 		}
 		return Token{Kind: FLOATLIT, Pos: pos, Flt: v}, nil
 	}
-	v, err := strconv.ParseInt(text, 10, 64)
-	if err != nil {
-		return Token{}, errf(pos, "bad integer literal %q", text)
+	if digits > 18 {
+		v, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
+			return Token{}, errf(pos, "bad integer literal %q", text)
+		}
+		acc = v
 	}
-	return Token{Kind: INTLIT, Pos: pos, Int: v}, nil
+	return Token{Kind: INTLIT, Pos: pos, Int: acc}, nil
 }
 
 func isHex(c byte) bool {
 	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
-// LexAll tokenizes the whole input; used by tests and the parser. The
-// token buffer is allocated once, for one token per two bytes of
-// source: the benchmark and generated programs run 1.7 to 4.7 bytes
-// per token, so all but the densest few never regrow it.
+// rest scans to the end of the source and returns the first lexical
+// error on the way, if any.
+func (l *Lexer) rest() error {
+	for {
+		t, err := l.Next()
+		if err != nil || t.Kind == EOF {
+			return err
+		}
+	}
+}
+
+// LexAll tokenizes the whole input, through the EOF token.
 func LexAll(src string) ([]Token, error) {
 	l := NewLexer(src)
-	out := make([]Token, 0, len(src)/2+1)
+	var out []Token
 	for {
 		t, err := l.Next()
 		if err != nil {

@@ -1,6 +1,10 @@
 package minic
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -173,4 +177,43 @@ func fmtInt(v int64) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// TestLexFloatMatchesStrconv: the lexer's exact float fast path gives
+// strconv.ParseFloat's value, bit for bit, on decimals of every
+// length, with and without exponents and suffixes.
+func TestLexFloatMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	digits := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+		}
+		return string(b)
+	}
+	for i := 0; i < 20000; i++ {
+		text := digits(rng.Intn(10)) + "." + digits(rng.Intn(12))
+		if text == "." {
+			continue
+		}
+		switch rng.Intn(4) {
+		case 0:
+			text += fmt.Sprintf("e%d", rng.Intn(40)-20)
+		case 1:
+			text = digits(1+rng.Intn(20)) + "e" + digits(1)
+		}
+		want, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			t.Fatalf("strconv rejects %q: %v", text, err)
+		}
+		for _, src := range []string{text, text + "f"} {
+			toks, err := LexAll(src)
+			if err != nil {
+				t.Fatalf("LexAll(%q): %v", src, err)
+			}
+			if toks[0].Kind != FLOATLIT || math.Float64bits(toks[0].Flt) != math.Float64bits(want) {
+				t.Fatalf("LexAll(%q) = %v %v, want float %v", src, toks[0].Kind, toks[0].Flt, want)
+			}
+		}
+	}
 }

@@ -1,29 +1,81 @@
 package minic
 
-// Parser is a recursive-descent parser for MiniC.
+import "math"
+
+// Parser is a recursive-descent parser for MiniC. It pulls tokens from
+// the lexer as it goes, through a lookahead of at most three tokens:
+// tok[0] is the current token and tok[1:n] are the ones peeked past it.
 type Parser struct {
-	toks []Token
-	pos  int
+	lx  Lexer
+	tok [3]Token
+	n   int
+	// lexErr is the first lexical error. It ends the token stream: every
+	// token after it reads as EOF.
+	lexErr error
 }
 
-// Parse parses a complete MiniC translation unit.
+// Parse parses a complete MiniC translation unit. A lexical error
+// anywhere in the source takes precedence over a syntax error, so on
+// a syntax error the rest of the source is scanned before reporting.
 func Parse(src string) (*File, error) {
-	toks, err := LexAll(src)
+	p := &Parser{lx: *NewLexer(src), n: 1}
+	p.lex(&p.tok[0])
+	f, err := p.file()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
+		if lerr := p.lx.rest(); lerr != nil {
+			return nil, lerr
+		}
 		return nil, err
 	}
-	p := &Parser{toks: toks}
-	return p.file()
+	return f, nil
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// lex scans the next token into t; after a lexical error, t is EOF.
+func (p *Parser) lex(t *Token) {
+	if p.lexErr == nil {
+		if *t, p.lexErr = p.lx.Next(); p.lexErr == nil {
+			return
+		}
+	}
+	*t = Token{Kind: EOF, Pos: p.lx.pos()}
+}
 
-func (p *Parser) at(k Kind) bool { return p.cur().Kind == k }
+func (p *Parser) cur() Token { return p.tok[0] }
+
+// advance drops the current token.
+func (p *Parser) advance() { p.skip(1) }
+
+// skip drops the current token and the k-1 buffered after it.
+func (p *Parser) skip(k int) {
+	if k == p.n {
+		p.n = 1
+		p.lex(&p.tok[0])
+		return
+	}
+	copy(p.tok[:], p.tok[k:p.n])
+	p.n -= k
+}
+
+func (p *Parser) next() Token { t := p.tok[0]; p.advance(); return t }
+
+// peek returns the kind of the token k places past the current one
+// (k is 1 or 2).
+func (p *Parser) peek(k int) Kind {
+	for p.n <= k {
+		p.lex(&p.tok[p.n])
+		p.n++
+	}
+	return p.tok[k].Kind
+}
+
+func (p *Parser) at(k Kind) bool { return p.tok[0].Kind == k }
 
 func (p *Parser) accept(k Kind) bool {
 	if p.at(k) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -33,16 +85,17 @@ func (p *Parser) expect(k Kind) (Token, error) {
 	if p.at(k) {
 		return p.next(), nil
 	}
-	return Token{}, errf(p.cur().Pos, "expected %s, found %s", k, p.cur())
+	return Token{}, errf(p.tok[0].Pos, "expected %s, found %s", k, p.tok[0])
 }
 
 func (p *Parser) isType() bool {
-	k := p.cur().Kind
+	k := p.tok[0].Kind
 	return k == KwInt || k == KwFloat || k == KwVoid
 }
 
 func (p *Parser) typeName() (TypeName, error) {
-	switch p.next().Kind {
+	t := p.next()
+	switch t.Kind {
 	case KwInt:
 		return TypeInt, nil
 	case KwFloat:
@@ -50,7 +103,7 @@ func (p *Parser) typeName() (TypeName, error) {
 	case KwVoid:
 		return TypeVoid, nil
 	}
-	return TypeVoid, errf(p.toks[p.pos-1].Pos, "expected type name")
+	return TypeVoid, errf(t.Pos, "expected type name")
 }
 
 func (p *Parser) file() (*File, error) {
@@ -133,26 +186,66 @@ func (p *Parser) varDeclRest(typ TypeName, first Token) ([]*VarDecl, error) {
 	}
 }
 
+// initializer parses a declaration's initializer.
 func (p *Parser) initializer() (Expr, error) {
 	if p.at(LBrace) {
-		lb := p.next()
-		lst := &InitList{exprBase: exprBase{Pos: lb.Pos}}
-		for !p.at(RBrace) {
-			e, err := p.initializer()
-			if err != nil {
-				return nil, err
-			}
-			lst.Elems = append(lst.Elems, e)
-			if !p.accept(Comma) {
-				break
-			}
-		}
-		if _, err := p.expect(RBrace); err != nil {
-			return nil, err
-		}
-		return lst, nil
+		return p.initList()
 	}
 	return p.assignExpr()
+}
+
+// initList parses a brace list. An element that is a literal, or one
+// minus sign and a literal, followed by `,` or `}` is packed into Vals
+// without an AST node; anything else goes through initializer, so
+// sema sees it exactly as written.
+func (p *Parser) initList() (*InitList, error) {
+	lst := &InitList{exprBase: exprBase{Pos: p.next().Pos}}
+	for !p.at(RBrace) {
+		sign := 0
+		if p.at(Minus) {
+			sign = 1
+		}
+		if k := p.peek(sign); k == INTLIT || k == FLOATLIT {
+			if after := p.peek(sign + 1); after == Comma || after == RBrace {
+				lst.Vals = append(lst.Vals, packLit(&p.tok[sign], sign == 1))
+				if after == RBrace {
+					p.skip(sign + 1)
+					break
+				}
+				p.skip(sign + 2)
+				continue
+			}
+		}
+		e, err := p.initializer()
+		if err != nil {
+			return nil, err
+		}
+		lst.Vals = append(lst.Vals, InitVal{Kind: InitExpr})
+		lst.Elems = append(lst.Elems, e)
+		if !p.accept(Comma) {
+			break
+		}
+	}
+	if _, err := p.expect(RBrace); err != nil {
+		return nil, err
+	}
+	return lst, nil
+}
+
+// packLit packs a literal token, negated when neg is set.
+func packLit(t *Token, neg bool) InitVal {
+	if t.Kind == FLOATLIT {
+		f := t.Flt
+		if neg {
+			f = -f
+		}
+		return InitVal{Kind: InitFloat, bits: math.Float64bits(f)}
+	}
+	i := t.Int
+	if neg {
+		i = -i
+	}
+	return InitVal{Kind: InitInt, bits: uint64(i)}
 }
 
 func (p *Parser) funcRest(ret TypeName, name Token) (*FuncDecl, error) {
@@ -162,7 +255,7 @@ func (p *Parser) funcRest(ret TypeName, name Token) (*FuncDecl, error) {
 	}
 	if !p.accept(RParen) {
 		// Allow the C idiom f(void).
-		if p.at(KwVoid) && p.toks[p.pos+1].Kind == RParen {
+		if p.at(KwVoid) && p.peek(1) == RParen {
 			p.next()
 			p.next()
 		} else {
@@ -593,7 +686,7 @@ func (p *Parser) unaryExpr() (Expr, error) {
 		return &IncDecExpr{exprBase: exprBase{Pos: op.Pos}, Op: op.Kind, X: x}, nil
 	case LParen:
 		// Cast or parenthesised expression.
-		if k := p.toks[p.pos+1].Kind; (k == KwInt || k == KwFloat) && p.toks[p.pos+2].Kind == RParen {
+		if k := p.peek(1); (k == KwInt || k == KwFloat) && p.peek(2) == RParen {
 			lp := p.next()
 			typ, _ := p.typeName()
 			p.next() // RParen

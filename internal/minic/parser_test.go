@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -171,11 +172,43 @@ int m[2][2] = {{1, 2}, {3, 4}};
 void main() {}
 `)
 	lst := f.Decls[0].Init.(*InitList)
-	if len(lst.Elems) != 3 {
-		t.Fatalf("w initializer has %d elems", len(lst.Elems))
+	if len(lst.Vals) != 3 || len(lst.Elems) != 0 {
+		t.Fatalf("w initializer has %d elems, %d unpacked", len(lst.Vals), len(lst.Elems))
+	}
+	if v := lst.Vals[1]; v.Kind != InitFloat || v.Float() != -2.0 {
+		t.Errorf("w[1] packed as %+v, want float -2", v)
 	}
 	nested := f.Decls[1].Init.(*InitList)
 	if _, ok := nested.Elems[0].(*InitList); !ok {
 		t.Fatal("nested initializer not parsed")
+	}
+	if row := nested.Elems[1].(*InitList); len(row.Vals) != 2 || row.Vals[0].Kind != InitInt || row.Vals[0].Int() != 3 {
+		t.Errorf("m row 1 packed as %+v", row.Vals)
+	}
+}
+
+// TestParseAllocLinear: Parse allocates in proportion to the source
+// however its brace lists are shaped, since /v1/run accepts 1 MiB of
+// untrusted source. A list that reserved room for its array's words,
+// or for what the rest of the source could hold, would make these
+// sources cost the square of their size.
+func TestParseAllocLinear(t *testing.T) {
+	const size = 1 << 16
+	for _, c := range []struct{ name, head, unit, tail string }{
+		{"empty rows of a wide array", "int a[1][500000] = {", "{},", "{}};"},
+		{"empty lists of wide arrays", "", "int a[500000] = {};", ""},
+	} {
+		src := c.head + strings.Repeat(c.unit, size/len(c.unit)) + c.tail
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Parse(src); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(src))
+		t.Logf("%s: %.1f bytes allocated per source byte", c.name, per)
+		if per > 200 {
+			t.Errorf("%s: Parse allocated %.0f bytes per source byte, want at most 200", c.name, per)
+		}
 	}
 }

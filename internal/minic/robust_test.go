@@ -29,10 +29,9 @@ func TestParserNeverPanics(t *testing.T) {
 	}
 }
 
-// TestParserNeverPanicsOnTokenSoup builds inputs from valid token
-// spellings in random order — much deeper parser penetration than raw
-// bytes.
-func TestParserNeverPanicsOnTokenSoup(t *testing.T) {
+// TokenSoup returns 2000 inputs built from valid token spellings in
+// random order (seed 11). The diagnostics golden reads it too.
+func TokenSoup() []string {
 	words := []string{
 		"int", "float", "void", "if", "else", "while", "for", "do",
 		"switch", "case", "default", "return", "break", "continue",
@@ -44,14 +43,24 @@ func TestParserNeverPanicsOnTokenSoup(t *testing.T) {
 		"=", "+=", "-=", "*=", "/=", "%=",
 	}
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 2000; trial++ {
+	out := make([]string, 2000)
+	for trial := range out {
 		n := 1 + rng.Intn(40)
 		var sb strings.Builder
 		for i := 0; i < n; i++ {
 			sb.WriteString(words[rng.Intn(len(words))])
 			sb.WriteByte(' ')
 		}
-		src := sb.String()
+		out[trial] = sb.String()
+	}
+	return out
+}
+
+// TestParserNeverPanicsOnTokenSoup builds inputs from valid token
+// spellings in random order — much deeper parser penetration than raw
+// bytes.
+func TestParserNeverPanicsOnTokenSoup(t *testing.T) {
+	for _, src := range TokenSoup() {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {

@@ -336,7 +336,14 @@ func wordsOf(dims []int) int {
 
 func countInit(lst *InitList, d *VarDecl) (int, error) {
 	n := 0
-	for _, e := range lst.Elems {
+	elems := lst.Elems
+	for _, v := range lst.Vals {
+		if v.Kind != InitExpr {
+			n++
+			continue
+		}
+		e := elems[0]
+		elems = elems[1:]
 		if sub, ok := e.(*InitList); ok {
 			if len(d.Dims) != 2 {
 				return 0, errf(sub.Pos, "nested initializer for 1-D array %q", d.Name)

@@ -17,10 +17,9 @@ import (
 // indices, branch/call targets resolved to block indices, and
 // statically-resolvable banks (and, under the low-order model,
 // statically-resolvable address parities) baked in at lowering time.
-// The engine dispatches one indirect call per operation and aggregates
-// every statically-known counter delta (cycles, occupied slots, memory
+// Every statically-known counter delta (cycles, occupied slots, memory
 // accesses, dual-access cycles, even low-order conflict stalls of
-// direct accesses) to a single add per basic block.
+// direct accesses) is aggregated to a single add per basic block.
 //
 // The reference interpreter evaluates every operation of a long
 // instruction against the pre-instruction register file before any
@@ -32,6 +31,17 @@ import (
 // register swap — fall back to a staged form that buffers results in a
 // pending-write array exactly like the reference, evaluating the dense
 // operation records of oprecord.go so the semantics stay pinned.
+//
+// Because direct-form instructions commit immediately, consecutive
+// ones are one flat sequence of closures. A block is therefore lowered
+// to one op list, cut into runs: a run ends only at an instruction that
+// needs its own step after its operations — a staged commit, low-order
+// port settlement, or a call — or at the block's end. The engine calls
+// a run's closures back to back and checks for a fault once, at the
+// run's end. An operation that faults records the fault and leaves
+// machine state alone, and every later one in the run is
+// bounds-checked like any other, so running on to the end of the run
+// is safe; the first fault is the one reported.
 //
 // sim.Machine remains the reference; the differential suite pins this
 // engine to identical cycle counts, bandwidth counters, and memory
@@ -53,24 +63,66 @@ const (
 	cCall
 )
 
-// cInstr is one lowered long instruction.
-type cInstr struct {
-	ops []cOp
-	// npend, when non-zero, marks the staged fallback: the ops buffer
-	// npend results into the machine's pending-write array, committed
-	// in slot order after the whole read phase.
+// Run-end steps, the post flags of a cRun.
+const (
+	// pFault: an operation of the run can fault.
+	pFault uint8 = 1 << iota
+	// pCommit: the last instruction is staged; its npend buffered
+	// results commit after the run.
+	pCommit
+	// pDyn: the last instruction's ports resolve at run time (low-order
+	// model with an indexed access); finishDyn settles its bandwidth
+	// counters and conflict stall.
+	pDyn
+	// pCall: the last instruction calls callee.
+	pCall
+)
+
+// cRun is one step of a block: a flat run of op closures, then the
+// fault check and the own step of the run's last instruction, if it
+// needs one.
+type cRun struct {
+	ops  []cOp
+	post uint8
+	// npend is a staged last instruction's result count: its ops buffer
+	// them into the machine's pending-write array.
 	npend uint8
-	// canFault gates the per-instruction fault check (indexed accesses,
-	// division, and every staged instruction).
-	canFault bool
-	// dyn marks dynamic port accounting (low-order model with at least
-	// one run-time-resolved access): the closures count ports and
-	// finishDyn settles the bandwidth counters and conflict stall.
-	dyn bool
 	// statPX and statPY are the statically-resolved bank-0/bank-1
-	// access counts a dyn instruction contributes on top of its
-	// run-time ports (the low-order model is 2-bank only); statM is the
-	// total static access count across every bank.
+	// access counts a pDyn instruction contributes on top of its
+	// run-time ports (the low-order model is 2-bank only).
+	statPX, statPY int8
+	// callee is called after the run.
+	callee *cFunc
+}
+
+// cBlock is one lowered basic block: its op list cut into runs, its
+// terminator, and its statically-aggregated counter deltas, applied in
+// a single step at block entry.
+type cBlock struct {
+	runs []cRun
+
+	ctrl    uint8
+	ctrlReg uint8
+	succ0   int32
+	succ1   int32
+
+	cycles    int64 // instruction count plus static low-order stalls
+	nops      int64
+	mem       int64
+	dual      int64
+	conflicts int64
+}
+
+// cInstr summarizes one lowered long instruction for its block, whose
+// op list already holds its closures: whether one can fault, whether
+// its ports resolve at run time, its staged result count, its static
+// memory accesses and its control op.
+type cInstr struct {
+	canFault bool
+	dyn      bool
+	npend    uint8
+	// statPX, statPY and statM are the instruction's statically
+	// resolved bank-0, bank-1 and total memory accesses.
 	statPX, statPY, statM int8
 
 	ctrl    uint8
@@ -78,17 +130,6 @@ type cInstr struct {
 	succ0   int32
 	succ1   int32
 	callee  *cFunc
-}
-
-// cBlock is one lowered basic block with its statically-aggregated
-// counter deltas, applied in a single step at block entry.
-type cBlock struct {
-	instrs    []cInstr
-	cycles    int64 // instruction count plus static low-order stalls
-	nops      int64
-	mem       int64
-	dual      int64
-	conflicts int64
 }
 
 // cFunc is one lowered function; blocks are indexed by ir block ID.
@@ -131,9 +172,10 @@ type cPend struct {
 
 // CompiledMachine executes a compiled program. It reproduces the
 // reference Machine's observable behaviour exactly — cycle counts,
-// bandwidth and conflict counters, and final memory images — with one
-// indirect call per operation and a single counter update per basic
-// block. Its memory arenas cover only the program's used address
+// bandwidth and conflict counters, and final memory images — calling
+// each block's closures in flat runs, with one fault check per run and
+// a single counter update per basic block. Its memory arenas cover
+// only the program's used address
 // range, so allocating and resetting machines is cheap enough to do
 // per run.
 type CompiledMachine struct {
@@ -143,8 +185,11 @@ type CompiledMachine struct {
 	// alias Banks[0] and Banks[1] (every spec has at least two).
 	Banks [][]uint32
 	X, Y  []uint32
-	// Regs is the unified physical register file view.
-	Regs [65]uint32
+	// Regs is the unified physical register file view, entries 1..64
+	// as on the reference Machine. It spans every uint8, the closures'
+	// register-number type, so no register access needs a bounds
+	// check; the entries past 64 are never written.
+	Regs [256]uint32
 
 	// Cycles, OpsExecuted, MemAccesses, DualMemCycles and BankConflicts
 	// mirror the reference Machine's counters.
@@ -238,31 +283,8 @@ func Compile(p *compact.Program) (*CompiledProgram, error) {
 		cf := funcs[name]
 		cf.blocks = make([]cBlock, len(f.Blocks))
 		for bi, sb := range f.Blocks {
-			cb := &cf.blocks[bi]
-			cb.instrs = make([]cInstr, 0, len(sb.Instrs))
-			for _, in := range sb.Instrs {
-				ci, err := lowerInstr(in, sb, funcs, cp)
-				if err != nil {
-					return nil, fmt.Errorf("sim: compile %s: %w", name, err)
-				}
-				// Fold the instruction's static counter deltas into the
-				// block aggregate.
-				cb.cycles++
-				cb.nops += instrNops(in)
-				if !ci.dyn {
-					px, py, sm := int(ci.statPX), int(ci.statPY), int(ci.statM)
-					ci.statPX, ci.statPY, ci.statM = 0, 0, 0
-					cb.mem += int64(sm)
-					if sm >= 2 {
-						cb.dual++
-					}
-					if cp.lowOrder && (px > 1 || py > 1) {
-						cb.cycles++
-						cb.conflicts++
-						cb.dual--
-					}
-				}
-				cb.instrs = append(cb.instrs, ci)
+			if err := lowerBlock(&cf.blocks[bi], sb, funcs, cp); err != nil {
+				return nil, fmt.Errorf("sim: compile %s: %w", name, err)
 			}
 		}
 	}
@@ -284,16 +306,84 @@ func instrNops(in *compact.Instr) int64 {
 	return n
 }
 
-// lowerInstr lowers one long instruction: control resolution, the
-// anti-dependence analysis choosing direct vs staged form, and closure
-// generation.
-func lowerInstr(in *compact.Instr, sb *compact.Block, funcs map[string]*cFunc, cp *CompiledProgram) (cInstr, error) {
+// lowerBlock lowers one scheduled block: every instruction's ops go
+// into one op list, cut into runs after each instruction that needs
+// its own step, and the instructions' static counter deltas fold into
+// the block aggregate. The first instruction with a terminating
+// control op ends the block.
+func lowerBlock(cb *cBlock, sb *compact.Block, funcs map[string]*cFunc, cp *CompiledProgram) error {
+	var slots int64
+	for _, in := range sb.Instrs {
+		slots += instrNops(in)
+	}
+	// Every op fills a slot, so the list never regrows.
+	ops := make([]cOp, 0, slots)
+	var run cRun
+	start := 0
+	for _, in := range sb.Instrs {
+		var ci cInstr
+		var err error
+		ops, ci, err = lowerInstr(ops, in, sb, funcs, cp)
+		if err != nil {
+			return err
+		}
+		cb.cycles++
+		cb.nops += instrNops(in)
+		if !ci.dyn {
+			px, py, sm := int(ci.statPX), int(ci.statPY), int(ci.statM)
+			cb.mem += int64(sm)
+			if sm >= 2 {
+				cb.dual++
+			}
+			if cp.lowOrder && (px > 1 || py > 1) {
+				cb.cycles++
+				cb.conflicts++
+				cb.dual--
+			}
+		}
+		if ci.canFault {
+			run.post |= pFault
+		}
+		if ci.npend > 0 {
+			run.post |= pCommit
+			run.npend = ci.npend
+		}
+		if ci.dyn {
+			run.post |= pDyn
+			run.statPX, run.statPY = ci.statPX, ci.statPY
+		}
+		if ci.ctrl == cCall {
+			run.post |= pCall
+			run.callee = ci.callee
+		}
+		if run.post&^pFault != 0 {
+			run.ops = ops[start:]
+			cb.runs = append(cb.runs, run)
+			run, start = cRun{}, len(ops)
+		}
+		if ci.ctrl != cNone && ci.ctrl != cCall {
+			cb.ctrl, cb.ctrlReg, cb.succ0, cb.succ1 = ci.ctrl, ci.ctrlReg, ci.succ0, ci.succ1
+			break
+		}
+	}
+	if len(ops) > start {
+		run.ops = ops[start:]
+		cb.runs = append(cb.runs, run)
+	}
+	return nil
+}
+
+// lowerInstr lowers one long instruction, appending its closures to
+// ops: control resolution, the anti-dependence analysis choosing
+// direct vs staged form, and closure generation.
+func lowerInstr(ops []cOp, in *compact.Instr, sb *compact.Block, funcs map[string]*cFunc, cp *CompiledProgram) ([]cOp, cInstr, error) {
 	ci := cInstr{ctrl: cNone, succ0: -1, succ1: -1}
 	type dataOp struct {
 		op   *ir.Op
 		unit machine.Unit
 	}
-	var data []dataOp
+	var buf [machine.MaxUnits]dataOp
+	data := buf[:0]
 	for u, op := range in.Slots {
 		if op == nil {
 			continue
@@ -320,7 +410,7 @@ func lowerInstr(in *compact.Instr, sb *compact.Block, funcs map[string]*cFunc, c
 		case ir.OpCall:
 			callee := funcs[op.Callee]
 			if callee == nil {
-				return cInstr{}, fmt.Errorf("call to unknown %s", op.Callee)
+				return ops, cInstr{}, fmt.Errorf("call to unknown %s", op.Callee)
 			}
 			ci.ctrl = cCall
 			ci.callee = callee
@@ -329,21 +419,21 @@ func lowerInstr(in *compact.Instr, sb *compact.Block, funcs map[string]*cFunc, c
 		}
 	}
 	if len(data) == 0 {
-		return ci, nil
+		return ops, ci, nil
 	}
 
-	order, ok := commitOrder(func(i int) *ir.Op { return data[i].op }, len(data))
+	var orderBuf [machine.MaxUnits]int
+	order, ok := commitOrder(func(i int) *ir.Op { return data[i].op }, len(data), orderBuf[:0])
 	lowOrder := cp.lowOrder
 	if ok {
 		// Direct form: execute in the proven order, commit immediately.
-		ci.ops = make([]cOp, 0, len(data))
 		for _, di := range order {
 			d := data[di]
 			f, canFault, dyn, bank, err := lowerDirect(d.op, d.unit, cp)
 			if err != nil {
-				return cInstr{}, err
+				return ops, cInstr{}, err
 			}
-			ci.ops = append(ci.ops, f)
+			ops = append(ops, f)
 			ci.canFault = ci.canFault || canFault
 			if d.op.IsMem() {
 				if dyn {
@@ -359,7 +449,7 @@ func lowerInstr(in *compact.Instr, sb *compact.Block, funcs map[string]*cFunc, c
 				}
 			}
 		}
-		return ci, nil
+		return ops, ci, nil
 	}
 
 	// Staged form: a genuine anti-dependence cycle. Buffer every result
@@ -367,11 +457,10 @@ func lowerInstr(in *compact.Instr, sb *compact.Block, funcs map[string]*cFunc, c
 	// reference's two-phase scheme. Under the low-order model all port
 	// accounting goes dynamic — correctness over speed on this rare
 	// path.
-	ci.ops = make([]cOp, 0, len(data))
 	ci.canFault = true
 	for k, d := range data {
 		po := predecodeOp(d.op, d.unit, cp.ports, &cp.bankOf, cp.nbanks)
-		ci.ops = append(ci.ops, lowerStaged(d.op, po, k, lowOrder))
+		ops = append(ops, lowerStaged(d.op, po, k, lowOrder))
 		if d.op.IsMem() {
 			if lowOrder {
 				ci.dyn = true
@@ -387,17 +476,17 @@ func lowerInstr(in *compact.Instr, sb *compact.Block, funcs map[string]*cFunc, c
 		}
 	}
 	ci.npend = uint8(len(data))
-	return ci, nil
+	return ops, ci, nil
 }
 
 // commitOrder proves an immediate-commit execution order for n data
 // operations: every reader of a register or symbol runs before that
 // register's or symbol's writer, and writes to the same destination
-// keep slot order. It returns the order (a permutation of 0..n-1,
+// keep slot order. It appends the order (a permutation of 0..n-1,
 // preferring slot order among ready operations so lowering is
-// deterministic) and whether one exists; a cyclic anti-dependence —
-// e.g. a packed register swap — has none.
-func commitOrder(op func(int) *ir.Op, n int) ([]int, bool) {
+// deterministic) to order and reports whether one exists; a cyclic
+// anti-dependence — e.g. a packed register swap — has none.
+func commitOrder(op func(int) *ir.Op, n int, order []int) ([]int, bool) {
 	if n > machine.MaxUnits {
 		return nil, false
 	}
@@ -451,7 +540,6 @@ func commitOrder(op func(int) *ir.Op, n int) ([]int, bool) {
 			}
 		}
 	}
-	order := make([]int, 0, n)
 	var done [machine.MaxUnits]bool
 	for len(order) < n {
 		picked := -1
@@ -479,7 +567,7 @@ func commitOrder(op func(int) *ir.Op, n int) ([]int, bool) {
 	return order, true
 }
 
-// setFault records the first fault of an instruction's read phase.
+// setFault records the first fault of a run; the run's end reports it.
 func (m *CompiledMachine) setFault(err error) {
 	if m.fault == nil {
 		m.fault = err
@@ -786,7 +874,7 @@ func lowerALUDirect(op *ir.Op) (cOp, bool, error) {
 	case ir.OpIntToFloat:
 		return func(m *CompiledMachine) { m.Regs[dst] = fb(float32(int32(m.Regs[a0]))) }, false, nil
 	case ir.OpFloatToInt:
-		return func(m *CompiledMachine) { m.Regs[dst] = uint32(FloatToInt(ff(m.Regs[a0]))) }, false, nil
+		return func(m *CompiledMachine) { m.Regs[dst] = uint32(ir.FloatToInt(ff(m.Regs[a0]))) }, false, nil
 	}
 	return nil, false, fmt.Errorf("cannot compile %s", op.Kind)
 }
@@ -877,7 +965,7 @@ func (m *CompiledMachine) Reset() {
 	for b := range m.Banks {
 		copy(m.Banks[b], m.cp.initBanks[b])
 	}
-	m.Regs = [65]uint32{}
+	m.Regs = [256]uint32{}
 	m.Cycles = 0
 	m.OpsExecuted = 0
 	m.MemAccesses = 0
@@ -905,12 +993,11 @@ func (m *CompiledMachine) RunContext(ctx context.Context) error {
 // runFunc executes one function invocation until its ret.
 func (m *CompiledMachine) runFunc(f *cFunc) error {
 	bi := f.entry
-block:
+	b := &f.blocks[bi]
 	for {
 		if err := m.cancel.poll(); err != nil {
 			return fmt.Errorf("sim: %s: %w", f.name, err)
 		}
-		b := &f.blocks[bi]
 		// One aggregated counter update per block. The pre-added cycles
 		// all retire by the block's end, so partial sums never exceed
 		// the run's final total and the limit check cannot fire
@@ -923,73 +1010,85 @@ block:
 		if m.Cycles > m.MaxCycles {
 			return fmt.Errorf("sim: cycle limit exceeded in %s", f.name)
 		}
-		for ii := range b.instrs {
-			in := &b.instrs[ii]
-			for _, op := range in.ops {
+		for ri := range b.runs {
+			r := &b.runs[ri]
+			for _, op := range r.ops {
 				op(m)
 			}
-			if in.canFault && m.fault != nil {
-				err := m.fault
-				m.fault = nil
-				return fmt.Errorf("sim: %s: %w", f.name, err)
-			}
-			if in.npend > 0 {
-				m.commit(int(in.npend))
-			}
-			if in.dyn {
-				m.finishDyn(in)
-				if m.fault != nil {
-					err := m.fault
-					m.fault = nil
-					return fmt.Errorf("sim: %s: %w", f.name, err)
-				}
-			}
-			switch in.ctrl {
-			case cNone:
-			case cBr:
-				bi = in.succ0
-				continue block
-			case cCondBr:
-				if m.Regs[in.ctrlReg] != 0 {
-					bi = in.succ0
-				} else {
-					bi = in.succ1
-				}
-				continue block
-			case cRet:
-				return nil
-			case cDo:
-				n := int32(m.Regs[in.ctrlReg])
-				if n < 1 {
-					return fmt.Errorf("sim: do with count %d in %s", n, f.name)
-				}
-				if m.nloops >= maxHWLoopDepth {
-					return fmt.Errorf("sim: loop stack overflow in %s", f.name)
-				}
-				m.loops[m.nloops] = n
-				m.nloops++
-				bi = in.succ0
-				continue block
-			case cEndDo:
-				if m.nloops == 0 {
-					return fmt.Errorf("sim: enddo with empty loop stack in %s", f.name)
-				}
-				m.loops[m.nloops-1]--
-				if m.loops[m.nloops-1] > 0 {
-					bi = in.succ0
-				} else {
-					m.nloops--
-					bi = in.succ1
-				}
-				continue block
-			case cCall:
-				if err := m.runFunc(in.callee); err != nil {
+			if r.post != 0 {
+				if err := m.endRun(r, f); err != nil {
 					return err
 				}
 			}
 		}
-		return fmt.Errorf("sim: block b%d of %s has no terminator", bi, f.name)
+		switch b.ctrl {
+		case cBr:
+			bi = b.succ0
+		case cCondBr:
+			if m.Regs[b.ctrlReg] != 0 {
+				bi = b.succ0
+			} else {
+				bi = b.succ1
+			}
+		case cRet:
+			return nil
+		case cDo:
+			n := int32(m.Regs[b.ctrlReg])
+			if n < 1 {
+				return fmt.Errorf("sim: do with count %d in %s", n, f.name)
+			}
+			if m.nloops >= maxHWLoopDepth {
+				return fmt.Errorf("sim: loop stack overflow in %s", f.name)
+			}
+			m.loops[m.nloops] = n
+			m.nloops++
+			bi = b.succ0
+		case cEndDo:
+			if m.nloops == 0 {
+				return fmt.Errorf("sim: enddo with empty loop stack in %s", f.name)
+			}
+			top := &m.loops[m.nloops-1]
+			if *top--; *top == 0 {
+				m.nloops--
+				bi = b.succ1
+			} else {
+				bi = b.succ0
+			}
+		default:
+			return fmt.Errorf("sim: block b%d of %s has no terminator", bi, f.name)
+		}
+		b = &f.blocks[bi]
 	}
+}
+
+// endRun does what follows a run's ops: the fault check, then the
+// staged commit, the low-order port settlement and the call of the
+// run's last instruction.
+func (m *CompiledMachine) endRun(r *cRun, f *cFunc) error {
+	if m.fault != nil {
+		return m.takeFault(f)
+	}
+	if r.post&pCommit != 0 {
+		m.commit(int(r.npend))
+	}
+	if r.post&pDyn != 0 {
+		m.finishDyn(r)
+		if m.fault != nil {
+			return m.takeFault(f)
+		}
+	}
+	if r.post&pCall != 0 {
+		return m.runFunc(r.callee)
+	}
+	return nil
+}
+
+// takeFault clears the recorded fault and returns it, wrapped with the
+// function it arose in.
+func (m *CompiledMachine) takeFault(f *cFunc) error {
+	err := m.fault
+	m.fault = nil
+	return fmt.Errorf("sim: %s: %w", f.name, err)
 }
 
 // commit flushes the first n pending writes in slot order — the staged
@@ -1008,9 +1107,9 @@ func (m *CompiledMachine) commit(n int) {
 // finishDyn settles a dynamic-port instruction's bandwidth counters:
 // run-time port counts plus the statically-resolved accesses, the
 // dual-access credit, and the low-order same-bank conflict stall.
-func (m *CompiledMachine) finishDyn(in *cInstr) {
-	px := int32(in.statPX) + m.portX
-	py := int32(in.statPY) + m.portY
+func (m *CompiledMachine) finishDyn(r *cRun) {
+	px := int32(r.statPX) + m.portX
+	py := int32(r.statPY) + m.portY
 	m.portX, m.portY = 0, 0
 	total := px + py
 	if total == 0 {

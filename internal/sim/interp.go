@@ -285,7 +285,7 @@ func (in *Interp) exec(f *ir.Func, op *ir.Op, regs []uint32) error {
 	case ir.OpIntToFloat:
 		setF(float32(iv(op.Args[0])))
 	case ir.OpFloatToInt:
-		setI(FloatToInt(fv(op.Args[0])))
+		setI(ir.FloatToInt(fv(op.Args[0])))
 	case ir.OpLoad:
 		idx, err := in.memIndex(op, regs)
 		if err != nil {
@@ -320,19 +320,4 @@ func b2i(b bool) int32 {
 		return 1
 	}
 	return 0
-}
-
-// FloatToInt defines the architecture's float-to-int conversion:
-// truncation toward zero with saturation and NaN mapping to zero,
-// making the operation fully deterministic.
-func FloatToInt(f float32) int32 {
-	switch {
-	case f != f: // NaN
-		return 0
-	case f >= 2147483647:
-		return math.MaxInt32
-	case f <= -2147483648:
-		return math.MinInt32
-	}
-	return int32(f)
 }

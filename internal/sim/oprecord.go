@@ -80,7 +80,7 @@ func predecodeOp(op *ir.Op, u machine.Unit, ports machine.PortModel, bankOf *[ma
 // lowering time except under the low-order model, which is defined on
 // the classic 2-bank machine (wider specs reject it at allocation), so
 // its address split is the parity.
-func resolvePOp(r *[65]uint32, op *pOp, lowOrder bool) (int32, uint8, error) {
+func resolvePOp(r *[256]uint32, op *pOp, lowOrder bool) (int32, uint8, error) {
 	idx := int32(0)
 	if op.idx != 0 {
 		idx = int32(r[op.idx])
@@ -97,7 +97,7 @@ func resolvePOp(r *[65]uint32, op *pOp, lowOrder bool) (int32, uint8, error) {
 
 // evalPOp computes a scalar operation's result from register file r;
 // semantics match Machine.evalALU exactly.
-func evalPOp(r *[65]uint32, op *pOp) (uint32, error) {
+func evalPOp(r *[256]uint32, op *pOp) (uint32, error) {
 	iv := func(i uint8) int32 { return int32(r[i]) }
 	fv := func(i uint8) float32 { return math.Float32frombits(r[i]) }
 	fb := math.Float32bits
@@ -149,7 +149,7 @@ func evalPOp(r *[65]uint32, op *pOp) (uint32, error) {
 	case ir.OpIntToFloat:
 		return fb(float32(iv(op.a0))), nil
 	case ir.OpFloatToInt:
-		return uint32(FloatToInt(fv(op.a0))), nil
+		return uint32(ir.FloatToInt(fv(op.a0))), nil
 	}
 	return 0, fmt.Errorf("sim: cannot execute %s", op.kind)
 }

@@ -115,8 +115,65 @@ func TestFloatToIntEdgeCases(t *testing.T) {
 		{-3e9, math.MinInt32},
 	}
 	for _, c := range cases {
-		if got := sim.FloatToInt(c.in); got != c.want {
+		if got := ir.FloatToInt(c.in); got != c.want {
 			t.Errorf("FloatToInt(%g) = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
+// TestConstInitMatchesRunTime: a constant initializer — scalar or
+// array, global or local — takes exactly the value the same assignment
+// takes at run time. The machine loads the literal's 32-bit value (an
+// int32 wrap or a float32 rounding) and then converts it with
+// FloatToInt (saturating) or float32(int32).
+func TestConstInitMatchesRunTime(t *testing.T) {
+	f32 := math.Float32bits
+	cases := []struct {
+		typ, lit string
+		want     uint32
+	}{
+		{"int", "3000000000.0", math.MaxInt32},
+		{"int", "-3000000000.0", 0x80000000},
+		{"int", "1e39", math.MaxInt32},
+		{"int", "2.9999999999", 3},
+		{"int", "-2.5", 0xfffffffe},
+		{"int", "4294967297", 1},
+		{"int", "0xFFFFFFFF", 0xffffffff},
+		{"float", "3000000000", f32(-1294967296)},
+		{"float", "-3000000000", f32(1294967296)},
+		{"float", "16777217", f32(16777216)},
+		{"float", "2.9999999999", f32(3)},
+		{"float", "-0.0", 0x80000000},
+	}
+	for _, c := range cases {
+		src := fmt.Sprintf(`%[1]s g = %[2]s;
+%[1]s ga[2] = {7, %[2]s};
+%[1]s gn[1] = {(%[2]s)};
+%[1]s l;
+%[1]s la;
+void main() {
+	%[1]s x = %[2]s;
+	%[1]s a[2] = {7, %[2]s};
+	l = x;
+	la = a[1];
+}
+`, c.typ, c.lit)
+		p, sched := compileTo(t, src, alloc.SingleBank)
+		m := sim.NewMachine(sched)
+		if err := m.Run(); err != nil {
+			t.Fatalf("%s %s: %v", c.typ, c.lit, err)
+		}
+		for _, w := range []struct {
+			name string
+			idx  int
+		}{{"l", 0}, {"g", 0}, {"ga", 1}, {"gn", 0}, {"la", 0}} {
+			got, err := m.Word(globalOf(p, w.name), w.idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != c.want {
+				t.Errorf("%s %s: %s[%d] = %#x, want %#x", c.typ, c.lit, w.name, w.idx, got, c.want)
+			}
 		}
 	}
 }
@@ -257,7 +314,7 @@ func TestInterpProfileCounts(t *testing.T) {
 }
 
 // TestInterpOutOfBounds: an out-of-range access is caught, not silently
-// wrapped.
+// wrapped, by every engine.
 func TestInterpOutOfBounds(t *testing.T) {
 	src := `
 int a[4];
@@ -271,14 +328,11 @@ void main() {
 	if err := in.Run(); err == nil {
 		t.Fatal("interp accepted out-of-bounds store")
 	}
-	m := sim.NewMachine(sched)
-	if err := m.Run(); err == nil {
-		t.Fatal("machine accepted out-of-bounds store")
-	}
+	checkEnginesFault(t, sched, new(sim.Batch), "out of range")
 }
 
-// TestIntegerDivisionByZeroTrap: both engines trap runtime division by
-// zero.
+// TestIntegerDivisionByZeroTrap: every engine traps runtime division
+// by zero.
 func TestIntegerDivisionByZeroTrap(t *testing.T) {
 	src := `
 int r;
@@ -292,11 +346,123 @@ void main() {
 	if err := in.Run(); err == nil {
 		t.Fatal("interp accepted division by zero")
 	}
+	checkEnginesFault(t, sched, new(sim.Batch), "division by zero")
+}
+
+// checkEnginesFault requires the reference machine and the compiled
+// engine, run through b, to fail sched with want in both messages.
+func checkEnginesFault(t *testing.T, sched *compact.Program, b *sim.Batch, want string) {
+	t.Helper()
 	m := sim.NewMachine(sched)
-	if err := m.Run(); err == nil {
-		t.Fatal("machine accepted division by zero")
+	err := m.Run()
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("machine: got %v, want a %q fault", err, want)
 	}
-	_ = p
+	cp, err := sim.Compile(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Run(context.Background(), cp); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("compiled: got %v, want a %q fault", err, want)
+	}
+}
+
+// TestCompiledFaultsMatchMachine: a fault on the last iteration of a
+// self-looping hardware-loop body, and one in the middle of a long
+// straight-line block, fail the compiled engine exactly when they fail
+// the reference, with the same fault kind. The in-range twin of each
+// program runs cleanly on both with identical results, and the batch
+// that ran the faulting program runs the twin next as if fresh.
+func TestCompiledFaultsMatchMachine(t *testing.T) {
+	cases := []struct {
+		name, bad, good, want string
+	}{
+		{"loop-late-index", `
+int a[16];
+int s;
+void main() {
+	int i;
+	int t = 0;
+	for (i = 0; i < 17; i++) {
+		t += a[i];
+	}
+	s = t;
+}
+`, `
+int a[16] = {1, 2, 3};
+int s;
+void main() {
+	int i;
+	int t = 0;
+	for (i = 0; i < 16; i++) {
+		t += a[i];
+	}
+	s = t;
+}
+`, "out of range"},
+		{"mid-block-div", `
+int r[6];
+int zero;
+int k;
+void main() {
+	int a = k + 1;
+	r[0] = a;
+	r[1] = a * 3;
+	r[2] = r[1] / zero;
+	r[3] = a - 4;
+	r[4] = r[3] * r[0];
+	r[5] = 6;
+}
+`, `
+int r[6];
+int zero = 2;
+int k;
+void main() {
+	int a = k + 1;
+	r[0] = a;
+	r[1] = a * 3;
+	r[2] = r[1] / zero;
+	r[3] = a - 4;
+	r[4] = r[3] * r[0];
+	r[5] = 6;
+}
+`, "division by zero"},
+	}
+	for _, c := range cases {
+		for _, mode := range []alloc.Mode{alloc.SingleBank, alloc.CB, alloc.CBDup, alloc.LowOrder} {
+			t.Run(fmt.Sprintf("%s/%v", c.name, mode), func(t *testing.T) {
+				var b sim.Batch
+				_, bad := compileTo(t, c.bad, mode)
+				checkEnginesFault(t, bad, &b, c.want)
+
+				p, good := compileTo(t, c.good, mode)
+				ref := sim.NewMachine(good)
+				if err := ref.Run(); err != nil {
+					t.Fatalf("machine on the in-range twin: %v", err)
+				}
+				cp, err := sim.Compile(good)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := b.Run(context.Background(), cp)
+				if err != nil {
+					t.Fatalf("batch run after the fault: %v", err)
+				}
+				if got.Counters() != ref.Counters() {
+					t.Errorf("counters %+v, reference %+v", got.Counters(), ref.Counters())
+				}
+				for _, g := range p.Globals {
+					for i := 0; i < g.Size; i++ {
+						w, _ := got.Word(g, i)
+						rw, _ := ref.Word(g, i)
+						if w != rw {
+							t.Fatalf("%s[%d] = %#x, reference %#x", g.Name, i, w, rw)
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestMachineRejectsVirtualProgram: the VLIW machine requires physical

@@ -22,12 +22,13 @@ const ctxCheckStride = 256
 
 // ctxCheck is the shared cancellation state of the run loops: a
 // context's done channel polled every ctxCheckStride block boundaries.
-// The zero value (no context) never fires and costs one nil check per
-// block.
+// The zero value (no context) never fires; polling costs one decrement
+// per block.
 type ctxCheck struct {
 	ctx  context.Context
 	done <-chan struct{}
-	tick int
+	// left counts the polls until the next look at done.
+	left int
 }
 
 // arm points the check at ctx for the duration of one run; a context
@@ -35,21 +36,29 @@ type ctxCheck struct {
 func (c *ctxCheck) arm(ctx context.Context) {
 	c.ctx = ctx
 	c.done = ctx.Done()
-	c.tick = 0
+	c.left = ctxCheckStride
 }
 
 func (c *ctxCheck) disarm() { c.ctx, c.done = nil, nil }
 
 // poll returns the context's error once it is cancelled; at most one
-// poll per ctxCheckStride calls touches the channel.
+// poll per ctxCheckStride calls touches the channel. It inlines into
+// the run loops.
 func (c *ctxCheck) poll() error {
+	if c.left--; c.left > 0 {
+		return nil
+	}
+	return c.check()
+}
+
+// check looks at the done channel and restarts the count; disarmed,
+// it puts the next look out of reach.
+func (c *ctxCheck) check() error {
 	if c.done == nil {
+		c.left = math.MaxInt
 		return nil
 	}
-	if c.tick++; c.tick < ctxCheckStride {
-		return nil
-	}
-	c.tick = 0
+	c.left = ctxCheckStride
 	select {
 	case <-c.done:
 		return c.ctx.Err()
@@ -517,7 +526,7 @@ func (m *Machine) evalALU(op *ir.Op) (uint32, error) {
 	case ir.OpIntToFloat:
 		return fb(float32(iv(op.Args[0]))), nil
 	case ir.OpFloatToInt:
-		return uint32(FloatToInt(fv(op.Args[0]))), nil
+		return uint32(ir.FloatToInt(fv(op.Args[0]))), nil
 	}
 	return 0, fmt.Errorf("sim: cannot execute %s", op.Kind)
 }
