@@ -82,7 +82,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, "interference graph:")
 			fmt.Fprint(stdout, c.Alloc.Graph.String())
 			fmt.Fprintln(stdout, "partition:")
-			fmt.Fprintln(stdout, c.Alloc.Part.String())
+			fmt.Fprintln(stdout, c.Alloc.Part.Bipartition().String())
 		} else {
 			fmt.Fprintf(stdout, "mode %s builds no interference graph\n", c.Alloc.Mode)
 		}
@@ -96,8 +96,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if show("stats") || show("all") {
 		fmt.Fprintf(stdout, "\n; mode=%s dupStores=%d X=%d+%d Y=%d+%d words\n",
 			c.Alloc.Mode, c.Alloc.DupStores,
-			c.Alloc.DupWords+c.Alloc.GlobalX, c.Alloc.StackX,
-			c.Alloc.DupWords+c.Alloc.GlobalY, c.Alloc.StackY)
+			c.Alloc.DupWords+c.Alloc.Global[0], c.Alloc.Stack[0],
+			c.Alloc.DupWords+c.Alloc.Global[1], c.Alloc.Stack[1])
 		fmt.Fprint(stdout, c.Sched.StaticStats())
 	}
 	return 0

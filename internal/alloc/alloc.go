@@ -4,22 +4,24 @@
 // lives:
 //
 //   - Under CB partitioning it builds the interference graph, runs the
-//     greedy min-cost bipartition, and assigns each symbol to bank X or
-//     bank Y. Callee-save slots are assigned to alternating banks
-//     mechanically, outside the graph, exactly as §3.1 prescribes.
+//     greedy min-cost partition, and assigns each symbol to one bank —
+//     X or Y on the paper's machine, one of k on a wider BankSpec.
+//     Callee-save slots rotate through the banks mechanically, outside
+//     the graph, exactly as §3.1 prescribes.
 //   - Under partial duplication it additionally replicates every array
-//     the graph marked for duplication into both banks and inserts the
-//     coherence store that keeps the second copy current after each
+//     the graph marked for duplication into every bank and inserts the
+//     coherence stores that keep the other copies current after each
 //     store to the first.
 //   - Full duplication replicates everything; the single-bank baseline
 //     and the Ideal dual-ported configuration disable partitioning.
 //
 // Finally the pass assigns word addresses. Duplicated symbols are laid
-// out first, at equal addresses in both banks, so one address (or one
-// frame offset) reaches either copy (§3.2); bank-private globals and
-// the static stack frames follow. Every memory operation is then
-// tagged with the bank holding its data, the information the
-// compaction pass uses to pick memory units.
+// out first, at equal addresses in every bank, so one address (or one
+// frame offset) reaches any copy (§3.2); bank-private globals and the
+// static stack frames follow. Every memory operation is then tagged
+// with the bank holding its data, the information the compaction pass
+// uses to pick memory units. One code path serves every geometry; the
+// paper's 2×1 machine is its k = 2 case.
 //
 // The pass runs in two steps. NewPlan decides each symbol's bank: it
 // reads the program and its interference graph and writes neither, so
@@ -132,17 +134,16 @@ type Options struct {
 	// many programs back to back avoid rebuilding it each time. NewPlan
 	// takes its graph ready-made and ignores it.
 	Scanner *core.Scanner
-	// Spec is the bank/port geometry. The zero value is the classic
-	// 2-bank, 1-port machine, which takes the historical allocation
-	// path bit for bit; other specs run the k-way generalization.
-	// Non-default specs support the placement-steered modes only
-	// (SingleBank, CB, CBProfiled, CBDup, FullDup) — Ideal and
-	// LowOrder are defined on the paper's 2-bank machine.
+	// Spec is the bank/port geometry; the zero value is the paper's
+	// 2-bank, 1-port machine. Every spec runs the same pass. Ideal and
+	// LowOrder are port models of the paper's machine and require it;
+	// the placement-steered modes (SingleBank, CB, CBProfiled, CBDup,
+	// FullDup) run on any spec.
 	Spec machine.BankSpec
 	// BankPerm relabels the spec's banks by a permutation: a symbol
 	// the pass would place in bank b lands in bank BankPerm[b],
 	// including the save-slot rotation and the coherence-store order.
-	// Nil means identity; on the classic machine {1, 0} mirrors the
+	// Nil means identity; on the paper's machine {1, 0} mirrors the
 	// whole X/Y assignment. The banks are architecturally identical,
 	// so a permuted allocation schedules and simulates to the same
 	// cycle count — the metamorphic invariance the test suites and the
@@ -152,31 +153,23 @@ type Options struct {
 }
 
 // Result describes the allocation for reporting and the cost model.
-// Graph, Part and PartK come from the applied Plan: they name the
-// planned program's symbols, which are the allocated program's own
-// only when the plan was applied in place, and are shared read-only.
+// Graph and Part come from the applied Plan: they name the planned
+// program's symbols, which are the allocated program's own only when
+// the plan was applied in place, and are shared read-only.
 type Result struct {
 	Mode  Mode
-	Graph *core.Graph     // nil unless the mode partitions
-	Part  *core.Partition // nil unless the mode partitions (2-bank runs)
-	// PartK is the k-way partition for non-default specs (nil on the
-	// default machine, where Part carries the bipartition).
-	PartK *core.KPartition
+	Graph *core.Graph      // nil unless the mode partitions
+	Part  *core.KPartition // nil unless the mode partitions
 
 	Duplicated []*ir.Symbol
 	DupStores  int // coherence stores inserted
 
 	// Word accounting for the cost model: the shared duplicated region
-	// (present in all banks), per-bank globals, and per-bank static
-	// stack (locals, parameter slots, spills, save slots).
-	DupWords         int
-	GlobalX, GlobalY int
-	StackX, StackY   int
-	// GlobalBank and StackBank are the per-bank accounts for banks
-	// beyond the classic pair; nil on the default machine. When set,
-	// their first two entries equal GlobalX/GlobalY and StackX/StackY.
-	GlobalBank []int
-	StackBank  []int
+	// (present in every bank), and each bank's globals and static stack
+	// (locals, parameter slots, spills, save slots), indexed by bank.
+	DupWords int
+	Global   []int
+	Stack    []int
 
 	Ports machine.PortModel
 	// Spec echoes the bank/port geometry the allocation ran under.
@@ -222,12 +215,11 @@ type Plan struct {
 	// Symbols(). BankBoth marks a duplicated symbol.
 	Banks []machine.Bank
 
-	// Graph, Part and PartK are the analysis behind the decision, for
-	// reports; nil unless the mode partitions. They name the planned
-	// program's symbols and are shared by every application of the plan.
+	// Graph and Part are the analysis behind the decision, for reports;
+	// nil unless the mode partitions. They name the planned program's
+	// symbols and are shared by every application of the plan.
 	Graph *core.Graph
-	Part  *core.Partition
-	PartK *core.KPartition
+	Part  *core.KPartition
 }
 
 // Key returns the plan's decision as a compact string. Plans with
@@ -283,23 +275,25 @@ func NewPlan(p *ir.Program, g *core.Graph, opts Options) (*Plan, error) {
 	if _, ok := opts.Policy(); ok && (g == nil || len(g.Nodes) != numSymbols(p)) {
 		return nil, fmt.Errorf("alloc: mode %v needs the program's interference graph", opts.Mode)
 	}
-	if !opts.Spec.IsDefault() {
-		return planK(p, g, opts)
-	}
-	// Default 2-bank machine: the permutation is the identity or the
-	// X/Y swap, and the historical path runs bit for bit on the
-	// (possibly swapped) bank pair.
-	bankX, bankY, err := classicBanks(opts.BankPerm)
-	if err != nil {
+	k := opts.Spec.Norm().Banks
+	if err := checkPerm(opts.BankPerm, k); err != nil {
 		return nil, err
+	}
+	if (opts.Mode == Ideal || opts.Mode == LowOrder) && !opts.Spec.IsDefault() {
+		// Both modes are port models of the paper's 2-bank machine:
+		// Ideal is its dual-ported upper bound, LowOrder its
+		// address-interleaved rival. Multi-port upper bounds on wider
+		// machines are expressed as PortsPerBank > 1 instead.
+		return nil, fmt.Errorf("alloc: mode %v requires the default 2-bank machine (spec %s)",
+			opts.Mode, opts.Spec)
 	}
 	pl := newPlan(p, opts)
 	switch opts.Mode {
 	case SingleBank:
-		pl.fill(bankX)
+		pl.fill(pl.bankAt(0))
 	case Ideal:
 		pl.Ports = machine.PortsDualPorted
-		pl.fill(bankX)
+		pl.fill(pl.bankAt(0))
 	case LowOrder:
 		// Placement cannot steer banks: the bank is the address parity.
 		// Symbols are laid out flat; memory operations stay untagged
@@ -309,37 +303,54 @@ func NewPlan(p *ir.Program, g *core.Graph, opts Options) (*Plan, error) {
 	case FullDup:
 		pl.fill(machine.BankBoth)
 	case CB, CBProfiled, CBDup:
-		part := g.PartitionWithPasses(opts.Method, opts.fmPasses())
+		part := g.PartitionK(k, opts.Method, opts.fmPasses())
 		pl.Graph, pl.Part = g, part
-		for _, s := range part.SetX {
-			pl.Banks[g.NodeIndex(s)] = bankX
-		}
-		for _, s := range part.SetY {
-			pl.Banks[g.NodeIndex(s)] = bankY
+		for b, set := range part.Sets {
+			for _, s := range set {
+				pl.Banks[g.NodeIndex(s)] = pl.bankAt(b)
+			}
 		}
 		pl.duplicate(g, opts)
 		// Save/restore slots are partitioned mechanically: successive
-		// slots of each function alternate between the banks.
-		pl.rotateSaves(p, []machine.Bank{bankX, bankY})
+		// slots of each function rotate through the banks in
+		// permutation order (§3.1's alternation on two banks).
+		pl.rotateSaves(p, k)
 	default:
 		return nil, fmt.Errorf("alloc: unknown mode %v", opts.Mode)
+	}
+	if opts.InterruptSafe && k > 2 {
+		// The store-lock discipline is a pairwise instruction-bundling
+		// contract; an atomic k-way bundle is not modeled.
+		return nil, fmt.Errorf("alloc: interrupt-safe duplication requires the 2-bank machine (%d banks)", k)
 	}
 	return pl, nil
 }
 
-// classicBanks returns the classic machine's bank pair under perm: X
-// and Y, or Y and X for the swap {1, 0}.
-func classicBanks(perm []int) (bankX, bankY machine.Bank, err error) {
+// checkPerm validates a bank permutation for k banks; nil is the
+// identity.
+func checkPerm(perm []int, k int) error {
 	if perm == nil {
-		return machine.BankX, machine.BankY, nil
+		return nil
 	}
-	if len(perm) != 2 || perm[0] == perm[1] || perm[0] < 0 || perm[0] > 1 {
-		return 0, 0, fmt.Errorf("alloc: bank permutation %v invalid for 2 banks", perm)
+	if len(perm) != k {
+		return fmt.Errorf("alloc: bank permutation %v has %d entries, want %d", perm, len(perm), k)
 	}
-	if perm[0] == 1 {
-		return machine.BankY, machine.BankX, nil
+	var seen [machine.MaxBanks]bool
+	for _, b := range perm {
+		if b < 0 || b >= k || seen[b] {
+			return fmt.Errorf("alloc: bank permutation %v is not a permutation of 0..%d", perm, k-1)
+		}
+		seen[b] = true
 	}
-	return machine.BankX, machine.BankY, nil
+	return nil
+}
+
+// bankAt returns the bank the plan's permutation maps bank index b to.
+func (pl *Plan) bankAt(b int) machine.Bank {
+	if pl.BankPerm != nil {
+		b = pl.BankPerm[b]
+	}
+	return machine.BankAt(b)
 }
 
 // numSymbols returns len(p.Symbols()) without building the slice.
@@ -394,16 +405,16 @@ func (pl *Plan) duplicate(g *core.Graph, opts Options) {
 	}
 }
 
-// rotateSaves deals each function's save/restore slots through banks
-// in turn, outside the graph, as §3.1 prescribes.
-func (pl *Plan) rotateSaves(p *ir.Program, banks []machine.Bank) {
+// rotateSaves deals each function's save/restore slots through the k
+// banks in turn, outside the graph, as §3.1 prescribes.
+func (pl *Plan) rotateSaves(p *ir.Program, k int) {
 	i := len(p.Globals)
 	for _, f := range p.Funcs {
 		next := 0
 		for _, s := range f.Locals {
 			if s.Save {
-				pl.Banks[i] = banks[next]
-				next = (next + 1) % len(banks)
+				pl.Banks[i] = pl.bankAt(next)
+				next = (next + 1) % k
 			}
 			i++
 		}
@@ -431,26 +442,14 @@ func Apply(p *ir.Program, plan *Plan) (*Result, error) {
 		place(f.Locals)
 	}
 	res := &Result{
-		Mode: plan.Mode, Graph: plan.Graph, Part: plan.Part, PartK: plan.PartK,
+		Mode: plan.Mode, Graph: plan.Graph, Part: plan.Part,
 		Ports: plan.Ports, Spec: plan.Spec,
 	}
-	if plan.Spec.IsDefault() {
-		bankX, bankY, err := classicBanks(plan.BankPerm)
-		if err != nil {
-			return nil, err
-		}
-		insertCoherenceStores(p, plan.InterruptSafe, res, bankX, bankY)
-		tagMemOps(p)
-		if err := layout(p, res); err != nil {
-			return nil, err
-		}
-	} else {
-		k := plan.Spec.Norm().Banks
-		insertCoherenceStoresK(p, plan.InterruptSafe, res, kPerm(plan.BankPerm, k))
-		tagMemOps(p)
-		if err := layoutK(p, res, k); err != nil {
-			return nil, err
-		}
+	k := plan.Spec.Norm().Banks
+	insertCoherenceStores(p, plan, res, k)
+	tagMemOps(p)
+	if err := layout(p, res, k); err != nil {
+		return nil, err
 	}
 	if err := ir.Verify(p); err != nil {
 		return nil, fmt.Errorf("alloc: %w", err)
@@ -479,32 +478,39 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 	return Apply(p, plan)
 }
 
-// insertCoherenceStores doubles every store to a duplicated symbol:
-// the original targets bankX's copy and a clone, inserted immediately
-// after it, targets bankY's (X then Y, swapped under BankPerm {1, 0}).
-// The two stores carry different bank tags, so the dependence graph
-// lets them issue in the same long instruction when both memory units
-// are free.
-func insertCoherenceStores(p *ir.Program, interruptSafe bool, res *Result, bankX, bankY machine.Bank) {
+// insertCoherenceStores expands every store to a duplicated symbol
+// into k stores: the original targets the permutation's first bank and
+// k-1 clones, inserted immediately after it, target the remaining
+// banks in permutation order (X then Y on the paper's machine, swapped
+// under BankPerm {1, 0}). Each carries a distinct single-bank tag, so
+// the dependence graph lets all k issue in one long instruction when
+// enough memory units are free. The first clone is the original's
+// pair, which the interrupt-safe discipline commits atomically.
+func insertCoherenceStores(p *ir.Program, plan *Plan, res *Result, k int) {
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
 			var out []*ir.Op
 			for _, op := range b.Ops {
 				if op.Kind == ir.OpStore && op.Sym.Duplicated {
-					op.Bank = bankX
-					clone := &ir.Op{
-						Kind: ir.OpStore,
-						Args: op.Args,
-						Idx:  op.Idx,
-						Sym:  op.Sym,
-						Bank: bankY,
+					op.Bank = plan.bankAt(0)
+					out = append(out, op)
+					for c := 1; c < k; c++ {
+						clone := &ir.Op{
+							Kind: ir.OpStore,
+							Args: op.Args,
+							Idx:  op.Idx,
+							Sym:  op.Sym,
+							Bank: plan.bankAt(c),
+						}
+						if c == 1 {
+							op.DupPair, clone.DupPair = clone, op
+							if plan.InterruptSafe {
+								op.Atomic, clone.Atomic = true, true
+							}
+						}
+						out = append(out, clone)
+						res.DupStores++
 					}
-					op.DupPair, clone.DupPair = clone, op
-					if interruptSafe {
-						op.Atomic, clone.Atomic = true, true
-					}
-					out = append(out, op, clone)
-					res.DupStores++
 					continue
 				}
 				out = append(out, op)
@@ -538,10 +544,10 @@ func tagMemOps(p *ir.Program) {
 	}
 }
 
-// layout assigns word addresses: first the duplicated region (equal
-// addresses in both banks), then each bank's globals, then the static
-// stack frames.
-func layout(p *ir.Program, res *Result) error {
+// layout assigns word addresses over k banks: first the duplicated
+// region (equal addresses in every bank), then each bank's globals,
+// then the static stack frames, with one cursor per bank.
+func layout(p *ir.Program, res *Result, k int) error {
 	cursorDup := 0
 	for _, s := range p.Symbols() {
 		if s.Duplicated {
@@ -551,49 +557,43 @@ func layout(p *ir.Program, res *Result) error {
 	}
 	res.DupWords = cursorDup
 
-	x, y := cursorDup, cursorDup
+	var cur [machine.MaxBanks]int
+	for b := 0; b < k; b++ {
+		cur[b] = cursorDup
+	}
 	place := func(s *ir.Symbol) {
-		switch s.Bank {
-		case machine.BankY:
-			s.Addr = y
-			y += s.Size
-		default:
-			s.Addr = x
-			x += s.Size
+		b := s.Bank.Index()
+		if b < 0 || b >= k {
+			b = 0 // unassigned data lives in bank 0 (baseline layout)
 		}
+		s.Addr = cur[b]
+		cur[b] += s.Size
 	}
 	for _, s := range p.Globals {
 		if !s.Duplicated {
 			place(s)
 		}
 	}
-	res.GlobalX, res.GlobalY = x-cursorDup, y-cursorDup
-
-	gx, gy := x, y
+	afterGlobals := cur
 	for _, f := range p.Funcs {
-		fx, fy := 0, 0
-		for _, s := range f.Locals {
-			if s.Duplicated {
-				continue
-			}
-			if s.Bank == machine.BankY {
-				fy += s.Size
-			} else {
-				fx += s.Size
-			}
-		}
-		f.FrameWordsX, f.FrameWordsY = fx, fy
 		for _, s := range f.Locals {
 			if !s.Duplicated {
 				place(s)
 			}
 		}
 	}
-	res.StackX, res.StackY = x-gx, y-gy
+	words := make([]int, 2*k)
+	res.Global, res.Stack = words[:k:k], words[k:]
+	for b := 0; b < k; b++ {
+		res.Global[b] = afterGlobals[b] - cursorDup
+		res.Stack[b] = cur[b] - afterGlobals[b]
+	}
 
-	if x > machine.BankWords || y > machine.BankWords {
-		return fmt.Errorf("alloc: data exceeds bank capacity (X=%d Y=%d words, capacity %d)",
-			x, y, machine.BankWords)
+	for b, c := range cur[:k] {
+		if c > machine.BankWords {
+			return fmt.Errorf("alloc: data exceeds bank %d capacity (%d words, capacity %d)",
+				b, c, machine.BankWords)
+		}
 	}
 	return nil
 }

@@ -85,7 +85,7 @@ func TestSingleBankMode(t *testing.T) {
 			t.Errorf("%s in bank %v under single-bank", s, s.Bank)
 		}
 	}
-	if res.GlobalY != 0 || res.StackY != 0 {
+	if res.Global[1] != 0 || res.Stack[1] != 0 {
 		t.Errorf("bank Y should be empty: %+v", res)
 	}
 	if res.Ports != machine.PortsBanked {
@@ -161,7 +161,7 @@ func TestFullDuplication(t *testing.T) {
 			t.Errorf("%s not duplicated under full duplication", s)
 		}
 	}
-	if res.DupWords == 0 || res.GlobalX != 0 || res.GlobalY != 0 {
+	if res.DupWords == 0 || res.Global[0] != 0 || res.Global[1] != 0 {
 		t.Errorf("layout wrong: %+v", res)
 	}
 }

@@ -17,13 +17,12 @@ import (
 )
 
 // allocFingerprint renders everything the allocation pass decides on
-// p: the program text with its memory-op bank tags, every symbol's
-// bank, address and duplication, and the static frame sizes.
+// p: the program text with its memory-op bank tags, and every symbol's
+// bank, address and duplication.
 func allocFingerprint(p *ir.Program) string {
 	var b strings.Builder
 	b.WriteString(p.String())
 	for _, f := range p.Funcs {
-		fmt.Fprintf(&b, "%s %d %d\n", f.Name, f.FrameWordsX, f.FrameWordsY)
 		for _, blk := range f.Blocks {
 			for _, op := range blk.Ops {
 				if op.IsMem() {
@@ -44,16 +43,13 @@ func resultString(r *alloc.Result) string {
 	for _, s := range r.Duplicated {
 		dup = append(dup, s.Name)
 	}
-	s := fmt.Sprintf("mode=%v ports=%v spec=%+v dup=%v stores=%d words=%d x=%d y=%d sx=%d sy=%d gb=%v sb=%v",
-		r.Mode, r.Ports, r.Spec, dup, r.DupStores, r.DupWords, r.GlobalX, r.GlobalY, r.StackX, r.StackY, r.GlobalBank, r.StackBank)
+	s := fmt.Sprintf("mode=%v ports=%v spec=%+v dup=%v stores=%d words=%d global=%v stack=%v",
+		r.Mode, r.Ports, r.Spec, dup, r.DupStores, r.DupWords, r.Global, r.Stack)
 	if r.Graph != nil {
 		s += "\ngraph:\n" + r.Graph.String()
 	}
 	if r.Part != nil {
 		s += fmt.Sprintf("\npart:\n%v\ntrace %v", r.Part, r.Part.Trace)
-	}
-	if r.PartK != nil {
-		s += fmt.Sprintf("\npartk:\n%v\ntrace %v", r.PartK, r.PartK.Trace)
 	}
 	return s
 }
@@ -208,7 +204,7 @@ func TestPlanErrors(t *testing.T) {
 	}{
 		{alloc.Options{Mode: alloc.CB}, nil, "needs the program's interference graph"},
 		{alloc.Options{Mode: alloc.Mode(99)}, g, "unknown mode"},
-		{alloc.Options{Mode: alloc.CB, BankPerm: []int{0, 0}}, g, "invalid for 2 banks"},
+		{alloc.Options{Mode: alloc.CB, BankPerm: []int{0, 0}}, g, "is not a permutation of 0..1"},
 		{alloc.Options{Mode: alloc.CB, Spec: machine.BankSpec{Banks: 4}, BankPerm: []int{0, 1}}, g, "has 2 entries"},
 		{alloc.Options{Mode: alloc.Ideal, Spec: machine.BankSpec{Banks: 4}}, g, "requires the default 2-bank machine"},
 		{alloc.Options{Mode: alloc.CBDup, Spec: machine.BankSpec{Banks: 3}, InterruptSafe: true}, g, "interrupt-safe"},

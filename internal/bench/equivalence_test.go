@@ -10,15 +10,17 @@ import (
 	"dualbank/internal/sim"
 )
 
-// This file is the N=2 equivalence wall: the generalized N-bank /
-// multi-port machinery must reproduce the historical dual-bank system
-// bit-for-bit when the bank spec is the classic 2×1 geometry. The wall
-// compares, for every Table 1/2 benchmark under every allocation mode
-// and every simulation engine, a compilation with the zero-value
-// BankSpec (the historical entry point) against one with the spec
-// spelled out explicitly — five counters and the complete final bank
-// images must match. Any divergence means the generalization changed
-// the classic machine, which is forbidden.
+// This file is the N=2 equivalence wall: spelling the paper's 2×1
+// geometry out as an explicit BankSpec must change nothing. Allocation
+// and compaction run one code path for every spec, so the wall guards
+// what still reads the spec value itself — its normalization, the
+// Ideal/LowOrder guard and both simulators' bank wiring. It compares,
+// for every Table 1/2 benchmark under every allocation mode and every
+// simulation engine, a compilation with the zero-value BankSpec against
+// one with the spec spelled out — five counters and the complete final
+// bank images must match. The back-end golden
+// (internal/pipeline/testdata/backend.golden) pins what the one path
+// produces on every geometry.
 
 // equivRun captures one engine's observable outcome: the five pinned
 // counters and the full per-bank memory images.
@@ -106,13 +108,12 @@ func sameRun(t *testing.T, label string, a, b equivRun) {
 }
 
 // TestDefaultSpecEquivalenceWall runs the full 23-benchmark × 7-mode ×
-// 2-engine matrix twice — once through the historical zero-value
-// options and once with the classic geometry spelled out as an
-// explicit BankSpec — and requires bit-for-bit agreement on all five
-// counters and the complete bank images. This is the wall that lets
-// every committed baseline (dspbench tables, BENCH_explore.json,
-// BENCH_gaps.json, BENCH_corpus.json) survive the N-bank
-// generalization byte-identical.
+// 2-engine matrix twice — once through the zero-value options and once
+// with the paper's geometry spelled out as an explicit BankSpec — and
+// requires bit-for-bit agreement on all five counters and the complete
+// bank images, so no committed baseline (dspbench tables,
+// BENCH_explore.json, BENCH_gaps.json, BENCH_corpus.json) can depend on
+// how a caller spells the paper's machine.
 func TestDefaultSpecEquivalenceWall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence wall in short mode")

@@ -20,9 +20,8 @@ import (
 )
 
 // irFingerprint hashes everything a back end could write into a shared
-// IR: the printed program, every block's profile count, every symbol's
-// allocation fields and initializer words, and every function's frame
-// sizes.
+// IR: the printed program, every block's profile count, and every
+// symbol's allocation fields and initializer words.
 func irFingerprint(p *ir.Program) [32]byte {
 	var b strings.Builder
 	b.WriteString(p.String())
@@ -30,7 +29,6 @@ func irFingerprint(p *ir.Program) [32]byte {
 		fmt.Fprintf(&b, "%s %v %d %v %x\n", s.Name, s.Bank, s.Addr, s.Duplicated, s.Init)
 	}
 	for _, f := range p.Funcs {
-		fmt.Fprintf(&b, "%s %d %d\n", f.Name, f.FrameWordsX, f.FrameWordsY)
 		for _, blk := range f.Blocks {
 			fmt.Fprintf(&b, "%s %d %d\n", blk, blk.ExecCount, len(blk.Ops))
 		}

@@ -45,12 +45,12 @@ func allocTestBlock() (*ir.Func, *ir.Block) {
 func TestScheduleBlockZeroAlloc(t *testing.T) {
 	_, blk := allocTestBlock()
 	s := new(Scratch)
-	cfg := Config{Ports: machine.PortsBanked}
-	if _, err := s.scheduleBlock(blk, cfg, nil); err != nil { // warm the scratch
+	s.units.build(Config{Ports: machine.PortsBanked})
+	if _, err := s.scheduleBlock(blk, &s.units); err != nil { // warm the scratch
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := s.scheduleBlock(blk, cfg, nil); err != nil {
+		if _, err := s.scheduleBlock(blk, &s.units); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -98,14 +98,14 @@ func TestScheduleWithMatchesSchedule(t *testing.T) {
 func BenchmarkScheduleBlock(b *testing.B) {
 	_, blk := allocTestBlock()
 	s := new(Scratch)
-	cfg := Config{Ports: machine.PortsBanked}
-	if _, err := s.scheduleBlock(blk, cfg, nil); err != nil {
+	s.units.build(Config{Ports: machine.PortsBanked})
+	if _, err := s.scheduleBlock(blk, &s.units); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.scheduleBlock(blk, cfg, nil); err != nil {
+		if _, err := s.scheduleBlock(blk, &s.units); err != nil {
 			b.Fatal(err)
 		}
 	}

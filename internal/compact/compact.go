@@ -18,7 +18,7 @@ import (
 // Instr is one VLIW long instruction: at most one operation per
 // functional unit, all executing in a single cycle with operands read
 // before results are written. The slot array is sized for the widest
-// machine in the generalized family (machine.MaxUnits); on the default
+// machine in the generalized family (machine.MaxUnits); on the paper's
 // 2-bank machine only the classic nine slots are ever occupied.
 type Instr struct {
 	Slots [machine.MaxUnits]*ir.Op
@@ -65,7 +65,7 @@ type Program struct {
 	Funcs map[string]*Func
 	Ports machine.PortModel
 	// Spec is the bank/port geometry the program was scheduled for;
-	// the zero value is the classic 2-bank, 1-port machine.
+	// the zero value is the paper's 2-bank, 1-port machine.
 	Spec machine.BankSpec
 }
 
@@ -84,71 +84,89 @@ func (p *Program) StaticInstrs() int {
 
 // Config parameterises scheduling.
 type Config struct {
-	// Ports is the memory port model: banked (MU0=X, MU1=Y) or
-	// dual-ported (Ideal). Non-default Specs always use the banked
-	// model (each memory unit is one port of one bank).
+	// Ports is the memory port model: banked (each memory unit reaches
+	// the one bank its spec binds it to), or the paper's dual-ported
+	// (Ideal) and low-order models, where every memory unit reaches
+	// every bank.
 	Ports machine.PortModel
-	// Spec is the bank/port geometry; the zero value is the classic
-	// 2-bank, 1-port machine, which takes the historical scheduling
-	// path bit for bit.
+	// Spec is the bank/port geometry; the zero value is the paper's
+	// 2-bank, 1-port machine. Every spec schedules through the same
+	// unit-preference table.
 	Spec machine.BankSpec
 	// BankPerm is the bank permutation the allocation ran under: the
 	// unit preference for operations free to use any memory unit
-	// (duplicated loads tagged BankBoth) tries banks in BankPerm order
-	// (BankPerm[0]'s units first). Nil means identity. It makes the
-	// schedule of a permuted allocation the exact permutation image of
-	// the original — the swap-invariance the metamorphic tests assert,
-	// which a fixed MU0-first order would otherwise break.
+	// (duplicated loads tagged BankBoth, and every memory operation
+	// under the dual-ported and low-order models) tries banks in
+	// BankPerm order (BankPerm[0]'s units first). Nil means identity.
+	// It makes the schedule of a permuted allocation the exact
+	// permutation image of the original — the swap-invariance the
+	// metamorphic tests assert, which a fixed MU0-first order would
+	// otherwise break.
 	BankPerm []int
-
-	// mu1First is normalize's 2-bank form of BankPerm {1, 0}: the
-	// historical scheduler tries MU1 before MU0 for bank-free
-	// operations.
-	mu1First bool
 }
 
-// specUnits is the per-Config unit-preference table for non-default
-// bank specs, built once per ScheduleWith (and per Validate) so the
-// per-operation unitsFor lookup stays allocation-free.
-type specUnits struct {
-	// forBank[b] lists the memory units wired to bank b, ordinal order.
-	forBank [][]machine.Unit
-	// anyBank is the preference order for bank-free operations
-	// (duplicated loads tagged BankBoth): banks in permutation order,
-	// each bank's ports in ordinal order.
-	anyBank []machine.Unit
+// unitTable is one schedule's memory-unit preference: the units wired
+// to each bank, and the order in which an operation free to use any
+// memory unit tries them. It lives in fixed arrays and is built once
+// per ScheduleWith (into the Scratch) and per Validate (on the stack),
+// so the per-operation unitsFor lookup allocates nothing.
+type unitTable struct {
+	ports machine.PortModel
+	banks int
+	// byBank holds the memory units grouped by bank, ordinal order
+	// within a bank; bank b's are byBank[start[b]:start[b+1]].
+	byBank [machine.MaxMemUnits]machine.Unit
+	start  [machine.MaxBanks + 1]int8
+	// anyBank is the preference order for bank-free operations: banks
+	// in permutation order, each bank's ports in ordinal order.
+	anyBank [machine.MaxMemUnits]machine.Unit
 }
 
-// normalize resolves the Config's spec/permutation pair: it returns
-// nil for configurations the historical 2-bank scheduler handles
-// (setting mu1First for the swap {1, 0}), and a freshly built
-// specUnits table otherwise.
-func (cfg *Config) normalize() *specUnits {
-	perm := cfg.BankPerm
-	if cfg.Spec.IsDefault() {
-		switch {
-		case perm == nil, len(perm) == 2 && perm[0] == 0 && perm[1] == 1:
-			return nil
-		case len(perm) == 2 && perm[0] == 1 && perm[1] == 0:
-			cfg.mu1First = true
-			return nil
-		}
-	}
+// build fills the table for cfg.
+func (t *unitTable) build(cfg Config) {
 	spec := cfg.Spec.Norm()
-	if perm == nil {
-		perm = make([]int, spec.Banks)
-		for i := range perm {
-			perm[i] = i
+	t.ports, t.banks = cfg.Ports, spec.Banks
+	n, units := 0, spec.NumMemUnits()
+	for b := 0; b < spec.Banks; b++ {
+		t.start[b] = int8(n)
+		for j := 0; j < units; j++ {
+			if spec.BankOfMemUnit(j) == b {
+				t.byBank[n] = machine.MemUnit(j)
+				n++
+			}
 		}
 	}
-	su := &specUnits{forBank: make([][]machine.Unit, spec.Banks)}
-	for b := 0; b < spec.Banks; b++ {
-		su.forBank[b] = spec.UnitsForBankIndex(b)
+	t.start[spec.Banks] = int8(n)
+	n = 0
+	for i := 0; i < spec.Banks; i++ {
+		b := i
+		if cfg.BankPerm != nil {
+			b = cfg.BankPerm[i]
+		}
+		n += copy(t.anyBank[n:], t.forBank(b))
 	}
-	for _, b := range perm {
-		su.anyBank = append(su.anyBank, su.forBank[b]...)
+}
+
+// forBank returns the memory units wired to bank index b.
+func (t *unitTable) forBank(b int) []machine.Unit {
+	return t.byBank[t.start[b]:t.start[b+1]]
+}
+
+// unitsFor lists the functional units that may execute op, most
+// preferred first. The returned slice is shared and read-only.
+func (t *unitTable) unitsFor(op *ir.Op) []machine.Unit {
+	cls := op.Kind.Class()
+	if cls != machine.ClassMemory {
+		return machine.UnitsOf(cls)
 	}
-	return su
+	if !t.ports.BindsUnits() || op.Bank == machine.BankBoth {
+		return t.anyBank[:t.start[t.banks]]
+	}
+	if b := op.Bank.Index(); b >= 0 && b < t.banks {
+		return t.forBank(b)
+	}
+	// Unassigned data lives in bank 0 (the baseline layout).
+	return t.forBank(0)
 }
 
 // Scratch holds the scheduler's reusable working state: the
@@ -170,6 +188,7 @@ type Scratch struct {
 	drsEpoch  uint32
 	arena     []Instr // per-block instruction arena, reused across blocks
 	remaining int
+	units     unitTable // the current schedule's memory-unit preference
 }
 
 // ensure grows the per-op scratch arrays to cover n operations.
@@ -201,12 +220,12 @@ func ScheduleWith(p *ir.Program, cfg Config, s *Scratch) (*Program, error) {
 	if s == nil {
 		s = new(Scratch)
 	}
-	su := cfg.normalize()
+	s.units.build(cfg)
 	out := &Program{Src: p, Funcs: make(map[string]*Func, len(p.Funcs)), Ports: cfg.Ports, Spec: cfg.Spec}
 	for _, f := range p.Funcs {
 		sf := &Func{Src: f, Blocks: make([]*Block, 0, len(f.Blocks))}
 		for _, b := range f.Blocks {
-			n, err := s.scheduleBlock(b, cfg, su)
+			n, err := s.scheduleBlock(b, &s.units)
 			if err != nil {
 				return nil, fmt.Errorf("compact %s %s: %w", f.Name, b, err)
 			}
@@ -217,42 +236,12 @@ func ScheduleWith(p *ir.Program, cfg Config, s *Scratch) (*Program, error) {
 	return out, nil
 }
 
-// unitsMemoryMirror is the both-memory-units candidate list in MU1-
-// first order, used when Config.BankPerm swaps the classic banks.
-var unitsMemoryMirror = []machine.Unit{machine.MU1, machine.MU0}
-
-// unitsFor lists the functional units that may execute op, most
-// preferred first. The returned slice is shared and read-only. su is
-// nil on the default 2-bank machine (the historical path) and the
-// prebuilt preference table otherwise.
-func unitsFor(op *ir.Op, cfg Config, su *specUnits) []machine.Unit {
-	cls := op.Kind.Class()
-	if cls != machine.ClassMemory {
-		return machine.UnitsOf(cls)
-	}
-	if su != nil {
-		if b := op.Bank.Index(); b >= 0 {
-			return su.forBank[b]
-		}
-		if op.Bank == machine.BankBoth {
-			return su.anyBank
-		}
-		// Unassigned data lives in bank 0 (the baseline layout).
-		return su.forBank[0]
-	}
-	units := cfg.Ports.UnitsForBank(op.Bank)
-	if cfg.mu1First && len(units) == 2 {
-		return unitsMemoryMirror
-	}
-	return units
-}
-
 // scheduleBlock list-schedules one block into the scratch arena and
 // returns the number of long instructions emitted. With a warm Scratch
 // it performs no heap allocations: the dependence graph, bookkeeping
 // arrays, and instruction storage are all reused (enforced by
 // TestScheduleBlockZeroAlloc).
-func (s *Scratch) scheduleBlock(b *ir.Block, cfg Config, su *specUnits) (int, error) {
+func (s *Scratch) scheduleBlock(b *ir.Block, t *unitTable) (int, error) {
 	g := s.ddg.Build(b)
 	n := len(g.Ops)
 	s.arena = s.arena[:0]
@@ -341,8 +330,8 @@ func (s *Scratch) scheduleBlock(b *ir.Block, cfg Config, su *specUnits) (int, er
 					if j < 0 || s.scheduled[j] || s.inDRS[j] != s.drsEpoch || !s.compatible(g, j, cycle) {
 						continue
 					}
-					if s.place(g, instr, cfg, su, i, cycle) {
-						if s.place(g, instr, cfg, su, j, cycle) {
+					if s.place(g, instr, t, i, cycle) {
+						if s.place(g, instr, t, j, cycle) {
 							placed = true
 						} else {
 							// Undo: both halves wait for the next cycle.
@@ -358,7 +347,7 @@ func (s *Scratch) scheduleBlock(b *ir.Block, cfg Config, su *specUnits) (int, er
 					}
 					continue
 				}
-				if s.place(g, instr, cfg, su, i, cycle) {
+				if s.place(g, instr, t, i, cycle) {
 					placed = true
 				}
 			}
@@ -386,8 +375,8 @@ func (s *Scratch) compatible(g *ddg.Graph, i, cycle int) bool {
 }
 
 // place puts op i into the first free unit that can execute it.
-func (s *Scratch) place(g *ddg.Graph, instr *Instr, cfg Config, su *specUnits, i, cycle int) bool {
-	for _, u := range unitsFor(g.Ops[i], cfg, su) {
+func (s *Scratch) place(g *ddg.Graph, instr *Instr, t *unitTable, i, cycle int) bool {
+	for _, u := range t.unitsFor(g.Ops[i]) {
 		if instr.Slots[u] == nil {
 			instr.Slots[u] = g.Ops[i]
 			s.scheduled[i] = true
@@ -419,8 +408,8 @@ func (s *Scratch) seal(b *ir.Block, n int) *Block {
 // constraints; tests run it over every compiled benchmark.
 func Validate(p *Program) error {
 	var bu ddg.Builder // reused across blocks; the graph is read per block
-	vcfg := Config{Ports: p.Ports, Spec: p.Spec}
-	vsu := vcfg.normalize()
+	var units unitTable
+	units.build(Config{Ports: p.Ports, Spec: p.Spec})
 	for name, f := range p.Funcs {
 		for _, sb := range f.Blocks {
 			cycle := make(map[*ir.Op]int)
@@ -432,7 +421,7 @@ func Validate(p *Program) error {
 					cycle[op] = c
 					cls := op.Kind.Class()
 					okUnit := false
-					for _, au := range unitsFor(op, vcfg, vsu) {
+					for _, au := range units.unitsFor(op) {
 						if machine.Unit(u) == au {
 							okUnit = true
 						}

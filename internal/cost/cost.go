@@ -13,6 +13,8 @@
 package cost
 
 import (
+	"slices"
+
 	"dualbank/internal/alloc"
 	"dualbank/internal/compact"
 )
@@ -30,45 +32,29 @@ type Memory struct {
 	// Instr is the instruction-memory size in words (one per long
 	// instruction).
 	Instr int
-	// NBanks is the number of banks reserving the stack; 0 means the
-	// classic two, preserving the paper's 2·S term.
+	// NBanks is the number of banks reserving the stack, set only off
+	// the paper's machine; 0 means the paper's two (the 2·S term), and
+	// keeps the field out of that machine's JSON records.
 	NBanks int
 }
 
-// Of computes the footprint from an allocation result and a schedule.
+// Of computes the footprint from an allocation result and a schedule:
+// one data term per bank, and the deepest bank's stack reserved in
+// every bank.
 func Of(a *alloc.Result, sched *compact.Program) Memory {
-	if a.GlobalBank != nil {
-		// k-way allocation: one data term per bank, stack reserved in
-		// every bank.
-		k := len(a.GlobalBank)
-		s := 0
-		for _, st := range a.StackBank {
-			if st > s {
-				s = st
-			}
-		}
-		m := Memory{
-			XData:  a.DupWords + a.GlobalBank[0],
-			YData:  a.DupWords + a.GlobalBank[1],
-			Stack:  s,
-			Instr:  sched.StaticInstrs(),
-			NBanks: k,
-		}
-		for b := 2; b < k; b++ {
-			m.Extra = append(m.Extra, a.DupWords+a.GlobalBank[b])
-		}
-		return m
-	}
-	s := a.StackX
-	if a.StackY > s {
-		s = a.StackY
-	}
-	return Memory{
-		XData: a.DupWords + a.GlobalX,
-		YData: a.DupWords + a.GlobalY,
-		Stack: s,
+	m := Memory{
+		XData: a.DupWords + a.Global[0],
+		YData: a.DupWords + a.Global[1],
+		Stack: slices.Max(a.Stack),
 		Instr: sched.StaticInstrs(),
 	}
+	for _, g := range a.Global[2:] {
+		m.Extra = append(m.Extra, a.DupWords+g)
+	}
+	if !a.Spec.IsDefault() {
+		m.NBanks = len(a.Global)
+	}
+	return m
 }
 
 // Total evaluates the cost model, generalized to k banks: every bank's

@@ -179,7 +179,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		s.Duplicated = true
 	}
 	for _, f := range q.Funcs {
-		f.FrameWordsX = 99
+		f.SavedRegs += 99
 		for _, b := range f.Blocks {
 			b.ExecCount = 7
 			b.Ops = append(b.Ops[:0:0], b.Ops...)
@@ -197,8 +197,8 @@ func TestCloneIsIndependent(t *testing.T) {
 		}
 	}
 	for _, f := range prep.IR().Funcs {
-		if f.FrameWordsX != 0 {
-			t.Fatalf("func %s frame changed through the clone", f.Name)
+		if f.SavedRegs >= 99 {
+			t.Fatalf("func %s save count changed through the clone", f.Name)
 		}
 		for _, b := range f.Blocks {
 			if b.ExecCount != 0 {

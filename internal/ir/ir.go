@@ -171,11 +171,6 @@ type Func struct {
 	// files.
 	phys bool
 
-	// FrameWordsX/Y are the per-stack frame sizes in words, filled by
-	// the allocation pass after locals are partitioned between the two
-	// program stacks.
-	FrameWordsX, FrameWordsY int
-
 	// SavedRegs is the number of callee-saved register save/restore
 	// pairs the prologue/epilogue performs; the allocation pass assigns
 	// successive save/restore operations to alternating banks (§3.1).

@@ -128,17 +128,15 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int8(c))
 }
 
-// Shared unit-preference slices: UnitsOf and UnitsForBank sit on the
-// scheduler's per-operation hot path, so they hand out preallocated
-// slices instead of building a fresh literal per call. Callers must
-// treat the returned slices as read-only.
+// Shared unit-preference slices: UnitsOf sits on the scheduler's
+// per-operation hot path, so it hands out preallocated slices instead
+// of building a fresh literal per call. Callers must treat the
+// returned slices as read-only.
 var (
 	unitsControl = []Unit{PCU}
 	unitsMemory  = []Unit{MU0, MU1}
 	unitsInteger = []Unit{DU0, DU1, AU0, AU1}
 	unitsFloat   = []Unit{FPU0, FPU1}
-	unitsMU0     = []Unit{MU0}
-	unitsMU1     = []Unit{MU1}
 )
 
 // UnitsOf returns the functional units that can execute operations of
@@ -204,6 +202,12 @@ const (
 	PortsLowOrder
 )
 
+// BindsUnits reports whether the port model ties each memory unit to
+// the one bank its spec binds it to, as on the real machine. Under the
+// dual-ported and low-order models every memory unit reaches every
+// bank.
+func (p PortModel) BindsUnits() bool { return p == PortsBanked }
+
 func (p PortModel) String() string {
 	switch p {
 	case PortsDualPorted:
@@ -212,34 +216,4 @@ func (p PortModel) String() string {
 		return "low-order"
 	}
 	return "banked"
-}
-
-// UnitForBank returns the memory units that may carry an access to the
-// given bank under the port model. The returned slice is shared;
-// callers must not modify it.
-func (p PortModel) UnitsForBank(b Bank) []Unit {
-	if p == PortsDualPorted || p == PortsLowOrder || b == BankBoth {
-		return unitsMemory
-	}
-	switch b {
-	case BankX:
-		return unitsMU0
-	case BankY:
-		return unitsMU1
-	}
-	// Unassigned data lives in bank X (the baseline single-bank layout).
-	return unitsMU0
-}
-
-// BankOfUnit reports which bank a memory unit accesses under the banked
-// port model. Under the dual-ported model the unit does not determine
-// the bank and the operation's own bank tag is authoritative.
-func BankOfUnit(u Unit) Bank {
-	switch u {
-	case MU0:
-		return BankX
-	case MU1:
-		return BankY
-	}
-	return BankNone
 }

@@ -63,29 +63,31 @@ func TestUnitsOfClasses(t *testing.T) {
 
 func TestPortModelBinding(t *testing.T) {
 	// Banked: MU0 reaches only X, MU1 only Y.
-	if got := PortsBanked.UnitsForBank(BankX); len(got) != 1 || got[0] != MU0 {
-		t.Errorf("banked X units = %v", got)
+	var paper BankSpec
+	if !PortsBanked.BindsUnits() {
+		t.Error("banked model does not bind memory units to banks")
 	}
-	if got := PortsBanked.UnitsForBank(BankY); len(got) != 1 || got[0] != MU1 {
-		t.Errorf("banked Y units = %v", got)
+	if paper.BankOfUnit(MU0) != BankX || paper.BankOfUnit(MU1) != BankY {
+		t.Errorf("banked units reach %v and %v", paper.BankOfUnit(MU0), paper.BankOfUnit(MU1))
 	}
-	// Duplicated data may use either unit even on the banked model.
-	if got := PortsBanked.UnitsForBank(BankBoth); len(got) != 2 {
-		t.Errorf("banked Both units = %v", got)
-	}
-	// Dual-ported: any unit reaches any bank.
-	for _, b := range []Bank{BankX, BankY, BankBoth} {
-		if got := PortsDualPorted.UnitsForBank(b); len(got) != 2 {
-			t.Errorf("dual-ported %v units = %v", b, got)
+	// Dual-ported and low-order: any unit reaches any bank.
+	for _, p := range []PortModel{PortsDualPorted, PortsLowOrder} {
+		if p.BindsUnits() {
+			t.Errorf("%v model binds memory units to banks", p)
 		}
 	}
 }
 
 func TestBankOfUnit(t *testing.T) {
-	if BankOfUnit(MU0) != BankX || BankOfUnit(MU1) != BankY {
+	var paper BankSpec
+	if paper.BankOfUnit(MU0) != BankX || paper.BankOfUnit(MU1) != BankY {
 		t.Fatal("memory unit bank binding wrong")
 	}
-	if BankOfUnit(DU0) != BankNone {
+	if paper.BankOfUnit(DU0) != BankNone {
 		t.Fatal("non-memory unit should have no bank")
+	}
+	// A unit the spec does not instantiate reaches no bank.
+	if paper.BankOfUnit(MemUnit(paper.NumMemUnits())) != BankNone {
+		t.Fatal("uninstantiated memory unit should have no bank")
 	}
 }

@@ -5,10 +5,9 @@ import "fmt"
 // This file generalizes the fixed two-bank, one-port-per-bank machine
 // of Figure 2 into a parameterized family: N data banks, each with P
 // ports, each port carried by its own memory unit. The zero-value
-// BankSpec is the paper's machine (2 banks x 1 port, MU0<->X, MU1<->Y),
-// and every consumer routes the zero value through the exact code paths
-// that existed before the generalization, so the default configuration
-// is bit-for-bit the historical system.
+// BankSpec is the paper's machine (2 banks x 1 port, MU0<->X, MU1<->Y).
+// Allocation and scheduling run one code path for every spec, the
+// paper's machine included, which is its N = 2, P = 1 case.
 
 // Capacity limits for the generalized machine. The ISA encoding keeps
 // the nine classic units at their historical numbers (PCU=0 .. FPU1=8)
@@ -117,10 +116,11 @@ func (s BankSpec) Norm() BankSpec {
 }
 
 // IsDefault reports whether the spec (after normalization) is the
-// paper's 2-bank, 1-port machine with the dedicated binding. Consumers
-// route default specs through the historical code paths, which is what
-// pins the generalized system bit-for-bit to the pre-generalization
-// one.
+// paper's 2-bank, 1-port machine with the dedicated binding.
+// Allocation and scheduling take the same path on every spec; this
+// only keeps the paper-only port models (Ideal, LowOrder) on that
+// machine, and its cache keys, report fields and hardware annotations
+// free of a geometry term.
 func (s BankSpec) IsDefault() bool {
 	s = s.Norm()
 	if s.Banks != 2 || s.PortsPerBank != 1 {
@@ -189,38 +189,15 @@ func (s BankSpec) BankOfMemUnit(j int) int {
 	return j % s.Banks
 }
 
-// BankOfUnit reports which bank unit u accesses under the spec, or
-// BankNone for non-memory units. It generalizes the package-level
-// BankOfUnit, which remains the default-spec fast path.
+// BankOfUnit reports which bank unit u accesses under the spec's banked
+// port model, or BankNone for non-memory units and for memory units
+// the spec does not instantiate.
 func (s BankSpec) BankOfUnit(u Unit) Bank {
 	j := MemOrdinal(u)
 	if j < 0 || j >= s.NumMemUnits() {
 		return BankNone
 	}
 	return BankAt(s.BankOfMemUnit(j))
-}
-
-// MemUnits returns the spec's memory units in ordinal order. The slice
-// is freshly allocated; hot paths should build their own table once.
-func (s BankSpec) MemUnits() []Unit {
-	n := s.NumMemUnits()
-	us := make([]Unit, n)
-	for j := range us {
-		us[j] = MemUnit(j)
-	}
-	return us
-}
-
-// UnitsForBankIndex returns the memory units wired to bank index i, in
-// ordinal order. The slice is freshly allocated.
-func (s BankSpec) UnitsForBankIndex(i int) []Unit {
-	var us []Unit
-	for j, n := 0, s.NumMemUnits(); j < n; j++ {
-		if s.BankOfMemUnit(j) == i {
-			us = append(us, MemUnit(j))
-		}
-	}
-	return us
 }
 
 // HardwareCost is the relative silicon cost of the spec's memory

@@ -1,6 +1,10 @@
 package minic
 
-import "fmt"
+import (
+	"fmt"
+
+	"dualbank/internal/machine"
+)
 
 // Analyze resolves names and type-checks the file, annotating the AST
 // in place. On success every Expr has a type and every Ident/VarDecl a
@@ -16,6 +20,9 @@ func Analyze(f *File) error {
 		}
 		if s.funcs[d.Name] != nil {
 			return errf(d.Pos, "%q redeclared as variable", d.Name)
+		}
+		if err := s.checkSize(d); err != nil {
+			return err
 		}
 		sym := &VarSym{Name: d.Name, Type: d.Type, Dims: d.Dims, Global: true, Decl: d}
 		d.Sym = sym
@@ -49,6 +56,8 @@ func Analyze(f *File) error {
 type sema struct {
 	funcs   map[string]*FuncDecl
 	globals map[string]*VarSym
+	// arrayWords sums the words of every array declared so far.
+	arrayWords int
 
 	fn        *FuncDecl
 	scopes    []map[string]*VarSym
@@ -63,6 +72,9 @@ func (s *sema) declare(d *VarDecl, isParam bool) error {
 	top := s.scopes[len(s.scopes)-1]
 	if top[d.Name] != nil {
 		return errf(d.Pos, "%q redeclared in this scope", d.Name)
+	}
+	if err := s.checkSize(d); err != nil {
+		return err
 	}
 	sym := &VarSym{Name: d.Name, Type: d.Type, Dims: d.Dims, IsParam: isParam, Decl: d}
 	d.Sym = sym
@@ -326,9 +338,37 @@ func (s *sema) checkInit(d *VarDecl, global bool) error {
 	return nil
 }
 
+// checkSize rejects an array no data bank can hold, and an array that
+// takes the program's arrays past the data memory of the widest
+// machine. Every symbol lives whole in one bank and every frame is
+// static, so no machine could allocate such a program; rejecting it
+// here, before lowering builds its initializers, bounds what a
+// declaration costs however many words it claims.
+func (s *sema) checkSize(d *VarDecl) error {
+	if len(d.Dims) == 0 {
+		return nil
+	}
+	n := wordsOf(d.Dims)
+	if n < 0 {
+		return errf(d.Pos, "array %q does not fit in a data bank (%d words)", d.Name, machine.BankWords)
+	}
+	const memory = machine.MaxBanks * machine.BankWords
+	if s.arrayWords += n; s.arrayWords > memory {
+		return errf(d.Pos, "array %q takes the program's arrays past the data memory of the widest machine (%d words)",
+			d.Name, memory)
+	}
+	return nil
+}
+
+// wordsOf returns the word count of an array with the given positive
+// dimensions, or -1 when it exceeds a data bank. The product is
+// bounded factor by factor, so it cannot overflow.
 func wordsOf(dims []int) int {
 	n := 1
 	for _, d := range dims {
+		if d > machine.BankWords/n {
+			return -1
+		}
 		n *= d
 	}
 	return n

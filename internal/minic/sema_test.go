@@ -1,6 +1,8 @@
 package minic
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -166,4 +168,58 @@ void main() {
 func TestSemaNestedInitializer(t *testing.T) {
 	semaErr(t, `int a[4] = {{1}, 2}; void main() {}`, "nested initializer")
 	semaErr(t, `int m[2][2] = {{1,2,3}}; void main() {}`, "row initializer too long")
+}
+
+// TestSemaArrayBeyondABank: an array no data bank can hold is a
+// semantic error, global or local, and so are arrays that together
+// exceed the data memory of the widest machine. The word count is
+// bounded without overflow: 3037000500² wraps a 64-bit int negative.
+// Wide initializers of empty rows, in one declaration or spread over
+// many, are rejected before any of their claimed words are built, so
+// Parse and Analyze together allocate in proportion to the source —
+// the bound TestParseAllocLinear holds Parse to.
+func TestSemaArrayBeyondABank(t *testing.T) {
+	banks := func(n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "int a%d[1][65536] = {{}};\n", i)
+		}
+		return b.String() + "void main() {}"
+	}
+	mustAnalyze(t, `int a[65536]; void main() { int b[256][256]; a[0] = b[1][2]; }`)
+	mustAnalyze(t, banks(8))
+	for _, src := range []string{
+		`int a[3037000500][3037000500]; int b[4]; void main() { b[1] = 7; a[0][0] = b[1]; }`,
+		`void main() { int a[3037000500][3037000500]; a[0][0] = 1; }`,
+		`int a[65537]; void main() {}`,
+		`void main() { int a[257][256]; }`,
+		"int a[100][100000] = {" + strings.Repeat("{},", 99) + "{}};\nvoid main() {}",
+	} {
+		semaErr(t, src, "does not fit in a data bank")
+	}
+	semaErr(t, banks(9), "past the data memory of the widest machine")
+	semaErr(t, "int a[65536]; void f() { int b[65536]; }\n"+banks(7), "past the data memory")
+
+	const rows = 1 << 14
+	for _, c := range []struct{ name, src, want string }{
+		{"wide empty rows", fmt.Sprintf("int a[%d][100000] = {%s{}};\nvoid main() {}", rows, strings.Repeat("{},", rows-1)), "does not fit"},
+		{"many bank-wide arrays", banks(rows / 8), "past the data memory"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = Analyze(f)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: error %v, want %q", c.name, err, c.want)
+		}
+		per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(c.src))
+		t.Logf("%s: %.1f bytes allocated per source byte", c.name, per)
+		if per > 200 {
+			t.Errorf("%s: Parse and Analyze allocated %.0f bytes per source byte, want at most 200", c.name, per)
+		}
+	}
 }

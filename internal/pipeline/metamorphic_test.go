@@ -132,15 +132,14 @@ func TestBankSwapMirrorsAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Alloc.GlobalX != swapped.Alloc.GlobalY || plain.Alloc.GlobalY != swapped.Alloc.GlobalX {
-		t.Errorf("global words did not mirror: plain X=%d Y=%d, swapped X=%d Y=%d",
-			plain.Alloc.GlobalX, plain.Alloc.GlobalY, swapped.Alloc.GlobalX, swapped.Alloc.GlobalY)
+	pg, ps, sg, ss := plain.Alloc.Global, plain.Alloc.Stack, swapped.Alloc.Global, swapped.Alloc.Stack
+	if pg[0] != sg[1] || pg[1] != sg[0] {
+		t.Errorf("global words did not mirror: plain %v, swapped %v", pg, sg)
 	}
-	if plain.Alloc.StackX != swapped.Alloc.StackY || plain.Alloc.StackY != swapped.Alloc.StackX {
-		t.Errorf("stack words did not mirror: plain X=%d Y=%d, swapped X=%d Y=%d",
-			plain.Alloc.StackX, plain.Alloc.StackY, swapped.Alloc.StackX, swapped.Alloc.StackY)
+	if ps[0] != ss[1] || ps[1] != ss[0] {
+		t.Errorf("stack words did not mirror: plain %v, swapped %v", ps, ss)
 	}
-	if plain.Alloc.GlobalX+plain.Alloc.GlobalY == 0 {
+	if pg[0]+pg[1] == 0 {
 		t.Error("degenerate benchmark: no global words at all")
 	}
 }

@@ -55,8 +55,9 @@ type Options struct {
 	// profiling can combine with duplication.
 	Profiled bool
 	// Spec selects the machine's bank geometry (bank count × ports per
-	// bank); the zero value is the classic dual-bank, single-ported
-	// machine and reproduces the historical pipeline exactly.
+	// bank); the zero value is the paper's dual-bank, single-ported
+	// machine. Every geometry runs the same allocation and compaction
+	// code; Ideal and LowOrder require the paper's machine.
 	Spec machine.BankSpec
 	// BankPerm relabels the banks by a permutation: data assigned to
 	// bank i lands in bank BankPerm[i], so []int{1, 0} mirrors the

@@ -264,6 +264,7 @@ func TestServeErrors(t *testing.T) {
 		{"dup without Dup mode", `{"bench":"fir_32_1","mode":"CB","dup":["x"]}`, http.StatusBadRequest},
 		{"oversized source", fmt.Sprintf(`{"source":%q}`, strings.Repeat("x", 200)), http.StatusBadRequest},
 		{"compile error", `{"source":"void main( {"}`, http.StatusUnprocessableEntity},
+		{"array beyond a bank", `{"source":"int a[3037000500][3037000500]; int b[4]; void main() { b[1] = 7; a[0][0] = b[1]; }"}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
