@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 )
 
 // This file defines the machine-readable harness report written by
@@ -70,11 +69,4 @@ func ReadReport(path string) (*Report, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return r, nil
-}
-
-// Timed runs fn and returns its wall-clock duration in seconds.
-func Timed(fn func() error) (float64, error) {
-	start := time.Now()
-	err := fn()
-	return time.Since(start).Seconds(), err
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -142,20 +141,6 @@ func (lc *LocalCluster) Kill(i int) {
 	}
 	n.closed = true
 	n.httpSrv.Close()
-	n.node.Close()
-}
-
-// Drain gracefully stops node i: readiness flips and departure is
-// announced to the peers first, then the HTTP server drains in-flight
-// requests, then the worker pool stops.
-func (lc *LocalCluster) Drain(ctx context.Context, i int) {
-	n := lc.nodes[i]
-	if n.closed {
-		return
-	}
-	n.closed = true
-	n.node.BeginDrain()
-	n.httpSrv.Shutdown(ctx)
 	n.node.Close()
 }
 

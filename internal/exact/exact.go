@@ -150,10 +150,6 @@ type Certificate struct {
 	Spectral bool `json:"spectral,omitempty"`
 }
 
-// Gap returns the proven optimality-gap interval width Upper - Lower
-// (0 under verdict Optimal).
-func (c Certificate) Gap() int64 { return c.Upper - c.Lower }
-
 // Result pairs the solved partition with its certificate. Part.Cost
 // always equals Cert.Upper.
 type Result struct {

@@ -145,11 +145,6 @@ func (k OpKind) IsTerminator() bool {
 	return k == OpBr || k == OpCondBr || k == OpRet || k == OpDo || k == OpEndDo
 }
 
-// IsCompare reports whether the kind is an integer or float comparison.
-func (k OpKind) IsCompare() bool {
-	return (k >= OpSetEQ && k <= OpSetGE) || (k >= OpFSetEQ && k <= OpFSetGE)
-}
-
 // Op is one machine operation.
 type Op struct {
 	Kind OpKind
@@ -203,9 +198,6 @@ func (o *Op) Uses(dst []Reg) []Reg {
 	dst = append(dst, o.CallArgs...)
 	return dst
 }
-
-// Def returns the register the operation writes, or NoReg.
-func (o *Op) Def() Reg { return o.Dst }
 
 // IsMem reports whether the op accesses data memory.
 func (o *Op) IsMem() bool { return o.Kind == OpLoad || o.Kind == OpStore }

@@ -26,22 +26,25 @@ import (
 // result commits. The lowering proves, per instruction, an execution
 // order under which committing each result immediately is
 // indistinguishable from that two-phase scheme (readers of a register
-// or symbol ordered before its writer); instructions where no such
-// order exists — a genuine anti-dependence cycle, e.g. a packed
-// register swap — fall back to a staged form that buffers results in a
-// pending-write array exactly like the reference, evaluating the dense
-// operation records of oprecord.go so the semantics stay pinned.
+// or symbol ordered before its writer). Where no such order exists — a
+// genuine anti-dependence cycle, e.g. a packed register swap — each
+// register result goes to a shadow register above the program's 64
+// instead, which leaves only memory edges to order, and one copy per
+// result after the instruction's operations moves the shadows into
+// place. Every instruction thus lowers to the same direct closures.
 //
-// Because direct-form instructions commit immediately, consecutive
-// ones are one flat sequence of closures. A block is therefore lowered
-// to one op list, cut into runs: a run ends only at an instruction that
-// needs its own step after its operations — a staged commit, low-order
-// port settlement, or a call — or at the block's end. The engine calls
-// a run's closures back to back and checks for a fault once, at the
-// run's end. An operation that faults records the fault and leaves
-// machine state alone, and every later one in the run is
-// bounds-checked like any other, so running on to the end of the run
-// is safe; the first fault is the one reported.
+// Because every instruction commits as it goes, consecutive ones are
+// one flat sequence of closures. A block is therefore lowered to one op
+// list, cut into runs: a run ends only at an instruction that needs its
+// own step after its operations — low-order port settlement or a call —
+// or at the block's end. The engine calls a run's closures back to back
+// and checks for a fault once, at the run's end. An operation that
+// faults records the fault and leaves machine state alone, and every
+// later one in the run is bounds-checked like any other, so running on
+// to the end of the run is safe; the first fault is the one reported.
+// A cyclic instruction's copies still move a faulted op's stale shadow
+// into its register, which is harmless: state after a fault is not
+// observable.
 //
 // sim.Machine remains the reference; the differential suite pins this
 // engine to identical cycle counts, bandwidth counters, and memory
@@ -67,9 +70,6 @@ const (
 const (
 	// pFault: an operation of the run can fault.
 	pFault uint8 = 1 << iota
-	// pCommit: the last instruction is staged; its npend buffered
-	// results commit after the run.
-	pCommit
 	// pDyn: the last instruction's ports resolve at run time (low-order
 	// model with an indexed access); finishDyn settles its bandwidth
 	// counters and conflict stall.
@@ -78,15 +78,13 @@ const (
 	pCall
 )
 
-// cRun is one step of a block: a flat run of op closures, then the
-// fault check and the own step of the run's last instruction, if it
-// needs one.
+// cRun is one step of a block: a flat run of op closures (one per data
+// operation, plus an instruction's accumulator and shadow copies if its
+// anti-dependences form a cycle), then the fault check and the own
+// step of the run's last instruction, if it needs one.
 type cRun struct {
 	ops  []cOp
 	post uint8
-	// npend is a staged last instruction's result count: its ops buffer
-	// them into the machine's pending-write array.
-	npend uint8
 	// statPX and statPY are the statically-resolved bank-0/bank-1
 	// access counts a pDyn instruction contributes on top of its
 	// run-time ports (the low-order model is 2-bank only).
@@ -115,12 +113,11 @@ type cBlock struct {
 
 // cInstr summarizes one lowered long instruction for its block, whose
 // op list already holds its closures: whether one can fault, whether
-// its ports resolve at run time, its staged result count, its static
-// memory accesses and its control op.
+// its ports resolve at run time, its static memory accesses and its
+// control op.
 type cInstr struct {
 	canFault bool
 	dyn      bool
-	npend    uint8
 	// statPX, statPY and statM are the instruction's statically
 	// resolved bank-0, bank-1 and total memory accesses.
 	statPX, statPY, statM int8
@@ -161,15 +158,6 @@ type CompiledProgram struct {
 // MemWords returns the per-bank arena length in words.
 func (cp *CompiledProgram) MemWords() int { return cp.memWords }
 
-// cPend is one buffered result of a staged instruction's read phase.
-type cPend struct {
-	val   uint32
-	addr  int32
-	reg   uint8
-	isMem bool
-	bank  uint8
-}
-
 // CompiledMachine executes a compiled program. It reproduces the
 // reference Machine's observable behaviour exactly — cycle counts,
 // bandwidth and conflict counters, and final memory images — calling
@@ -188,7 +176,11 @@ type CompiledMachine struct {
 	// Regs is the unified physical register file view, entries 1..64
 	// as on the reference Machine. It spans every uint8, the closures'
 	// register-number type, so no register access needs a bounds
-	// check; the entries past 64 are never written.
+	// check. Entries 65 to 64+machine.MaxUnits are the shadow registers
+	// of instructions with an anti-dependence cycle: their base,
+	// shadowBase, stays above 64, the highest register the compiler
+	// allocates and the ROM decoder accepts, and at most
+	// 256-MaxUnits. The entries past them are never written.
 	Regs [256]uint32
 
 	// Cycles, OpsExecuted, MemAccesses, DualMemCycles and BankConflicts
@@ -206,7 +198,6 @@ type CompiledMachine struct {
 
 	portX, portY int32
 	fault        error
-	pend         [machine.MaxUnits]cPend
 
 	cancel ctxCheck
 }
@@ -295,6 +286,15 @@ func Compile(p *compact.Program) (*CompiledProgram, error) {
 	return cp, nil
 }
 
+// bankIndexOf maps a single-bank tag to its bank index; unassigned
+// data lives in bank 0 (the baseline single-bank layout).
+func bankIndexOf(b machine.Bank, nbanks int) int {
+	if i := b.Index(); i >= 0 && i < nbanks {
+		return i
+	}
+	return 0
+}
+
 // instrNops counts occupied slots, including the control op.
 func instrNops(in *compact.Instr) int64 {
 	var n int64
@@ -316,7 +316,9 @@ func lowerBlock(cb *cBlock, sb *compact.Block, funcs map[string]*cFunc, cp *Comp
 	for _, in := range sb.Instrs {
 		slots += instrNops(in)
 	}
-	// Every op fills a slot, so the list never regrows.
+	// Every op fills a slot. Only an instruction with an anti-dependence
+	// cycle lowers to more closures than it has ops, so only a block
+	// holding one can regrow the list.
 	ops := make([]cOp, 0, slots)
 	var run cRun
 	start := 0
@@ -344,10 +346,6 @@ func lowerBlock(cb *cBlock, sb *compact.Block, funcs map[string]*cFunc, cp *Comp
 		if ci.canFault {
 			run.post |= pFault
 		}
-		if ci.npend > 0 {
-			run.post |= pCommit
-			run.npend = ci.npend
-		}
 		if ci.dyn {
 			run.post |= pDyn
 			run.statPX, run.statPY = ci.statPX, ci.statPY
@@ -374,8 +372,9 @@ func lowerBlock(cb *cBlock, sb *compact.Block, funcs map[string]*cFunc, cp *Comp
 }
 
 // lowerInstr lowers one long instruction, appending its closures to
-// ops: control resolution, the anti-dependence analysis choosing
-// direct vs staged form, and closure generation.
+// ops: control resolution, then the data operations in an order under
+// which each commits at once yet reads what the reference's read phase
+// reads.
 func lowerInstr(ops []cOp, in *compact.Instr, sb *compact.Block, funcs map[string]*cFunc, cp *CompiledProgram) ([]cOp, cInstr, error) {
 	ci := cInstr{ctrl: cNone, succ0: -1, succ1: -1}
 	type dataOp struct {
@@ -424,49 +423,46 @@ func lowerInstr(ops []cOp, in *compact.Instr, sb *compact.Block, funcs map[strin
 
 	var orderBuf [machine.MaxUnits]int
 	order, ok := commitOrder(func(i int) *ir.Op { return data[i].op }, len(data), orderBuf[:0])
-	lowOrder := cp.lowOrder
-	if ok {
-		// Direct form: execute in the proven order, commit immediately.
-		for _, di := range order {
-			d := data[di]
-			f, canFault, dyn, bank, err := lowerDirect(d.op, d.unit, cp)
-			if err != nil {
-				return ops, cInstr{}, err
+	var shadow []ir.Op
+	if !ok {
+		// An anti-dependence cycle, e.g. a packed register swap: no order
+		// commits every result at once. Each register result goes to the
+		// op's shadow register instead, a multiply-accumulate's after its
+		// accumulator is copied there, so no op writes a register another
+		// reads. Only load-before-store and store-before-store edges
+		// remain, and those always order.
+		shadow = make([]ir.Op, len(data))
+		for k, d := range data {
+			shadow[k] = *d.op
+			if d.op.Kind == ir.OpStore {
+				continue
 			}
-			ops = append(ops, f)
-			ci.canFault = ci.canFault || canFault
-			if d.op.IsMem() {
-				if dyn {
-					ci.dyn = true
-				} else {
-					ci.statM++
-					switch bank {
-					case 0:
-						ci.statPX++
-					case 1:
-						ci.statPY++
-					}
-				}
+			shadow[k].Dst = shadowBase + ir.Reg(k)
+			if d.op.Kind == ir.OpMac || d.op.Kind == ir.OpFMac {
+				ops = append(ops, copyReg(shadow[k].Dst, d.op.Dst))
 			}
 		}
-		return ops, ci, nil
+		if order, ok = commitOrder(func(i int) *ir.Op { return &shadow[i] }, len(data), orderBuf[:0]); !ok {
+			return ops, cInstr{}, fmt.Errorf("no commit order for %d ops through shadow registers", len(data))
+		}
 	}
-
-	// Staged form: a genuine anti-dependence cycle. Buffer every result
-	// in slot order and commit after the read phase, exactly like the
-	// reference's two-phase scheme. Under the low-order model all port
-	// accounting goes dynamic — correctness over speed on this rare
-	// path.
-	ci.canFault = true
-	for k, d := range data {
-		po := predecodeOp(d.op, d.unit, cp.ports, &cp.bankOf, cp.nbanks)
-		ops = append(ops, lowerStaged(d.op, po, k, lowOrder))
-		if d.op.IsMem() {
-			if lowOrder {
+	for _, di := range order {
+		op := data[di].op
+		if shadow != nil {
+			op = &shadow[di]
+		}
+		f, canFault, dyn, bank, err := lowerDirect(op, data[di].unit, cp)
+		if err != nil {
+			return ops, cInstr{}, err
+		}
+		ops = append(ops, f)
+		ci.canFault = ci.canFault || canFault
+		if op.IsMem() {
+			if dyn {
 				ci.dyn = true
 			} else {
 				ci.statM++
-				switch po.bank {
+				switch bank {
 				case 0:
 					ci.statPX++
 				case 1:
@@ -475,8 +471,31 @@ func lowerInstr(ops []cOp, in *compact.Instr, sb *compact.Block, funcs map[strin
 			}
 		}
 	}
-	ci.npend = uint8(len(data))
+	// The shadows move into place in slot order, as the reference's
+	// write phase commits. A shadow whose op faulted is stale, and its
+	// copy writes the stale value; the run's end reports the fault, and
+	// state after a fault is not observable.
+	for k := range shadow {
+		if shadow[k].Kind != ir.OpStore {
+			ops = append(ops, copyReg(data[k].op.Dst, shadow[k].Dst))
+		}
+	}
 	return ops, ci, nil
+}
+
+// shadowBase is the first shadow register: data op k of an instruction
+// with an anti-dependence cycle writes Regs[shadowBase+k]. It sits
+// above the 64 program registers and leaves room for MaxUnits shadows
+// in the 256-entry file, which the constant below checks.
+const shadowBase = 65
+
+const _ uint8 = shadowBase + machine.MaxUnits - 1
+
+// copyReg generates a register copy: an accumulator into its shadow, or
+// a shadow into its register.
+func copyReg(dst, src ir.Reg) cOp {
+	d, s := uint8(dst), uint8(src)
+	return func(m *CompiledMachine) { m.Regs[d] = m.Regs[s] }
 }
 
 // commitOrder proves an immediate-commit execution order for n data
@@ -889,59 +908,6 @@ func cb2i(b bool) uint32 {
 	return 0
 }
 
-// lowerStaged generates one staged (two-phase) closure: it evaluates
-// against the pre-commit register file via the operation-record
-// evaluators — keeping this rare path pinned to the reference by
-// construction — and buffers the result at pending slot k.
-func lowerStaged(op *ir.Op, po pOp, k int, lowOrder bool) cOp {
-	switch op.Kind {
-	case ir.OpLoad:
-		dst := uint8(op.Dst)
-		return func(m *CompiledMachine) {
-			addr, bank, err := resolvePOp(&m.Regs, &po, lowOrder)
-			if err != nil {
-				m.setFault(err)
-				return
-			}
-			if lowOrder {
-				if bank == 1 {
-					m.portY++
-				} else {
-					m.portX++
-				}
-			}
-			m.pend[k] = cPend{val: m.Banks[bank][addr], reg: dst}
-		}
-	case ir.OpStore:
-		val := uint8(op.Args[0])
-		return func(m *CompiledMachine) {
-			addr, bank, err := resolvePOp(&m.Regs, &po, lowOrder)
-			if err != nil {
-				m.setFault(err)
-				return
-			}
-			if lowOrder {
-				if bank == 1 {
-					m.portY++
-				} else {
-					m.portX++
-				}
-			}
-			m.pend[k] = cPend{val: m.Regs[val], addr: addr, isMem: true, bank: bank}
-		}
-	default:
-		dst := uint8(op.Dst)
-		return func(m *CompiledMachine) {
-			v, err := evalPOp(&m.Regs, &po)
-			if err != nil {
-				m.setFault(err)
-				return
-			}
-			m.pend[k] = cPend{val: v, reg: dst}
-		}
-	}
-}
-
 // NewMachine builds a fresh CompiledMachine: arenas hold the initial
 // images, registers are zero.
 func (cp *CompiledProgram) NewMachine() *CompiledMachine {
@@ -1062,14 +1028,11 @@ func (m *CompiledMachine) runFunc(f *cFunc) error {
 }
 
 // endRun does what follows a run's ops: the fault check, then the
-// staged commit, the low-order port settlement and the call of the
-// run's last instruction.
+// low-order port settlement and the call of the run's last
+// instruction.
 func (m *CompiledMachine) endRun(r *cRun, f *cFunc) error {
 	if m.fault != nil {
 		return m.takeFault(f)
-	}
-	if r.post&pCommit != 0 {
-		m.commit(int(r.npend))
 	}
 	if r.post&pDyn != 0 {
 		m.finishDyn(r)
@@ -1089,19 +1052,6 @@ func (m *CompiledMachine) takeFault(f *cFunc) error {
 	err := m.fault
 	m.fault = nil
 	return fmt.Errorf("sim: %s: %w", f.name, err)
-}
-
-// commit flushes the first n pending writes in slot order — the staged
-// instruction's write phase.
-func (m *CompiledMachine) commit(n int) {
-	for i := 0; i < n; i++ {
-		p := &m.pend[i]
-		if p.isMem {
-			m.Banks[p.bank][p.addr] = p.val
-		} else {
-			m.Regs[p.reg] = p.val
-		}
-	}
 }
 
 // finishDyn settles a dynamic-port instruction's bandwidth counters:

@@ -4,16 +4,19 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"dualbank/internal/alloc"
+	"dualbank/internal/bench"
 	"dualbank/internal/compact"
 	"dualbank/internal/ir"
 	"dualbank/internal/lower"
 	"dualbank/internal/machine"
 	"dualbank/internal/minic"
 	"dualbank/internal/opt"
+	"dualbank/internal/pipeline"
 	"dualbank/internal/regalloc"
 	"dualbank/internal/sim"
 )
@@ -125,12 +128,58 @@ func TestCompiledMatchesMachine(t *testing.T) {
 	}
 }
 
+// Constructors for hand-packed long instructions.
+
+func alu(k ir.OpKind, dst, a0, a1 ir.Reg) *ir.Op {
+	return &ir.Op{Kind: k, Dst: dst, Args: [2]ir.Reg{a0, a1}}
+}
+
+func load(dst ir.Reg, sym *ir.Symbol, idx ir.Reg) *ir.Op {
+	return &ir.Op{Kind: ir.OpLoad, Dst: dst, Sym: sym, Idx: idx, Bank: sym.Bank}
+}
+
+func store(val ir.Reg, sym *ir.Symbol, idx ir.Reg) *ir.Op {
+	return &ir.Op{Kind: ir.OpStore, Args: [2]ir.Reg{val}, Sym: sym, Idx: idx, Bank: sym.Bank}
+}
+
+func konst(dst ir.Reg, v int64) *ir.Op { return &ir.Op{Kind: ir.OpConst, Dst: dst, Imm: v} }
+
+func fkonst(dst ir.Reg, v float64) *ir.Op { return &ir.Op{Kind: ir.OpFConst, Dst: dst, FImm: v} }
+
+// oneBlock wraps hand-packed long instructions, slots in unit order
+// (PCU, MU0, MU1, AU0, AU1, DU0, DU1, FPU0, FPU1), as the schedule of a
+// one-block main over globals. The last instruction must hold the ret.
+func oneBlock(ports machine.PortModel, instrs [][machine.NumUnits]*ir.Op, globals ...*ir.Symbol) *compact.Program {
+	f := ir.NewFunc("main", ir.TVoid)
+	f.SetPhysRegTable()
+	blk := f.NewBlock()
+	sb := &compact.Block{Src: blk}
+	for _, slots := range instrs {
+		ci := new(compact.Instr)
+		copy(ci.Slots[:], slots[:])
+		for _, op := range slots {
+			if op != nil {
+				blk.Ops = append(blk.Ops, op)
+			}
+		}
+		sb.Instrs = append(sb.Instrs, ci)
+	}
+	src := &ir.Program{Name: "handpacked", Globals: globals}
+	src.AddFunc(f)
+	funcs := map[string]*compact.Func{"main": {Src: f, Blocks: []*compact.Block{sb}}}
+	return &compact.Program{Src: src, Funcs: funcs, Ports: ports}
+}
+
 // stagedProgram hand-builds a one-block schedule whose long
 // instructions pack register swaps: writes with no conflict-free commit
-// order, which the compiled engine lowers to its staged (two-phase)
-// form. Every other slot of a staged instruction — integer, float, and
-// direct and indexed memory operations — then runs through the dense
-// operation records. No compiled benchmark schedules such an
+// order, which the compiled engine lowers through shadow registers.
+// Every other slot of such an instruction — integer, float,
+// multiply-accumulate, and direct and indexed memory operations — then
+// writes its result through a shadow too. Under the dual-ported and
+// low-order models, where either memory unit reaches any bank, one more
+// swap instruction has MU0 store to in[2] and MU1 load in[2]: the store
+// comes first in slot order, yet the load must read the
+// pre-instruction word. No compiled benchmark schedules such an
 // instruction, so only a hand-built program reaches this path.
 func stagedProgram(ports machine.PortModel) (*compact.Program, *ir.Symbol, *ir.Symbol) {
 	out := &ir.Symbol{Name: "out", Kind: ir.SymGlobal, Elem: ir.TInt, Size: 8, Dims: []int{8}}
@@ -141,22 +190,7 @@ func stagedProgram(ports machine.PortModel) (*compact.Program, *ir.Symbol, *ir.S
 	} else {
 		out.Bank, in.Bank = machine.BankX, machine.BankY
 	}
-	f := ir.NewFunc("main", ir.TVoid)
-	f.SetPhysRegTable()
-	blk := f.NewBlock()
 	r, fr := ir.PhysInt, ir.PhysFloat
-	alu := func(k ir.OpKind, dst, a0, a1 ir.Reg) *ir.Op {
-		return &ir.Op{Kind: k, Dst: dst, Args: [2]ir.Reg{a0, a1}}
-	}
-	load := func(dst ir.Reg, sym *ir.Symbol, idx ir.Reg) *ir.Op {
-		return &ir.Op{Kind: ir.OpLoad, Dst: dst, Sym: sym, Idx: idx, Bank: sym.Bank}
-	}
-	store := func(val ir.Reg, sym *ir.Symbol, idx ir.Reg) *ir.Op {
-		return &ir.Op{Kind: ir.OpStore, Args: [2]ir.Reg{val}, Sym: sym, Idx: idx, Bank: sym.Bank}
-	}
-	konst := func(dst ir.Reg, v int64) *ir.Op { return &ir.Op{Kind: ir.OpConst, Dst: dst, Imm: v} }
-	fkonst := func(dst ir.Reg, v float64) *ir.Op { return &ir.Op{Kind: ir.OpFConst, Dst: dst, FImm: v} }
-	// Slots: PCU, MU0 (bank X), MU1 (bank Y), AU0, AU1, DU0, DU1, FPU0, FPU1.
 	instrs := [][machine.NumUnits]*ir.Op{
 		{nil, nil, load(r(5), in, 0), konst(r(1), 6), konst(r(2), -4), konst(r(3), 2), konst(r(4), 0),
 			fkonst(fr(1), 1.5), fkonst(fr(2), -0.25)},
@@ -179,27 +213,22 @@ func stagedProgram(ports machine.PortModel) (*compact.Program, *ir.Symbol, *ir.S
 			alu(ir.OpAdd, r(5), r(7), r(8)), nil, alu(ir.OpFSetLT, r(1), fr(3), fr(4)), nil, nil, nil},
 		{alu(ir.OpRet, 0, 0, 0), store(fr(3), out, r(5)), store(r(4), in, r(5)), nil, nil, nil, nil, nil, nil},
 	}
-	sb := &compact.Block{Src: blk}
-	for _, slots := range instrs {
-		ci := new(compact.Instr)
-		copy(ci.Slots[:], slots[:])
-		for _, op := range slots {
-			if op != nil {
-				blk.Ops = append(blk.Ops, op)
-			}
-		}
-		sb.Instrs = append(sb.Instrs, ci)
+	if ports != machine.PortsBanked {
+		// r6, r9 = r9, r6, after the first swap: in[r3 = 2] = r6 (3)
+		// beside r8 = in[2], which must read the initial 9. The next
+		// swap overwrites in[2]; the one after stores r8 to in[0].
+		cycle := [machine.NumUnits]*ir.Op{nil, store(r(6), in, r(3)), load(r(8), in, r(3)),
+			alu(ir.OpMov, r(6), r(9), 0), alu(ir.OpMov, r(9), r(6), 0)}
+		instrs = slices.Insert(instrs, 2, cycle)
 	}
-	src := &ir.Program{Name: "staged", Globals: []*ir.Symbol{out, in}}
-	src.AddFunc(f)
-	funcs := map[string]*compact.Func{"main": {Src: f, Blocks: []*compact.Block{sb}}}
-	return &compact.Program{Src: src, Funcs: funcs, Ports: ports}, out, in
+	return oneBlock(ports, instrs, out, in), out, in
 }
 
-// TestCompiledStagedMatchesMachine pins the compiled engine's staged
-// instructions to the reference under every port model: counters and
-// the memory image must agree, and the reference must show the swaps
-// took effect (so the program really exercises the two-phase rule).
+// TestCompiledStagedMatchesMachine pins the compiled engine's
+// instructions with anti-dependence cycles to the reference under
+// every port model: counters, the memory image and the register file
+// must agree, and the reference must show the swaps took effect (so the
+// program really exercises the two-phase rule).
 func TestCompiledStagedMatchesMachine(t *testing.T) {
 	for _, ports := range []machine.PortModel{machine.PortsBanked, machine.PortsDualPorted, machine.PortsLowOrder} {
 		sched, out, in := stagedProgram(ports)
@@ -211,11 +240,18 @@ func TestCompiledStagedMatchesMachine(t *testing.T) {
 		// in[1] and out[1] are the third swap's results, -6 (the negated
 		// r2 = 6 the first swap left) and 2; out[0] is the second's
 		// multiply-accumulate of the swapped registers.
-		for _, w := range []struct {
+		type word struct {
 			sym  *ir.Symbol
 			idx  int
 			want int32
-		}{{in, 2, 1}, {in, 1, -6}, {out, 1, 2}, {out, 0, -24}} {
+		}
+		want := []word{{in, 2, 1}, {in, 1, -6}, {out, 1, 2}, {out, 0, -24}}
+		if ports != machine.PortsBanked {
+			// in[0] holds what the load packed after the store to in[2]
+			// read: the pre-instruction 9, not the 3 stored beside it.
+			want = append(want, word{in, 0, 9})
+		}
+		for _, w := range want {
 			if got, err := ref.Int32(w.sym, w.idx); err != nil || got != w.want {
 				t.Fatalf("%v: reference %s[%d] = %d (%v), want %d", ports, w.sym, w.idx, got, err, w.want)
 			}
@@ -236,6 +272,11 @@ func TestCompiledStagedMatchesMachine(t *testing.T) {
 				if w != ref.Banks[b][i] {
 					t.Errorf("%v: bank %d word %d: compiled %#x, reference %#x", ports, b, i, w, ref.Banks[b][i])
 				}
+			}
+		}
+		for reg := 1; reg < len(ref.Regs); reg++ {
+			if cm.Regs[reg] != ref.Regs[reg] {
+				t.Errorf("%v: register %d: compiled %#x, reference %#x", ports, reg, cm.Regs[reg], ref.Regs[reg])
 			}
 		}
 	}
@@ -481,6 +522,34 @@ func BenchmarkCompiledMachine(b *testing.B) {
 		m.Reset()
 		if err := m.Run(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompile measures lowering for the compiled engine: one op
+// lowers the 161 suite schedules, the 23 benchmarks under all 7 modes
+// on the 2×1 machine.
+func BenchmarkCompile(b *testing.B) {
+	var scheds []*compact.Program
+	for _, p := range append(bench.Kernels(), bench.Applications()...) {
+		for _, mode := range []alloc.Mode{
+			alloc.SingleBank, alloc.CB, alloc.CBProfiled, alloc.CBDup,
+			alloc.FullDup, alloc.Ideal, alloc.LowOrder,
+		} {
+			c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: mode})
+			if err != nil {
+				b.Fatalf("%s %v: %v", p.Name, mode, err)
+			}
+			scheds = append(scheds, c.Sched)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range scheds {
+			if _, err := sim.Compile(s); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
