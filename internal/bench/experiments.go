@@ -47,14 +47,6 @@ func Figure7() ([]FigureRow, error) { return RunFigure(Kernels(), Figure7Modes) 
 // Figure8 reproduces the application experiment.
 func Figure8() ([]FigureRow, error) { return RunFigure(Applications(), Figure8Modes) }
 
-// Organizations runs the memory-organisation study over the whole
-// suite: it quantifies the paper's §1.2 argument for high-order
-// interleaving by pitting CB partitioning against a low-order
-// interleaved memory whose run-time bank conflicts stall the pipeline.
-func Organizations() ([]FigureRow, error) {
-	return RunFigure(append(Kernels(), Applications()...), OrganizationModes)
-}
-
 // RenderFigure formats rows as a text table.
 func RenderFigure(title string, rows []FigureRow, modes []alloc.Mode) string {
 	var sb strings.Builder
@@ -139,14 +131,6 @@ type SweepRow struct {
 	Label      string
 	BaseCycles int64
 	CBGain     float64
-}
-
-// SweepFIR measures how the CB partitioning gain develops with filter
-// order: the longer the inner loop dominates, the closer the whole
-// kernel approaches the 2-cycles-per-tap dual-bank steady state. It
-// generalises the paper's fir_256_64 / fir_32_1 pairing into a curve.
-func SweepFIR(taps []int, samples int) ([]SweepRow, error) {
-	return NewHarness(1).SweepFIR(taps, samples)
 }
 
 // RenderSweep formats a sweep.

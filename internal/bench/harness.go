@@ -681,8 +681,11 @@ func (h *Harness) Figure7() ([]FigureRow, error) { return h.RunFigure(Kernels(),
 func (h *Harness) Figure8() ([]FigureRow, error) { return h.RunFigure(Applications(), Figure8Modes) }
 
 // Organizations runs the memory-organisation study over the whole
-// suite; its CB/CBDup/Ideal arms and every baseline are cache hits
-// when Figure 7 and Figure 8 ran first on the same harness.
+// suite: it quantifies the paper's §1.2 argument for high-order
+// interleaving by pitting CB partitioning against a low-order
+// interleaved memory whose run-time bank conflicts stall the pipeline.
+// Its CB/CBDup/Ideal arms and every baseline are cache hits when
+// Figure 7 and Figure 8 ran first on the same harness.
 func (h *Harness) Organizations() ([]FigureRow, error) {
 	return h.RunFigure(append(Kernels(), Applications()...), OrganizationModes)
 }
@@ -717,7 +720,11 @@ func (h *Harness) Table3() ([]Table3Row, error) {
 	return rows, nil
 }
 
-// SweepFIR measures the CB gain across filter orders through the pool.
+// SweepFIR measures how the CB partitioning gain develops with filter
+// order, through the pool: the longer the inner loop dominates, the
+// closer the whole kernel approaches the 2-cycles-per-tap dual-bank
+// steady state. It generalises the paper's fir_256_64 / fir_32_1
+// pairing into a curve.
 func (h *Harness) SweepFIR(taps []int, samples int) ([]SweepRow, error) {
 	progs := make([]Program, len(taps))
 	for i, n := range taps {

@@ -2,9 +2,10 @@
 // list-scheduling algorithm (based on local microcode compaction) that
 // packs independent machine operations into VLIW long instructions,
 // honouring functional-unit capacities and the memory-unit/bank binding
-// established by the data allocation pass. It is the same algorithm the
-// interference-graph builder dry-runs (Figure 3), now with both memory
-// units usable because every memory operation carries a bank tag.
+// established by the data allocation pass. The interference-graph
+// builder runs this same scheduler before allocation, with one usable
+// memory unit (Conflicts, Figure 3); compaction runs it after, when
+// every memory operation carries a bank tag.
 package compact
 
 import (
@@ -108,8 +109,9 @@ type Config struct {
 // unitTable is one schedule's memory-unit preference: the units wired
 // to each bank, and the order in which an operation free to use any
 // memory unit tries them. It lives in fixed arrays and is built once
-// per ScheduleWith (into the Scratch) and per Validate (on the stack),
-// so the per-operation unitsFor lookup allocates nothing.
+// per ScheduleWith (into the Scratch), per Validate (on the stack) and
+// for the interference scan (scanUnits), so the per-operation unitsFor
+// lookup allocates nothing.
 type unitTable struct {
 	ports machine.PortModel
 	banks int
@@ -170,38 +172,56 @@ func (t *unitTable) unitsFor(op *ir.Op) []machine.Unit {
 }
 
 // Scratch holds the scheduler's reusable working state: the
-// dependence-graph builder, the per-op bookkeeping arrays, and the
-// instruction arena blocks are scheduled into before being sealed.
-// A warm Scratch makes scheduleBlock allocation-free in steady state
-// (only the sealed per-block output is freshly allocated), so repeated
-// compiles — the experiment harness compiles every benchmark under
-// seven machine modes — stop churning the garbage collector. A Scratch
-// is not safe for concurrent use; give each worker its own.
+// dependence-graph builder and the per-op bookkeeping arrays. The
+// scheduler records each operation's cycle and unit, and seal builds a
+// block's instructions from them once. A warm Scratch makes
+// scheduleBlock allocation-free in steady state (only the sealed
+// per-block output is freshly allocated), so repeated compiles — the
+// experiment harness compiles every benchmark under seven machine
+// modes — stop churning the garbage collector. The zero value is
+// ready to use. A Scratch is not safe for concurrent use; give each
+// worker its own.
 type Scratch struct {
 	ddg       ddg.Builder
-	scheduled []bool
-	cycleOf   []int
-	pairIdx   []int32 // index of op.DupPair within the block, -1 if none
+	cycleOf   []int          // op's cycle, -1 while unscheduled
+	unitOf    []machine.Unit // op's unit, once scheduled
+	blocked   []int          // cycle of the op's last recorded conflict, -1 if none
+	pairIdx   []int32        // index of op.DupPair within the block, -1 if none
 	opIdx     map[*ir.Op]int32
 	drs       []int    // data-ready set, rebuilt each fill iteration
 	inDRS     []uint32 // epoch stamp marking membership of drs
 	drsEpoch  uint32
-	arena     []Instr // per-block instruction arena, reused across blocks
 	remaining int
+	// holder is the instruction being filled: 1 + the index of the op
+	// on each unit, 0 while the unit is free.
+	holder [machine.MaxUnits]int32
+	// conflicts are the block's memory-unit conflicts, see Conflicts.
+	conflicts [][2]int32
 	units     unitTable // the current schedule's memory-unit preference
 }
 
+// scanUnits is the interference scan's machine: the paper's 2×1 banked
+// table for every geometry. Unallocated memory operations carry
+// BankNone, which it binds to MU0, so an instruction issues at most
+// one memory access — Figure 3's single usable memory unit.
+var scanUnits = func() (t unitTable) {
+	t.build(Config{Ports: machine.PortsBanked})
+	return t
+}()
+
 // ensure grows the per-op scratch arrays to cover n operations.
 func (s *Scratch) ensure(n int) {
-	if cap(s.scheduled) < n {
-		s.scheduled = make([]bool, n)
+	if cap(s.cycleOf) < n {
 		s.cycleOf = make([]int, n)
+		s.unitOf = make([]machine.Unit, n)
+		s.blocked = make([]int, n)
 		s.pairIdx = make([]int32, n)
 		s.inDRS = make([]uint32, n)
 		s.drs = make([]int, 0, n)
 	}
-	s.scheduled = s.scheduled[:n]
 	s.cycleOf = s.cycleOf[:n]
+	s.unitOf = s.unitOf[:n]
+	s.blocked = s.blocked[:n]
 	s.pairIdx = s.pairIdx[:n]
 	s.inDRS = s.inDRS[:n]
 	if s.opIdx == nil {
@@ -236,22 +256,37 @@ func ScheduleWith(p *ir.Program, cfg Config, s *Scratch) (*Program, error) {
 	return out, nil
 }
 
-// scheduleBlock list-schedules one block into the scratch arena and
-// returns the number of long instructions emitted. With a warm Scratch
-// it performs no heap allocations: the dependence graph, bookkeeping
-// arrays, and instruction storage are all reused (enforced by
+// Conflicts list-schedules b on the interference scan's machine and
+// returns the memory-unit conflicts it met: pairs of b.Ops indexes, the
+// operation holding the unit and a data-ready, data-compatible memory
+// operation that found it taken, in the order met, each blocked
+// operation at most once per instruction. The result aliases the
+// Scratch and is valid until its next use. Conflicts writes nothing to
+// b or its operations, so goroutines may scan one shared program at
+// once, each with its own Scratch. b must be unallocated (no bank tags,
+// no atomic store pairs): on tagged IR, BankY and BankBoth operations
+// reach MU1 too, and an atomic pair can stall the scheduler (an error).
+func (s *Scratch) Conflicts(b *ir.Block) ([][2]int32, error) {
+	_, err := s.scheduleBlock(b, &scanUnits)
+	return s.conflicts, err
+}
+
+// scheduleBlock list-schedules one block, recording each op's cycle
+// and unit, and returns the number of long instructions. With a warm
+// Scratch it performs no heap allocations: the dependence graph and
+// the bookkeeping arrays are all reused (enforced by
 // TestScheduleBlockZeroAlloc).
 func (s *Scratch) scheduleBlock(b *ir.Block, t *unitTable) (int, error) {
 	g := s.ddg.Build(b)
 	n := len(g.Ops)
-	s.arena = s.arena[:0]
+	s.conflicts = s.conflicts[:0]
 	if n == 0 {
 		return 0, nil
 	}
 	s.ensure(n)
 	for i := 0; i < n; i++ {
-		s.scheduled[i] = false
 		s.cycleOf[i] = -1
+		s.blocked[i] = -1
 		s.pairIdx[i] = -1
 	}
 
@@ -282,9 +317,9 @@ func (s *Scratch) scheduleBlock(b *ir.Block, t *unitTable) (int, error) {
 	}
 
 	s.remaining = n
-	for cycle := 0; s.remaining > 0; cycle++ {
-		s.arena = append(s.arena, Instr{})
-		instr := &s.arena[len(s.arena)-1] // no appends until the cycle ends
+	cycle := 0
+	for ; s.remaining > 0; cycle++ {
+		clear(s.holder[:])
 		remBefore := s.remaining
 
 		// Fill the instruction to a fixed point: scheduling an
@@ -300,12 +335,12 @@ func (s *Scratch) scheduleBlock(b *ir.Block, t *unitTable) (int, error) {
 				s.drsEpoch = 1
 			}
 			for i := 0; i < n; i++ {
-				if s.scheduled[i] {
+				if s.cycleOf[i] >= 0 {
 					continue
 				}
 				ready := true
 				for _, e := range g.Pred[i] {
-					if !s.scheduled[e.To] {
+					if s.cycleOf[e.To] < 0 {
 						ready = false
 						break
 					}
@@ -319,7 +354,7 @@ func (s *Scratch) scheduleBlock(b *ir.Block, t *unitTable) (int, error) {
 
 			placed := false
 			for _, i := range s.drs {
-				if s.scheduled[i] || !s.compatible(g, i, cycle) {
+				if s.cycleOf[i] >= 0 || !s.compatible(g, i, cycle) {
 					continue
 				}
 				op := g.Ops[i]
@@ -327,27 +362,22 @@ func (s *Scratch) scheduleBlock(b *ir.Block, t *unitTable) (int, error) {
 				// instruction: schedule both or neither.
 				if op.Atomic && op.DupPair != nil {
 					j := int(s.pairIdx[i])
-					if j < 0 || s.scheduled[j] || s.inDRS[j] != s.drsEpoch || !s.compatible(g, j, cycle) {
+					if j < 0 || s.cycleOf[j] >= 0 || s.inDRS[j] != s.drsEpoch || !s.compatible(g, j, cycle) {
 						continue
 					}
-					if s.place(g, instr, t, i, cycle) {
-						if s.place(g, instr, t, j, cycle) {
+					if s.place(g, t, i, cycle) {
+						if s.place(g, t, j, cycle) {
 							placed = true
 						} else {
 							// Undo: both halves wait for the next cycle.
-							for u := range instr.Slots {
-								if instr.Slots[u] == op {
-									instr.Slots[u] = nil
-								}
-							}
-							s.scheduled[i] = false
+							s.holder[s.unitOf[i]] = 0
 							s.cycleOf[i] = -1
 							s.remaining++
 						}
 					}
 					continue
 				}
-				if s.place(g, instr, t, i, cycle) {
+				if s.place(g, t, i, cycle) {
 					placed = true
 				}
 			}
@@ -359,7 +389,7 @@ func (s *Scratch) scheduleBlock(b *ir.Block, t *unitTable) (int, error) {
 			return 0, fmt.Errorf("scheduler made no progress at cycle %d", cycle)
 		}
 	}
-	return len(s.arena), nil
+	return cycle, nil
 }
 
 // compatible reports whether op i may join the instruction being built
@@ -374,32 +404,43 @@ func (s *Scratch) compatible(g *ddg.Graph, i, cycle int) bool {
 	return true
 }
 
-// place puts op i into the first free unit that can execute it.
-func (s *Scratch) place(g *ddg.Graph, instr *Instr, t *unitTable, i, cycle int) bool {
-	for _, u := range t.unitsFor(g.Ops[i]) {
-		if instr.Slots[u] == nil {
-			instr.Slots[u] = g.Ops[i]
-			s.scheduled[i] = true
+// place puts op i into the first free unit that can execute it. A
+// memory operation that finds every such unit taken records a conflict
+// with the op in its first-choice unit, once per cycle: the fill loop
+// retries blocked ops.
+func (s *Scratch) place(g *ddg.Graph, t *unitTable, i, cycle int) bool {
+	units := t.unitsFor(g.Ops[i])
+	for _, u := range units {
+		if s.holder[u] == 0 {
+			s.holder[u] = int32(i + 1)
 			s.cycleOf[i] = cycle
+			s.unitOf[i] = u
 			s.remaining--
 			return true
 		}
 	}
+	if g.Ops[i].IsMem() && s.blocked[i] != cycle {
+		s.blocked[i] = cycle
+		s.conflicts = append(s.conflicts, [2]int32{s.holder[units[0]] - 1, int32(i)})
+	}
 	return false
 }
 
-// seal copies the first n arena instructions into an exact-size block —
-// the only per-block allocations the scheduler retains.
+// seal builds block b's n instructions from the cycles and units
+// scheduleBlock recorded — the only per-block allocations the
+// scheduler retains.
 func (s *Scratch) seal(b *ir.Block, n int) *Block {
 	sb := &Block{Src: b}
 	if n == 0 {
 		return sb
 	}
 	instrs := make([]Instr, n)
-	copy(instrs, s.arena[:n])
 	sb.Instrs = make([]*Instr, n)
 	for i := range instrs {
 		sb.Instrs[i] = &instrs[i]
+	}
+	for i, op := range b.Ops {
+		instrs[s.cycleOf[i]].Slots[s.unitOf[i]] = op
 	}
 	return sb
 }

@@ -1,16 +1,19 @@
 package compact_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"dualbank/internal/alloc"
+	"dualbank/internal/bench"
 	"dualbank/internal/compact"
 	"dualbank/internal/ir"
 	"dualbank/internal/lower"
 	"dualbank/internal/machine"
 	"dualbank/internal/minic"
 	"dualbank/internal/opt"
+	"dualbank/internal/pipeline"
 	"dualbank/internal/regalloc"
 )
 
@@ -286,5 +289,33 @@ func TestDualPortedAllowsTwoSameBankAccesses(t *testing.T) {
 	}
 	if !paired {
 		t.Fatal("dual-ported schedule never pairs same-array accesses")
+	}
+}
+
+// TestConflictsZeroAlloc pins the interference scan's steady state: a
+// Scratch warmed on the 23 prepared suite programs scans every one of
+// their blocks again with no heap allocation.
+func TestConflictsZeroAlloc(t *testing.T) {
+	var blocks []*ir.Block
+	for _, p := range append(bench.Kernels(), bench.Applications()...) {
+		prep, err := pipeline.Prepare(context.Background(), p.Source, p.Name, opt.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range prep.IR().Funcs {
+			blocks = append(blocks, f.Blocks...)
+		}
+	}
+	var s compact.Scratch
+	scan := func() {
+		for _, b := range blocks {
+			if _, err := s.Conflicts(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	scan() // warm the scratch
+	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
+		t.Fatalf("scanning the suite allocates %.1f objects with a warm Scratch, want 0", allocs)
 	}
 }

@@ -8,10 +8,10 @@
 //     An edge (a, b) means a memory operation on a and one on b could
 //     issue in the same long instruction if the two symbols lived in
 //     different banks. Edges are discovered by running the operation
-//     compaction (list-scheduling) algorithm over every basic block
-//     with a single usable memory slot: whenever a second data-ready
-//     memory operation is blocked only by the memory unit, the pair of
-//     symbols interferes (Figure 3).
+//     compaction pass's own list scheduler (compact.Scratch.Conflicts)
+//     over every basic block with a single usable memory unit:
+//     whenever a second data-ready memory operation is blocked only by
+//     the memory unit, the pair of symbols interferes (Figure 3).
 //  2. Edge weights. The static policy weighs an edge by the loop
 //     nesting depth of the access (depth+1, so a pair inside one loop
 //     outweighs a pair in straight-line code — Figure 4); the profiled
@@ -37,9 +37,8 @@ import (
 	"sort"
 	"strings"
 
-	"dualbank/internal/ddg"
+	"dualbank/internal/compact"
 	"dualbank/internal/ir"
-	"dualbank/internal/machine"
 )
 
 // WeightPolicy selects how interference-edge weights are derived.
@@ -311,23 +310,19 @@ func (g *Graph) Dot(part *Partition) string {
 }
 
 // Scanner holds the reusable scratch state for interference-graph
-// construction: the dependence-graph builder plus the dry-run
-// scheduler's per-block arrays. A Scanner reused across blocks reaches
-// a zero-allocation steady state. The zero value is ready to use; a
-// Scanner must not be used concurrently.
+// construction: the compaction pass's own list scheduler, which the
+// scan runs with one usable memory unit. A Scanner reused across
+// blocks reaches a zero-allocation steady state. The zero value is
+// ready to use; a Scanner must not be used concurrently.
 type Scanner struct {
-	ddg       ddg.Builder
-	scheduled []bool
-	cycleOf   []int
-	drs       []int
-	recorded  []uint32 // epoch-stamped "pairing already recorded this cycle"
-	epoch     uint32
+	sched compact.Scratch
 }
 
 // BuildGraph runs the Figure-3 algorithm over every basic block of the
 // program and returns the completed interference graph, reusing the
 // scanner's scratch storage across blocks. The profiled policy reads
-// each block's count from Block.ExecCount.
+// each block's count from Block.ExecCount. p must be unallocated, as
+// compact.Scratch.Conflicts requires; an atomic store pair may panic.
 func (sc *Scanner) BuildGraph(p *ir.Program, policy WeightPolicy) *Graph {
 	return sc.build(p, policy, nil)
 }
@@ -411,141 +406,30 @@ func (g *Graph) rankByFirstUse(p *ir.Program) {
 }
 
 // BuildGraph runs the Figure-3 algorithm over every basic block of the
-// program and returns the completed interference graph.
+// program and returns the completed interference graph; p must be
+// unallocated, as for Scanner.BuildGraph.
 func BuildGraph(p *ir.Program, policy WeightPolicy) *Graph {
 	return new(Scanner).BuildGraph(p, policy)
-}
-
-// classSlots is the per-instruction functional-unit budget during graph
-// construction. The memory budget is 1: data is not yet partitioned, so
-// the pass cannot know that two accesses would use different units —
-// precisely the situation the interference edge records.
-func classSlots() [machine.NumClasses]int {
-	var s [machine.NumClasses]int
-	s[machine.ClassControl] = 1
-	s[machine.ClassMemory] = 1
-	s[machine.ClassInteger] = 4
-	s[machine.ClassFloat] = 2
-	return s
 }
 
 // ScanBlock applies the augmented compaction algorithm of Figure 3 to
 // one basic block, adding interference edges and duplication marks.
 // Operations are not actually packed into instructions here; that
-// happens later, in the compaction pass proper.
+// happens later, in the compaction pass proper. b must be unallocated,
+// as for Scanner.BuildGraph.
 func (g *Graph) ScanBlock(b *ir.Block, policy WeightPolicy) {
 	g.scanBlock(new(Scanner), b, b.ExecCount, policy)
 }
 
+// scanBlock records each memory-unit conflict the scheduler meets in b
+// as an event on the two operations' symbols.
 func (g *Graph) scanBlock(sc *Scanner, b *ir.Block, count int64, policy WeightPolicy) {
-	dg := sc.ddg.Build(b)
-	n := len(dg.Ops)
-	if n == 0 {
-		return
+	conflicts, err := sc.sched.Conflicts(b)
+	if err != nil {
+		// Only an atomic store pair (allocated IR) stalls the scheduler.
+		panic("core: interference scan: " + err.Error())
 	}
-	for len(sc.scheduled) < n {
-		sc.scheduled = append(sc.scheduled, false)
-		sc.cycleOf = append(sc.cycleOf, 0)
-		sc.recorded = append(sc.recorded, 0)
+	for _, c := range conflicts {
+		g.addEvent(b.Ops[c[0]].Sym, b.Ops[c[1]].Sym, b, count, policy)
 	}
-	scheduled := sc.scheduled[:n]
-	cycleOf := sc.cycleOf[:n]
-	for i := 0; i < n; i++ {
-		scheduled[i] = false
-		cycleOf[i] = -1
-	}
-	remaining := n
-
-	drs := sc.drs[:0]
-	for cycle := 0; remaining > 0; cycle++ {
-		// Form a new long instruction.
-		slots := classSlots()
-		firstMem := -1
-		remBefore := remaining
-		// The epoch stamp notes a pairing event already emitted for an
-		// op in this cycle, so the in-cycle fixed point below does not
-		// count the same blocked pair twice.
-		sc.epoch++
-		if sc.epoch == 0 {
-			clear(sc.recorded)
-			sc.epoch = 1
-		}
-
-		// Fill the instruction to a fixed point, mirroring the real
-		// scheduler: newly anti-dependence-ready operations may join
-		// the current instruction.
-		for {
-			// Calculate the data-ready set: unscheduled ops whose
-			// predecessors are all scheduled.
-			drs = drs[:0]
-			for i := 0; i < n; i++ {
-				if scheduled[i] {
-					continue
-				}
-				ready := true
-				for _, e := range dg.Pred[i] {
-					if !scheduled[e.To] {
-						ready = false
-						break
-					}
-				}
-				if ready {
-					drs = append(drs, i)
-				}
-			}
-			// Sort the DRS by priority (descendant count), ties by
-			// program order for determinism.
-			ddg.SortByPriority(drs, dg.Priority)
-
-			progress := false
-			for _, i := range drs {
-				// Data-compatibility: an op may join the current
-				// instruction unless a strict predecessor was scheduled
-				// in this same cycle (anti-dependences are fine: reads
-				// precede writes).
-				compatible := true
-				for _, e := range dg.Pred[i] {
-					if e.Strict && cycleOf[e.To] == cycle {
-						compatible = false
-						break
-					}
-				}
-				if !compatible {
-					continue
-				}
-				cls := dg.Ops[i].Kind.Class()
-				if slots[cls] > 0 {
-					slots[cls]--
-					scheduled[i] = true
-					cycleOf[i] = cycle
-					remaining--
-					progress = true
-					if dg.Ops[i].IsMem() {
-						firstMem = i
-					}
-					continue
-				}
-				// Function-unit incompatible. For memory operations this
-				// is the interesting case: the op is independent of
-				// everything scheduled (including the first memory op)
-				// but competes for the memory unit. Record the
-				// interference, or mark the symbol for duplication when
-				// both ops touch the same one. The op stays unscheduled
-				// so it re-enters the next DRS.
-				if dg.Ops[i].IsMem() && firstMem >= 0 && sc.recorded[i] != sc.epoch {
-					sc.recorded[i] = sc.epoch
-					g.addEvent(dg.Ops[firstMem].Sym, dg.Ops[i].Sym, b, count, policy)
-				}
-			}
-			if !progress {
-				break
-			}
-		}
-		if remaining == remBefore {
-			// Defensive: cannot happen with per-class budgets >= 1, but
-			// guarantees termination regardless.
-			break
-		}
-	}
-	sc.drs = drs[:0]
 }

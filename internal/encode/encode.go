@@ -126,38 +126,12 @@ func (r *reader) str() (string, error) {
 	return s, nil
 }
 
-// Encoder serialises scheduled programs into one buffer it reuses, so
-// a caller encoding many programs (the measurement harness fingerprints
-// every schedule it measures) stops allocating once the buffer and
-// index tables have grown. The zero value is ready to use. An Encoder
-// is not safe for concurrent use.
-type Encoder struct {
-	w     writer
-	index map[*ir.Symbol]int
-	funcs map[string]int
-}
-
 // Encode serialises a scheduled program into a fresh image.
 func Encode(p *compact.Program) ([]byte, error) {
-	return new(Encoder).Encode(p)
-}
-
-// Encode serialises p into the encoder's buffer. The image aliases
-// that buffer: it is valid until the encoder's next call.
-func (e *Encoder) Encode(p *compact.Program) ([]byte, error) {
 	if err := p.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("encode: %w", err)
 	}
-	if e.index == nil {
-		e.index = make(map[*ir.Symbol]int)
-		e.funcs = make(map[string]int)
-	}
-	// The tables are emptied on the way out, so a pooled encoder does
-	// not keep the last program reachable.
-	defer clear(e.index)
-	defer clear(e.funcs)
-	w := &e.w
-	w.buf = append(w.buf[:0], Magic[:]...)
+	w := &writer{buf: append([]byte(nil), Magic[:]...)}
 	w.u8(Version)
 	w.u8(uint8(p.Ports))
 	w.u8(uint8(p.Spec.Banks))
@@ -171,7 +145,7 @@ func (e *Encoder) Encode(p *compact.Program) ([]byte, error) {
 	// Symbol table. Index spans globals then each function's locals, in
 	// program order.
 	syms := p.Src.Symbols()
-	index := e.index
+	index := make(map[*ir.Symbol]int, len(syms))
 	for i, s := range syms {
 		index[s] = i
 	}
@@ -206,7 +180,7 @@ func (e *Encoder) Encode(p *compact.Program) ([]byte, error) {
 	}
 
 	// Function table.
-	funcIndex := e.funcs
+	funcIndex := make(map[string]int, len(p.Src.Funcs))
 	w.uvarint(uint64(len(p.Src.Funcs)))
 	for i, f := range p.Src.Funcs {
 		funcIndex[f.Name] = i
@@ -437,6 +411,9 @@ func Decode(data []byte) (*compact.Program, error) {
 	out := &compact.Program{Src: prog, Funcs: make(map[string]*compact.Func), Ports: machine.PortModel(ports), Spec: spec}
 	units := spec.NumUnits()
 	funcNames := make([]string, 0, nFuncs)
+	// local[si] marks a symbol some function lists as a local (a param
+	// is a local too).
+	local := make([]bool, nSyms)
 
 	type pendingCall struct {
 		op *ir.Op
@@ -482,6 +459,7 @@ func Decode(data []byte) (*compact.Program, error) {
 			if si >= nSyms {
 				return nil, fmt.Errorf("encode: local symbol index %d out of range", si)
 			}
+			local[si] = true
 			f.Locals = append(f.Locals, syms[si])
 		}
 
@@ -561,6 +539,14 @@ func Decode(data []byte) (*compact.Program, error) {
 		prog.AddFunc(f)
 		out.Funcs[fname] = sf
 	}
+	// Every symbol must be a global or some function's local: the
+	// simulators size memory from those (ir.Program.Symbols), so an op
+	// on any other symbol would reach past it.
+	for si := nGlobals; si < nSyms; si++ {
+		if !local[si] {
+			return nil, fmt.Errorf("encode: symbol %s is neither a global nor a local", syms[si].Name)
+		}
+	}
 	for _, pc := range calls {
 		if pc.fi < 0 || pc.fi >= len(funcNames) {
 			return nil, fmt.Errorf("encode: call target %d out of range", pc.fi)
@@ -619,7 +605,8 @@ type callRef struct {
 }
 
 // decodeInstr reads one long instruction for a machine with the given
-// number of units; a slot beyond them is corruption.
+// number of units. A slot beyond them is corruption, and so are two
+// ops writing one register.
 func decodeInstr(r *reader, syms []*ir.Symbol, units int) (*compact.Instr, []*ir.Op, []callRef, error) {
 	lo, err := r.u8()
 	if err != nil {
@@ -636,6 +623,7 @@ func decodeInstr(r *reader, syms []*ir.Symbol, units int) (*compact.Instr, []*ir
 	in := &compact.Instr{}
 	var ops []*ir.Op
 	var calls []callRef
+	var written [65]bool // registers the instruction's ops write
 	for u := 0; u < units; u++ {
 		if mask&(1<<uint(u)) == 0 {
 			continue
@@ -720,6 +708,14 @@ func decodeInstr(r *reader, syms []*ir.Symbol, units int) (*compact.Instr, []*ir
 				return nil, nil, nil, err
 			}
 			calls = append(calls, callRef{op: op, fi: int(fi)})
+		}
+		// Loads and the ALU ops write Dst (NoReg included, as
+		// sim.Machine counts it); control ops and stores write none.
+		if op.Kind != ir.OpStore && op.Kind.Class() != machine.ClassControl {
+			if written[op.Dst] {
+				return nil, nil, nil, fmt.Errorf("two writes to %s in one instruction", op.Dst)
+			}
+			written[op.Dst] = true
 		}
 		in.Slots[u] = op
 		ops = append(ops, op)

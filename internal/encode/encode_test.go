@@ -169,6 +169,37 @@ func TestRoundTripUnitBinding(t *testing.T) {
 	}
 }
 
+// callSource calls a function with arguments. The caller stores each
+// argument into the callee's parameter slot, a local of the callee, so
+// the image holds ops on symbols another function declares.
+const callSource = `
+float x[16] = {1.0, 2.0, 3.0, 4.0, 5.0};
+float h[8] = {0.5, 0.25, 0.125};
+float y[8];
+
+float tap(float acc, float a, float b) {
+	return acc + a * b;
+}
+
+void main() {
+	int n;
+	int k;
+	for (n = 0; n < 8; n++) {
+		float acc = 0.0;
+		for (k = 0; k < 8; k++) {
+			acc = tap(acc, x[n + k], h[k]);
+		}
+		y[n] = acc;
+	}
+}
+`
+
+// TestRoundTripCallWithArguments round-trips a program whose calls
+// pass arguments, at every swept geometry, on both engines.
+func TestRoundTripCallWithArguments(t *testing.T) {
+	roundTripSuite(t, []bench.Program{{Name: "call", Source: callSource}})
+}
+
 // TestDecodeRejectsOtherVersions checks that a version 1 image, which
 // had no geometry and only nine slots, is refused rather than misread.
 func TestDecodeRejectsOtherVersions(t *testing.T) {
@@ -278,6 +309,83 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			_, _ = encode.Decode(mut)
 		}()
 	}
+}
+
+// TestBitFlipsRunAlikeOnBothEngines flips every bit of three CB images
+// and runs each image that still decodes on both engines under a cycle
+// cap. Decode must refuse a symbol that is neither a global nor a
+// local, which the compiled engine has no memory for, and an
+// instruction writing one register twice, which only the reference
+// engine rejects. No run may panic, both engines must fail or both
+// succeed, and runs that succeed must agree on every counter.
+func TestBitFlipsRunAlikeOnBothEngines(t *testing.T) {
+	for _, name := range []string{"fir_32_1", "iir_1_1", "lmsfir_8_1"} {
+		p, _ := bench.ByName(name)
+		c, err := pipeline.Compile(p.Source, name, pipeline.Options{Mode: alloc.CB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := encode.Encode(c.Sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := sim.NewMachine(c.Sched)
+		if err := ref.Run(); err != nil {
+			t.Fatal(err)
+		}
+		maxCycles := 10 * ref.Cycles
+		decoded, failures := 0, 0
+		for bit := 0; bit < 8*len(img) && failures < 10; bit++ {
+			mut := slices.Clone(img)
+			mut[bit/8] ^= 1 << (bit % 8)
+			var dec *compact.Program
+			panicked, err := guard(func() (err error) { dec, err = encode.Decode(mut); return err })
+			if panicked != nil {
+				t.Errorf("%s bit %d: decode panicked: %v", name, bit, panicked)
+				failures++
+				continue
+			}
+			if err != nil {
+				continue // refused, as corruption should be
+			}
+			decoded++
+			var mc, cc sim.Counters
+			mpanic, merr := guard(func() error {
+				m := sim.NewMachine(dec)
+				m.MaxCycles = maxCycles
+				err := m.Run()
+				mc = m.Counters()
+				return err
+			})
+			cpanic, cerr := guard(func() error {
+				cp, err := sim.Compile(dec)
+				if err != nil {
+					return err
+				}
+				m := cp.NewMachine()
+				m.MaxCycles = maxCycles
+				err = m.Run()
+				cc = m.Counters()
+				return err
+			})
+			switch {
+			case mpanic != nil || cpanic != nil || (merr == nil) != (cerr == nil):
+				t.Errorf("%s bit %d: machine: %v (panic %v); compiled: %v (panic %v)", name, bit, merr, mpanic, cerr, cpanic)
+				failures++
+			case merr == nil && mc != cc:
+				t.Errorf("%s bit %d: machine counters %+v, compiled %+v", name, bit, mc, cc)
+				failures++
+			}
+		}
+		t.Logf("%s: %d bits flipped, %d images decode", name, 8*len(img), decoded)
+	}
+}
+
+// guard runs f and returns the value it panicked with, if any, and
+// otherwise its error.
+func guard(f func() error) (panicked any, err error) {
+	defer func() { panicked = recover() }()
+	return nil, f()
 }
 
 func TestImageDensity(t *testing.T) {

@@ -172,6 +172,85 @@ func TestExactMatchesBruteForceRandom(t *testing.T) {
 	}
 }
 
+// bruteForceK enumerates every assignment of g's active nodes to k
+// banks, a node entering at most one bank past the highest used so far
+// (so each set partition is visited once), and returns the least
+// residual cost: the weight of the edges inside one bank.
+func bruteForceK(g *core.Graph, k int) int64 {
+	act := activeNodes(g)
+	c := g.CSR()
+	side := make([]int, len(g.Nodes))
+	for i := range side {
+		side[i] = -1
+	}
+	best := int64(1) << 62
+	var walk func(d, used int, cost int64)
+	walk = func(d, used int, cost int64) {
+		if cost >= best {
+			return
+		}
+		if d == len(act) {
+			best = cost
+			return
+		}
+		v := act[d]
+		for b := 0; b < k && b <= used; b++ {
+			var add int64
+			for h := c.Start[v]; h < c.Start[v+1]; h++ {
+				if side[c.Adj[h]] == b {
+					add += c.W[h]
+				}
+			}
+			side[v] = b
+			walk(d+1, max(used, b+1), cost+add)
+			side[v] = -1
+		}
+	}
+	walk(0, 0, 0)
+	return best
+}
+
+// checkInvariantsK asserts what every SolveK result must satisfy
+// against the brute-force optimum want: want lies inside the
+// certificate, an optimal verdict names it, the partition realises
+// Upper, and no k-way heuristic is cheaper.
+func checkInvariantsK(t *testing.T, g *core.Graph, k int, r *exact.ResultK, want int64) {
+	t.Helper()
+	if r.Cert.Lower > want || want > r.Cert.Upper {
+		t.Fatalf("k=%d: optimum %d outside certified [%d, %d]", k, want, r.Cert.Lower, r.Cert.Upper)
+	}
+	if r.Cert.Verdict == exact.Optimal && r.Cert.Upper != want {
+		t.Fatalf("k=%d: claimed optimal %d, brute force %d", k, r.Cert.Upper, want)
+	}
+	if r.Part.Cost != r.Cert.Upper {
+		t.Fatalf("k=%d: partition cost %d != certificate upper %d", k, r.Part.Cost, r.Cert.Upper)
+	}
+	for _, m := range []core.Method{core.MethodGreedy, core.MethodKL, core.MethodAnneal, core.MethodFM} {
+		if cost := g.PartitionK(k, m, 0).Cost; cost < r.Cert.Upper {
+			t.Fatalf("k=%d: exact cost %d worse than %v %d", k, r.Cert.Upper, m, cost)
+		}
+	}
+}
+
+// TestSolveKMatchesBruteForce pins the k-way branch-and-bound against
+// exhaustive enumeration on 400 seeded random graphs of 2–9 nodes at
+// three and four banks. Graphs this small close within the default
+// budget, so every verdict must be optimal.
+func TestSolveKMatchesBruteForce(t *testing.T) {
+	for _, k := range []int{3, 4} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		for trial := 0; trial < 400; trial++ {
+			n := 2 + rng.Intn(8)
+			g := randomGraph(rng, n, rng.Intn(4*n))
+			r := exact.SolveK(g, k, exact.Options{})
+			checkInvariantsK(t, g, k, r, bruteForceK(g, k))
+			if r.Cert.Verdict != exact.Optimal {
+				t.Fatalf("k=%d trial %d: verdict %v, want optimal", k, trial, r.Cert.Verdict)
+			}
+		}
+	}
+}
+
 // TestExactBudgetExhaustion: even with the budget strangled to a single
 // node the result must stay a valid bound around the true optimum, and
 // the incumbent (seeded from the heuristics) must never regress.
@@ -322,5 +401,22 @@ func FuzzExactNeverWorse(f *testing.F) {
 		if r.Cert.Verdict == exact.Optimal && r.Cert.Upper != want {
 			t.Fatalf("claimed optimal %d, brute force %d", r.Cert.Upper, want)
 		}
+	})
+}
+
+// FuzzExactKNeverWorse: on arbitrary small graphs at three or four
+// banks, the k-way exact arm brackets the brute-force optimum, an
+// optimal verdict names it, and no k-way heuristic is cheaper.
+func FuzzExactKNeverWorse(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 3, 1, 2, 5, 0, 2, 2})
+	f.Add([]byte{9, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 0, 1})
+	f.Add([]byte{12, 5, 9, 7, 2, 8, 1, 0, 11, 3, 4, 6, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := graphFromBytes(data)
+		if g == nil {
+			return
+		}
+		k := 3 + int(data[0]&1)
+		checkInvariantsK(t, g, k, exact.SolveK(g, k, exact.Options{}), bruteForceK(g, k))
 	})
 }

@@ -4,9 +4,9 @@ package pipeline
 // from the property tests' generators, compiled for a fuzzed bank
 // geometry and allocation mode, encoded and decoded. The decoded
 // program must simulate exactly like its source on both engines — the
-// five counters and every bank word — and re-encode to the same bytes.
-// That round trip is what lets the measurement harness key its
-// simulation memo on a schedule's image.
+// five counters and every bank word — and re-encode to the same bytes,
+// so an image written by dspcc -o runs under dspsim -image exactly as
+// the program it was compiled from.
 
 import (
 	"bytes"

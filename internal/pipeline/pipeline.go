@@ -77,8 +77,8 @@ type Compiled struct {
 }
 
 // Compiler carries the reusable scratch state of the back-end passes —
-// the interference-graph scanner, the list scheduler's arena, and the
-// compiled simulation engine's recycled machine — so a driver compiling
+// the interference-graph scanner, the list scheduler's bookkeeping, and
+// the compiled simulation engine's recycled machine — so a driver compiling
 // many (program, mode) pairs back to back reaches a steady state where
 // the hot passes allocate only their retained output. The zero value is
 // ready to use. A Compiler is not safe for concurrent use; give each
