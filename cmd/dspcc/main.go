@@ -20,16 +20,6 @@ import (
 	"dualbank/internal/pipeline"
 )
 
-var modeNames = map[string]alloc.Mode{
-	"single":   alloc.SingleBank,
-	"cb":       alloc.CB,
-	"pr":       alloc.CBProfiled,
-	"dup":      alloc.CBDup,
-	"fulldup":  alloc.FullDup,
-	"ideal":    alloc.Ideal,
-	"loworder": alloc.LowOrder,
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
@@ -46,8 +36,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	m, ok := modeNames[*mode]
-	if !ok {
+	m, err := alloc.ParseMode(*mode)
+	if err != nil {
 		fmt.Fprintf(stderr, "dspcc: unknown mode %q\n", *mode)
 		return 2
 	}

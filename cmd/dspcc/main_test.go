@@ -83,3 +83,24 @@ func TestRunErrors(t *testing.T) {
 		t.Errorf("missing file: exit %d, want 1", code)
 	}
 }
+
+// TestCanonicalModeNames pins that each mode's canonical name, the
+// spelling the tools print, selects the same mode as its short name.
+func TestCanonicalModeNames(t *testing.T) {
+	for short, canonical := range map[string]string{
+		"single": "single-bank", "cb": "CB", "pr": "Pr", "dup": "Dup",
+		"fulldup": "full-dup", "ideal": "Ideal", "loworder": "low-order",
+	} {
+		var outs [2]string
+		for i, mode := range []string{short, canonical} {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-mode", mode}, strings.NewReader(smokeSource), &stdout, &stderr); code != 0 {
+				t.Fatalf("-mode %s: exit %d, stderr: %s", mode, code, stderr.String())
+			}
+			outs[i] = stdout.String()
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("-mode %s printed %q, -mode %s %q", short, outs[0], canonical, outs[1])
+		}
+	}
+}

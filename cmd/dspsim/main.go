@@ -24,16 +24,6 @@ import (
 	"dualbank/internal/sim"
 )
 
-var modeNames = map[string]alloc.Mode{
-	"single":   alloc.SingleBank,
-	"cb":       alloc.CB,
-	"pr":       alloc.CBProfiled,
-	"dup":      alloc.CBDup,
-	"fulldup":  alloc.FullDup,
-	"ideal":    alloc.Ideal,
-	"loworder": alloc.LowOrder,
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
@@ -52,8 +42,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	m, ok := modeNames[*mode]
-	if !ok {
+	m, err := alloc.ParseMode(*mode)
+	if err != nil {
 		fmt.Fprintf(stderr, "dspsim: unknown mode %q\n", *mode)
 		return 2
 	}

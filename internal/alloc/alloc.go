@@ -34,6 +34,7 @@ package alloc
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"dualbank/internal/core"
 	_ "dualbank/internal/exact" // registers the MethodExact backend
@@ -95,6 +96,29 @@ func (m *Mode) UnmarshalText(text []byte) error {
 		}
 	}
 	return fmt.Errorf("alloc: unknown mode %q", text)
+}
+
+// shortNames are the command-line tools' short mode names.
+var shortNames = map[string]Mode{
+	"single": SingleBank, "cb": CB, "pr": CBProfiled, "dup": CBDup,
+	"fulldup": FullDup, "ideal": Ideal, "loworder": LowOrder,
+}
+
+// ParseMode resolves a mode name: first the canonical names the modes
+// themselves print, then the short names, in any case.
+func ParseMode(s string) (Mode, error) {
+	var m Mode
+	if err := m.UnmarshalText([]byte(s)); err == nil {
+		return m, nil
+	}
+	if m, ok := shortNames[strings.ToLower(s)]; ok {
+		return m, nil
+	}
+	names := make([]string, 0, len(modeNames))
+	for m := SingleBank; m <= LowOrder; m++ {
+		names = append(names, m.String())
+	}
+	return 0, fmt.Errorf("unknown mode %q (want one of %s or dspcc short forms)", s, strings.Join(names, ", "))
 }
 
 // Partitioned reports whether the mode runs the CB partitioner.

@@ -1,6 +1,7 @@
 package alloc_test
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -307,6 +308,26 @@ func TestModeStrings(t *testing.T) {
 	}
 	if !alloc.CB.Partitioned() || alloc.Ideal.Partitioned() {
 		t.Error("Partitioned() misclassifies modes")
+	}
+}
+
+// TestParseMode resolves every mode by its canonical name and by its
+// short name in any case, and lists the canonical names for an unknown
+// one.
+func TestParseMode(t *testing.T) {
+	for name, want := range map[string]alloc.Mode{
+		"single": alloc.SingleBank, "cb": alloc.CB, "pr": alloc.CBProfiled, "dup": alloc.CBDup,
+		"fulldup": alloc.FullDup, "ideal": alloc.Ideal, "loworder": alloc.LowOrder,
+	} {
+		for _, s := range []string{want.String(), name, strings.ToUpper(name)} {
+			if got, err := alloc.ParseMode(s); err != nil || got != want {
+				t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
+			}
+		}
+	}
+	want := `unknown mode "zigzag" (want one of single-bank, CB, Pr, Dup, full-dup, Ideal, low-order or dspcc short forms)`
+	if _, err := alloc.ParseMode("zigzag"); err == nil || err.Error() != want {
+		t.Errorf("ParseMode(zigzag) error %v, want %s", err, want)
 	}
 }
 

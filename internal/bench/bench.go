@@ -14,7 +14,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dualbank/internal/alloc"
@@ -242,15 +244,23 @@ func RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Res
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
-	return measure(ctx, p, mode, ro.Engine, cc, c, compileStart, nil)
+	res, err := measure(ctx, p, mode, ro.Engine, cc, c, compileStart, nil)
+	if err != nil {
+		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
+	}
+	return res, nil
 }
 
 // runPrepared is RunCtx for a program whose front end has already
-// run: it plans prep's allocation under mode and ro and, unless memo
-// already holds that plan's measurement on the engine, finishes a
-// private copy of prep under the plan, then simulates and checks it.
-// Its compile phase covers the back end only.
-func runPrepared(ctx context.Context, p Program, prep *pipeline.Prepared, mode alloc.Mode, ro RunOptions, memo *planMemo) (Result, error) {
+// run: it plans prep's allocation under mode and ro and, unless the
+// back-end memo backs already holds or is computing that plan's
+// measurement on the engine, finishes a private copy of prep under the
+// plan, then simulates and checks it, counting the simulation in sims.
+// Its compile phase covers the back end only. A measurement shared
+// from the memo takes the request's name and mode and its own copy of
+// the duplication list; its compile phase is the planning alone and
+// its simulation phase is zero.
+func runPrepared(ctx context.Context, p Program, prep *pipeline.Prepared, mode alloc.Mode, ro RunOptions, backs *memo[memoKey, Result], sims *atomic.Int64) (Result, error) {
 	cc := ro.Compiler
 	if cc == nil {
 		cc = new(pipeline.Compiler)
@@ -260,21 +270,21 @@ func runPrepared(ctx context.Context, p Program, prep *pipeline.Prepared, mode a
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
-	key := memoKey{plan: plan.Key(), engine: ro.Engine}
-	if res, ok := memo.lookup(key); ok {
-		res.Bench, res.Mode = p.Name, mode
-		res.CompileSeconds, res.SimSeconds = time.Since(compileStart).Seconds(), 0
-		return res, nil
-	}
-	c, err := cc.Apply(prep, plan)
+	res, shared, err := backs.do(ctx, memoKey{plan: plan.Key(), engine: ro.Engine}, func() (Result, error) {
+		c, err := cc.Apply(prep, plan)
+		if err != nil {
+			return Result{}, err
+		}
+		return measure(ctx, p, mode, ro.Engine, cc, c, compileStart, sims)
+	})
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
-	res, err := measure(ctx, p, mode, ro.Engine, cc, c, compileStart, memo)
-	if err != nil {
-		return Result{}, err
+	if shared {
+		res.Bench, res.Mode = p.Name, mode
+		res.Duplicated = slices.Clone(res.Duplicated)
+		res.CompileSeconds, res.SimSeconds = time.Since(compileStart).Seconds(), 0
 	}
-	memo.store(key, res)
 	return res, nil
 }
 
@@ -297,23 +307,26 @@ func pipelineOptions(mode alloc.Mode, ro RunOptions) pipeline.Options {
 }
 
 // measure validates c's schedule, simulates it on engine, checks the
-// program's outputs and assembles the Result. The compile phase is
-// timed from compileStart to the end of schedule validation. A non-nil
-// memo counts the simulation.
-func measure(ctx context.Context, p Program, mode alloc.Mode, engine Engine, cc *pipeline.Compiler, c *pipeline.Compiled, compileStart time.Time, memo *planMemo) (Result, error) {
+// program's outputs and assembles the Result; its callers name the
+// measurement in its errors. The compile phase is timed from
+// compileStart to the end of schedule validation. A non-nil sims
+// counts the simulation.
+func measure(ctx context.Context, p Program, mode alloc.Mode, engine Engine, cc *pipeline.Compiler, c *pipeline.Compiled, compileStart time.Time, sims *atomic.Int64) (Result, error) {
 	if err := compact.Validate(c.Sched); err != nil {
-		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
+		return Result{}, err
 	}
 	compileSeconds := time.Since(compileStart).Seconds()
 	simStart := time.Now()
-	memo.simulating()
+	if sims != nil {
+		sims.Add(1)
+	}
 	m, err := simulate(ctx, engine, cc, c)
 	if err != nil {
-		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
+		return Result{}, err
 	}
 	simSeconds := time.Since(simStart).Seconds()
 	if err := checkOutputs(p, c, m); err != nil {
-		return Result{}, fmt.Errorf("%s/%v: output check: %w", p.Name, mode, err)
+		return Result{}, fmt.Errorf("output check: %w", err)
 	}
 	res := Result{
 		Bench:          p.Name,

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -22,7 +21,7 @@ import (
 
 // This file is the parallel experiment harness: a bounded worker pool
 // that fans (benchmark × mode) jobs across CPUs, layered over a
-// concurrency-safe, single-flight memoized cache of Run results. The
+// concurrency-safe, single-flight, bounded memo of Run results. The
 // SingleBank baseline — which every figure and table measures against —
 // is compiled and simulated exactly once per Harness no matter how many
 // experiments share it, and overlapping arms (e.g. the CB and Ideal
@@ -58,19 +57,35 @@ type Harness struct {
 	// before the harness sees traffic; it is read without locking.
 	L2 ResultCache
 
-	mu      sync.Mutex
-	cache   map[runKey]*cacheEntry
-	timings []RunTiming
-	// prepared memoizes the front end of every program measured
-	// recently, so each run-cache miss pays only its back end; order
-	// lists its entries oldest first for eviction (see prepare). Each
-	// entry also carries the program's back-end memo. droppedGraphs
-	// counts the graphs of entries eviction dropped.
-	prepared      map[prepKey]*prepEntry
-	order         []*prepEntry
-	droppedGraphs int64
+	// results memoizes measurements by request. fronts memoizes the
+	// front end of every program measured recently, so each result
+	// miss pays only its back end; each of its entries also carries the
+	// program's back-end memo.
+	results memo[runKey, measured]
+	fronts  memo[prepKey, *prepEntry]
 
 	hits, misses, l2hits, prepares, sims atomic.Int64
+	// droppedGraphs counts the graphs of the front ends fronts dropped.
+	droppedGraphs atomic.Int64
+}
+
+// The memo bounds, in entries. resultMemoSize holds a full evaluation
+// (149 measurements), an explore sweep (465) and Explore plus
+// ExploreHW over the whole suite (1,757) without a drop. prepMemoSize
+// holds the benchmark suite plus the FIR sweep, so a full evaluation
+// prepares each program once. backEndMemoSize bounds the plans kept
+// per program.
+const (
+	resultMemoSize  = 1 << 13
+	prepMemoSize    = 32
+	backEndMemoSize = 1 << 9
+)
+
+// measured is a result-memo value: the measurement, and whether it was
+// read from the L2 rather than computed by this harness.
+type measured struct {
+	Result
+	fromL2 bool
 }
 
 // ResultCache is a shared second-level result cache — typically the
@@ -85,7 +100,7 @@ type ResultCache interface {
 }
 
 // RunTiming is the compile/simulate wall-clock split of one executed
-// (benchmark, mode) measurement — one entry per cache miss. The
+// (benchmark, mode) measurement — one entry per kept cache miss. The
 // harness runs each program's front end once, and its time is charged
 // only to the measurement that ran it.
 type RunTiming struct {
@@ -196,18 +211,6 @@ func newRunKey(p Program, mode alloc.Mode, ro RunOptions) runKey {
 	return key
 }
 
-// cacheEntry is a single-flight slot: the first requester computes,
-// concurrent requesters block on done. An entry whose computation was
-// cut short by its requester's context is marked cancelled and removed
-// from the cache before done closes, so waiters retry and later
-// requests recompute — a client giving up must never poison the cache.
-type cacheEntry struct {
-	done      chan struct{}
-	res       Result
-	err       error
-	cancelled bool
-}
-
 // configKeySpec fingerprints the machine and port-model configuration
 // a measurement depends on, so cached results can never leak across
 // architecture variants. A non-default bank spec appends an "hw="
@@ -249,11 +252,17 @@ func NewHarness(parallel int) *Harness {
 	if parallel < 1 {
 		parallel = 1
 	}
-	return &Harness{
+	h := &Harness{
 		Parallel: parallel,
-		cache:    make(map[runKey]*cacheEntry),
-		prepared: make(map[prepKey]*prepEntry),
+		results: memo[runKey, measured]{max: resultMemoSize, keepErr: true, name: func(k runKey) string {
+			return k.bench + "/" + k.mode.String() + ": awaiting shared result"
+		}},
+		fronts: memo[prepKey, *prepEntry]{max: prepMemoSize, name: func(k prepKey) string {
+			return k.name + ": awaiting shared front end"
+		}},
 	}
+	h.fronts.evicted = func(e *prepEntry) { h.droppedGraphs.Add(int64(e.prep.Graphs())) }
+	return h
 }
 
 // CacheStats reports the memoized cache's traffic: Misses is the
@@ -268,19 +277,15 @@ func NewHarness(parallel int) *Harness {
 // built: at most one per program and weight policy, counted when the
 // program leaves the memo or at the call. Sims is the number of
 // simulations the misses ran: a miss whose allocation was already
-// measured on its engine runs none.
+// measured on its engine, or is being measured, runs none.
 type CacheStats struct {
 	Hits, Misses, L2Hits, Prepares, Graphs, Sims int64
 }
 
 // Stats returns the cache counters.
 func (h *Harness) Stats() CacheStats {
-	h.mu.Lock()
-	graphs := h.droppedGraphs
-	for _, e := range h.order {
-		graphs += e.graphs()
-	}
-	h.mu.Unlock()
+	graphs := h.droppedGraphs.Load()
+	h.fronts.each(func(e *prepEntry) { graphs += int64(e.prep.Graphs()) })
 	return CacheStats{
 		Hits: h.hits.Load(), Misses: h.misses.Load(),
 		L2Hits: h.l2hits.Load(), Prepares: h.prepares.Load(),
@@ -344,94 +349,44 @@ func (h *Harness) RunBatchCtx(ctx context.Context, p Program, items []BatchItem)
 	return out
 }
 
-// runEntry is the single-flight cache protocol for one key.
+// runEntry measures one key through the result memo.
 func (h *Harness) runEntry(ctx context.Context, key runKey, p Program, mode alloc.Mode, ro RunOptions) (res Result, cached bool, err error) {
-	for {
-		h.mu.Lock()
-		if e, ok := h.cache[key]; ok {
-			h.mu.Unlock()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return Result{}, false, fmt.Errorf("%s/%v: awaiting shared result: %w", p.Name, mode, ctx.Err())
-			}
-			if e.cancelled {
-				// The computing request gave up (or hit a transient
-				// fault). Loop to re-check the cache — another waiter
-				// may already have republished — but only with a live
-				// context: taking over just to cancel would evict
-				// whatever that other waiter computes.
-				if cerr := ctx.Err(); cerr != nil {
-					return Result{}, false, fmt.Errorf("%s/%v: awaiting shared result: %w", p.Name, mode, cerr)
-				}
-				continue
-			}
-			h.hits.Add(1)
-			return e.res, true, e.err
-		}
-		e := &cacheEntry{done: make(chan struct{})}
-		h.cache[key] = e
-		h.mu.Unlock()
+	v, shared, err := h.results.do(ctx, key, func() (measured, error) {
 		// Inside the single-flight slot, try the shared L2 first: a hit
 		// means some node (possibly this one, in a previous life)
 		// already computed the measurement, so only Bench and Mode —
 		// which the L2 does not persist — need restoring. Exactly one
 		// goroutine per process pays the L2 round trip per key.
-		fromL2 := false
 		if h.L2 != nil {
 			if res, ok := h.L2.Get(key.String()); ok {
 				res.Bench, res.Mode = p.Name, mode
-				e.res, fromL2 = res, true
 				h.l2hits.Add(1)
+				return measured{Result: res, fromL2: true}, nil
 			}
 		}
-		if !fromL2 {
-			h.misses.Add(1)
-			e.res, e.err = h.compute(ctx, p, mode, ro)
-		}
-		h.mu.Lock()
-		switch {
-		case e.err != nil && (ctx.Err() != nil || isTransient(e.err)):
-			e.cancelled = true
-			delete(h.cache, key)
-		case e.err == nil && !fromL2:
-			h.timings = append(h.timings, RunTiming{
-				Bench: p.Name, Mode: mode,
-				CompileSeconds: e.res.CompileSeconds, SimSeconds: e.res.SimSeconds,
-			})
-		}
-		h.mu.Unlock()
-		close(e.done)
+		h.misses.Add(1)
+		res, err := h.compute(ctx, p, mode, ro)
+		return measured{Result: res}, err
+	})
+	if shared {
+		h.hits.Add(1)
+	} else if err == nil && !v.fromL2 && h.L2 != nil {
 		// Write-through happens after waiters are released: they need
 		// the result, not the L2 persistence, and a slow shared store
 		// must never stall a coalesced request.
-		if e.err == nil && !fromL2 && h.L2 != nil {
-			h.L2.Put(key.String(), e.res)
-		}
-		return e.res, fromL2, e.err
+		h.L2.Put(key.String(), v.Result)
 	}
+	return v.Result, shared || v.fromL2, err
 }
 
 // Cached reports whether the harness can serve the measurement without
-// a fresh computation: a completed successful entry, or one currently
-// in flight that a request would coalesce onto. It never blocks and
-// never computes — the cluster tier's replica probe, deciding between
+// a fresh computation: a kept successful entry, or one currently in
+// flight that a request would coalesce onto. It never blocks and never
+// computes — the cluster tier's replica probe, deciding between
 // serving a hot key locally and forwarding its cold miss to the
-// owner.
+// owner. An entry the bound dropped reads false.
 func (h *Harness) Cached(p Program, mode alloc.Mode, ro RunOptions) bool {
-	h.mu.Lock()
-	e, ok := h.cache[newRunKey(p, mode, ro)]
-	h.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-e.done:
-		return !e.cancelled && e.err == nil
-	default:
-		// In flight: a request arriving now coalesces onto it.
-		return true
-	}
+	return h.results.ready(newRunKey(p, mode, ro))
 }
 
 // compute is one cache-miss execution. A name-only program is built
@@ -453,11 +408,23 @@ func (h *Harness) compute(ctx context.Context, p Program, mode alloc.Mode, ro Ru
 			return Result{}, err
 		}
 	}
-	e, frontSeconds, err := h.prepare(ctx, p)
+	var frontSeconds float64
+	e, _, err := h.fronts.do(ctx, prepKey{name: p.Name, source: p.Source}, func() (*prepEntry, error) {
+		h.prepares.Add(1)
+		start := time.Now()
+		prep, err := pipeline.Prepare(ctx, p.Source, p.Name, opt.Options{})
+		frontSeconds = time.Since(start).Seconds()
+		if err != nil {
+			return nil, err
+		}
+		return &prepEntry{prep: prep, backs: memo[memoKey, Result]{max: backEndMemoSize, name: func(memoKey) string {
+			return "awaiting shared back end"
+		}}}, nil
+	})
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}
-	res, err := runPrepared(ctx, p, e.prep, mode, ro, &e.memo)
+	res, err := runPrepared(ctx, p, e.prep, mode, ro, &e.backs, &h.sims)
 	if err != nil {
 		return Result{}, err
 	}
@@ -465,113 +432,31 @@ func (h *Harness) compute(ctx context.Context, p Program, mode alloc.Mode, ro Ru
 	return res, nil
 }
 
-// prepMemoSize bounds the front-end memo. It holds the whole benchmark
-// suite plus the FIR sweep, so a full evaluation prepares each program
-// once; beyond it the oldest entry is dropped.
-const prepMemoSize = 32
-
 // prepKey identifies one program's front end. Holding the source as a
 // struct field hashes it in place on every lookup, where a joined
 // string would copy it first.
 type prepKey struct{ name, source string }
 
-// prepEntry is a single-flight slot for one front end, following the
-// cacheEntry protocol, except that a failed front end is never kept:
-// its waiters see the error, and later requests run it again. memo is
-// the program's back-end memo, dropped with the entry.
+// prepEntry is a front-end memo value: one program's front end and its
+// back-end memo, dropped with it. A failed front end is never kept.
 type prepEntry struct {
-	key       prepKey
-	done      chan struct{}
-	prep      *pipeline.Prepared
-	err       error
-	cancelled bool
-	memo      planMemo
-}
-
-// graphs returns how many interference graphs e's program has built.
-func (e *prepEntry) graphs() int64 {
-	select {
-	case <-e.done:
-	default:
-		return 0
-	}
-	if e.prep == nil {
-		return 0
-	}
-	return int64(e.prep.Graphs())
-}
-
-// prepare returns p's memo entry, running its front end on a miss.
-// frontSeconds is the front end's wall clock when this call ran it,
-// and zero when it came from the memo or from another request's run.
-func (h *Harness) prepare(ctx context.Context, p Program) (e *prepEntry, frontSeconds float64, err error) {
-	key := prepKey{name: p.Name, source: p.Source}
-	for {
-		h.mu.Lock()
-		if e, ok := h.prepared[key]; ok {
-			h.mu.Unlock()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, 0, fmt.Errorf("%s: awaiting shared front end: %w", p.Name, ctx.Err())
-			}
-			if e.cancelled {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, 0, fmt.Errorf("%s: awaiting shared front end: %w", p.Name, cerr)
-				}
-				continue
-			}
-			return e, 0, e.err
-		}
-		e := &prepEntry{key: key, done: make(chan struct{}), memo: planMemo{sims: &h.sims}}
-		h.prepared[key] = e
-		h.order = append(h.order, e)
-		for len(h.order) > prepMemoSize {
-			// Drop the oldest slot. It may be in flight — its computer
-			// and waiters hold the entry itself — or already gone.
-			old := h.order[0]
-			h.droppedGraphs += old.graphs()
-			n := copy(h.order, h.order[1:])
-			h.order[n] = nil
-			h.order = h.order[:n]
-			if h.prepared[old.key] == old {
-				delete(h.prepared, old.key)
-			}
-		}
-		h.mu.Unlock()
-
-		h.prepares.Add(1)
-		start := time.Now()
-		e.prep, e.err = pipeline.Prepare(ctx, p.Source, p.Name, opt.Options{})
-		frontSeconds = time.Since(start).Seconds()
-		if e.err != nil {
-			h.mu.Lock()
-			e.cancelled = ctx.Err() != nil
-			if h.prepared[key] == e {
-				delete(h.prepared, key)
-			}
-			h.mu.Unlock()
-		}
-		close(e.done)
-		return e, frontSeconds, e.err
-	}
-}
-
-// isTransient reports whether err carries the Transient() bool marker
-// anywhere in its chain. The check is structural so this package needs
-// no knowledge of who injected the error.
-func isTransient(err error) bool {
-	var tr interface{ Transient() bool }
-	return errors.As(err, &tr) && tr.Transient()
+	prep  *pipeline.Prepared
+	backs memo[memoKey, Result]
 }
 
 // Timings returns the compile/simulate split of every measurement the
-// harness actually executed (one entry per cache miss), sorted by
-// benchmark then mode for deterministic reporting.
+// harness executed and still keeps (one entry per kept cache miss),
+// sorted by benchmark then mode for deterministic reporting.
 func (h *Harness) Timings() []RunTiming {
-	h.mu.Lock()
-	out := append([]RunTiming(nil), h.timings...)
-	h.mu.Unlock()
+	var out []RunTiming
+	h.results.each(func(v measured) {
+		if !v.fromL2 {
+			out = append(out, RunTiming{
+				Bench: v.Bench, Mode: v.Mode,
+				CompileSeconds: v.CompileSeconds, SimSeconds: v.SimSeconds,
+			})
+		}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Bench != out[j].Bench {
 			return out[i].Bench < out[j].Bench

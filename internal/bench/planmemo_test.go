@@ -120,15 +120,13 @@ func TestSimMemoMatrixSound(t *testing.T) {
 
 // memoEntries returns how many measurements p's back-end memo holds.
 func memoEntries(h *Harness, p Program) int {
-	h.mu.Lock()
-	e := h.prepared[prepKey{name: p.Name, source: p.Source}]
-	h.mu.Unlock()
+	h.fronts.mu.Lock()
+	e := h.fronts.entries[prepKey{name: p.Name, source: p.Source}]
+	h.fronts.mu.Unlock()
 	if e == nil {
 		return 0
 	}
-	e.memo.mu.Lock()
-	defer e.memo.mu.Unlock()
-	return len(e.memo.res)
+	return e.v.backs.len()
 }
 
 // wantSims checks the harness's simulation count and p's memo size.
@@ -242,5 +240,65 @@ func TestSimMemoEngineSeparate(t *testing.T) {
 			t.Fatalf("%+v: cached=%v err=%v", tc.ro, cached, err)
 		}
 		wantSims(t, h, p, tc.sims, int(tc.sims))
+	}
+}
+
+// doneSignal is a context that reports calls of its Done method on
+// calls, dropping those beyond its buffer.
+type doneSignal struct {
+	context.Context
+	calls chan struct{}
+}
+
+func (c doneSignal) Done() <-chan struct{} {
+	select {
+	case c.calls <- struct{}{}:
+	default:
+	}
+	return c.Context.Done()
+}
+
+// TestSimMemoSharesInFlightBackEnd asks for a plan while another
+// request is measuring it. The second request waits for that
+// measurement instead of running its own back end: one simulation and
+// one output check serve both.
+func TestSimMemoSharesInFlightBackEnd(t *testing.T) {
+	h := NewHarness(2)
+	p := FIR(32, 1)
+	check, gate := p.Check, make(chan struct{})
+	var checks atomic.Int64
+	checking := make(chan struct{}, 2) // one send per back end run
+	p.Check = func(r Reader) error {
+		checks.Add(1)
+		checking <- struct{}{}
+		<-gate
+		return check(r)
+	}
+	errs := make(chan error, 2)
+	go func() {
+		_, _, err := h.RunCtx(context.Background(), p, alloc.SingleBank, RunOptions{})
+		errs <- err
+	}()
+	<-checking
+
+	// The partitioner cannot change a single-bank plan. This request
+	// calls Done when it finds the memoized front end, then when it
+	// waits for the first request's back end (or, run on its own,
+	// starts its own simulation); the buffer holds those two calls.
+	ctx := doneSignal{context.Background(), make(chan struct{}, 2)}
+	go func() {
+		_, _, err := h.RunCtx(ctx, p, alloc.SingleBank, RunOptions{Partitioner: core.MethodFM})
+		errs <- err
+	}()
+	<-ctx.calls
+	<-ctx.calls
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := h.Stats(); st.Misses != 2 || st.Sims != 1 || checks.Load() != 1 {
+		t.Fatalf("stats %+v, %d output checks; want 2 misses, 1 simulation, 1 check", st, checks.Load())
 	}
 }

@@ -75,7 +75,7 @@ func checkStaged(t *testing.T, p Program, cells []stagedCell) {
 			for i := range next {
 				ro := cells[i].ro
 				ro.Compiler = cc
-				got[i], errs[i] = runPrepared(ctx, p, prep, cells[i].mode, ro, nil)
+				got[i], errs[i] = runPrepared(ctx, p, prep, cells[i].mode, ro, nil, nil)
 			}
 		}()
 	}
@@ -197,8 +197,8 @@ func TestCancelMidPrepareNotCached(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "compile: context canceled") {
 		t.Fatalf("cancelled request returned %v, want a front-end cancellation", err)
 	}
-	if st := h.Stats(); st.Prepares != 1 || len(h.prepared) != 0 {
-		t.Fatalf("after a cancelled front end: stats %+v, %d memo entries; want 1 prepare, 0 entries", st, len(h.prepared))
+	if st := h.Stats(); st.Prepares != 1 || h.fronts.len() != 0 {
+		t.Fatalf("after a cancelled front end: stats %+v, %d memo entries; want 1 prepare, 0 entries", st, h.fronts.len())
 	}
 	checkLive(t, h, p, alloc.CB)
 	if st := h.Stats(); st.Prepares != 2 {
@@ -226,9 +226,7 @@ func TestCancelMidProfileNotCached(t *testing.T) {
 		t.Fatalf("cancelled request returned %v, want a cancellation inside the profiling run", err)
 	}
 	var prep *pipeline.Prepared
-	for _, e := range h.prepared {
-		prep = e.prep
-	}
+	h.fronts.each(func(e *prepEntry) { prep = e.prep })
 	if prep == nil {
 		t.Fatal("front end not memoized")
 	}
@@ -285,8 +283,8 @@ func TestPrepareMemoBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(h.prepared) != prepMemoSize || len(h.order) != prepMemoSize {
-		t.Fatalf("memo holds %d entries (%d ordered), want %d", len(h.prepared), len(h.order), prepMemoSize)
+	if n := h.fronts.len(); n != prepMemoSize {
+		t.Fatalf("memo holds %d entries, want %d", n, prepMemoSize)
 	}
 	// The newest program is still memoized; the oldest was dropped.
 	checkLive(t, h, FIR(4+n-1, 1), alloc.CB)

@@ -104,6 +104,20 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// count reads the number of records of one kind that follow. Each
+// record takes at least one byte, so a count beyond the bytes left is
+// corruption, refused before anything is sized by it.
+func (r *reader) count(what string) (uint64, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(r.remain()) {
+		return 0, fmt.Errorf("encode: %s count %d exceeds the %d bytes left", what, n, r.remain())
+	}
+	return n, nil
+}
+
 func (r *reader) varint() (int64, error) {
 	v, n := binary.Varint(r.buf[r.off:])
 	if n <= 0 {
@@ -330,7 +344,7 @@ func Decode(data []byte) (*compact.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	nSyms, err := r.uvarint()
+	nSyms, err := r.count("symbol")
 	if err != nil {
 		return nil, err
 	}
@@ -404,7 +418,7 @@ func Decode(data []byte) (*compact.Program, error) {
 	}
 	prog.Globals = append(prog.Globals, syms[:nGlobals]...)
 
-	nFuncs, err := r.uvarint()
+	nFuncs, err := r.count("function")
 	if err != nil {
 		return nil, err
 	}
@@ -463,7 +477,7 @@ func Decode(data []byte) (*compact.Program, error) {
 			f.Locals = append(f.Locals, syms[si])
 		}
 
-		nb, err := r.uvarint()
+		nb, err := r.count("block")
 		if err != nil {
 			return nil, err
 		}
@@ -649,6 +663,9 @@ func decodeInstr(r *reader, syms []*ir.Symbol, units int) (*compact.Instr, []*ir
 			Type:   ir.Type(typ),
 			Bank:   machine.Bank(bank),
 			Atomic: flags&fAtomic != 0,
+		}
+		if op.Kind <= ir.OpInvalid || op.Kind > ir.OpEndDo {
+			return nil, nil, nil, fmt.Errorf("unknown op kind %d", kind)
 		}
 		readReg := func() (ir.Reg, error) {
 			v, err := r.u8()

@@ -3,6 +3,7 @@ package encode_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
@@ -311,6 +312,58 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// cbImage compiles the named benchmark under CB and returns its image
+// and the cycles the reference engine runs it in.
+func cbImage(tb testing.TB, name string) ([]byte, int64) {
+	tb.Helper()
+	p, _ := bench.ByName(name)
+	c, err := pipeline.Compile(p.Source, name, pipeline.Options{Mode: alloc.CB})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	img, err := encode.Encode(c.Sched)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ref := sim.NewMachine(c.Sched)
+	if err := ref.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	return img, ref.Cycles
+}
+
+// runAlike runs a decoded image on both engines under a cycle cap and
+// describes how they differ: a panic, one verdict each, or unequal
+// counters. It returns "" when they agree.
+func runAlike(dec *compact.Program, maxCycles int64) string {
+	var mc, cc sim.Counters
+	mpanic, merr := guard(func() error {
+		m := sim.NewMachine(dec)
+		m.MaxCycles = maxCycles
+		err := m.Run()
+		mc = m.Counters()
+		return err
+	})
+	cpanic, cerr := guard(func() error {
+		cp, err := sim.Compile(dec)
+		if err != nil {
+			return err
+		}
+		m := cp.NewMachine()
+		m.MaxCycles = maxCycles
+		err = m.Run()
+		cc = m.Counters()
+		return err
+	})
+	switch {
+	case mpanic != nil || cpanic != nil || (merr == nil) != (cerr == nil):
+		return fmt.Sprintf("machine: %v (panic %v); compiled: %v (panic %v)", merr, mpanic, cerr, cpanic)
+	case merr == nil && mc != cc:
+		return fmt.Sprintf("machine counters %+v, compiled %+v", mc, cc)
+	}
+	return ""
+}
+
 // TestBitFlipsRunAlikeOnBothEngines flips every bit of three CB images
 // and runs each image that still decodes on both engines under a cycle
 // cap. Decode must refuse a symbol that is neither a global nor a
@@ -320,20 +373,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // succeed, and runs that succeed must agree on every counter.
 func TestBitFlipsRunAlikeOnBothEngines(t *testing.T) {
 	for _, name := range []string{"fir_32_1", "iir_1_1", "lmsfir_8_1"} {
-		p, _ := bench.ByName(name)
-		c, err := pipeline.Compile(p.Source, name, pipeline.Options{Mode: alloc.CB})
-		if err != nil {
-			t.Fatal(err)
-		}
-		img, err := encode.Encode(c.Sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := sim.NewMachine(c.Sched)
-		if err := ref.Run(); err != nil {
-			t.Fatal(err)
-		}
-		maxCycles := 10 * ref.Cycles
+		img, cycles := cbImage(t, name)
 		decoded, failures := 0, 0
 		for bit := 0; bit < 8*len(img) && failures < 10; bit++ {
 			mut := slices.Clone(img)
@@ -349,36 +389,83 @@ func TestBitFlipsRunAlikeOnBothEngines(t *testing.T) {
 				continue // refused, as corruption should be
 			}
 			decoded++
-			var mc, cc sim.Counters
-			mpanic, merr := guard(func() error {
-				m := sim.NewMachine(dec)
-				m.MaxCycles = maxCycles
-				err := m.Run()
-				mc = m.Counters()
-				return err
-			})
-			cpanic, cerr := guard(func() error {
-				cp, err := sim.Compile(dec)
-				if err != nil {
-					return err
-				}
-				m := cp.NewMachine()
-				m.MaxCycles = maxCycles
-				err = m.Run()
-				cc = m.Counters()
-				return err
-			})
-			switch {
-			case mpanic != nil || cpanic != nil || (merr == nil) != (cerr == nil):
-				t.Errorf("%s bit %d: machine: %v (panic %v); compiled: %v (panic %v)", name, bit, merr, mpanic, cerr, cpanic)
-				failures++
-			case merr == nil && mc != cc:
-				t.Errorf("%s bit %d: machine counters %+v, compiled %+v", name, bit, mc, cc)
+			if diff := runAlike(dec, 10*cycles); diff != "" {
+				t.Errorf("%s bit %d: %s", name, bit, diff)
 				failures++
 			}
 		}
 		t.Logf("%s: %d bits flipped, %d images decode", name, 8*len(img), decoded)
 	}
+}
+
+// TestDecodeRejectsHugeCounts replaces the symbol count, the function
+// count and the first function's block count of a CB image, one at a
+// time, with 2^56-1. Decode must refuse each with an error naming the
+// count, before sizing anything by it.
+func TestDecodeRejectsHugeCounts(t *testing.T) {
+	img, _ := cbImage(t, "fir_32_1")
+	off := 6
+	uvarint := func() int {
+		v, n := binary.Uvarint(img[off:])
+		off += n
+		return int(v)
+	}
+	spans := map[string][2]int{}
+	count := func(what string) int {
+		start := off
+		n := uvarint()
+		spans[what] = [2]int{start, off}
+		return n
+	}
+	off += 2         // banks, ports per bank
+	off += uvarint() // unit binding
+	off += uvarint() // program name
+	uvarint()        // globals
+	for n := count("symbol"); n > 0; n-- {
+		off += uvarint() + 2 // name, kind, element type
+		uvarint()            // size
+		for d := uvarint(); d > 0; d-- {
+			uvarint()
+		}
+		off += 2             // flags, bank
+		uvarint()            // address
+		off += 4 * uvarint() // initializer words
+	}
+	count("function")
+	off += uvarint() + 1              // name, return type
+	for list := 0; list < 2; list++ { // params, locals
+		for n := uvarint(); n > 0; n-- {
+			uvarint()
+		}
+	}
+	count("block")
+
+	huge := binary.AppendUvarint(nil, 1<<56-1)
+	for what, span := range spans {
+		mut := slices.Concat(img[:span[0]], huge, img[span[1]:])
+		panicked, err := guard(func() error { _, err := encode.Decode(mut); return err })
+		if panicked != nil || err == nil || !strings.Contains(err.Error(), what+" count") {
+			t.Errorf("%s count of 2^56-1: panic %v, error %v; want an error naming the count", what, panicked, err)
+		}
+	}
+}
+
+// FuzzDecode holds Decode to raw bytes: it must never panic, and every
+// image it accepts must run alike on both engines under a cycle cap.
+func FuzzDecode(f *testing.F) {
+	for _, name := range []string{"fir_32_1", "iir_1_1", "lmsfir_8_1"} {
+		img, _ := cbImage(f, name)
+		f.Add(img)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, err := encode.Decode(data)
+		if err != nil {
+			return
+		}
+		if diff := runAlike(dec, 1<<16); diff != "" {
+			t.Fatal(diff)
+		}
+	})
 }
 
 // guard runs f and returns the value it panicked with, if any, and

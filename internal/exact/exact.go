@@ -109,10 +109,10 @@ type Options struct {
 	// SpectralMin is the component size at which the spectral
 	// seed+ordering engages (0 = DefaultSpectralMin).
 	SpectralMin int
-	// AnnealSeed seeds the annealing arm of the incumbent portfolio
-	// (0 = 1, the seed every caller in this repository uses).
-	AnnealSeed int64
 }
+
+// annealSeed seeds the annealing arm of the incumbent portfolio.
+const annealSeed = 1
 
 func (o Options) withDefaults() Options {
 	if o.NodeBudget <= 0 {
@@ -120,9 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SpectralMin <= 0 {
 		o.SpectralMin = DefaultSpectralMin
-	}
-	if o.AnnealSeed == 0 {
-		o.AnnealSeed = 1
 	}
 	return o
 }
@@ -180,7 +177,7 @@ func Solve(g *core.Graph, opt Options) *Result {
 	seeds := [][]bool{
 		sidesOf(idx, n, g.PartitionFM()),
 		sidesOf(idx, n, g.Partition()),
-		sidesOf(idx, n, g.PartitionAnneal(opt.AnnealSeed)),
+		sidesOf(idx, n, g.PartitionAnneal(annealSeed)),
 	}
 
 	comps := components(c, n)

@@ -35,16 +35,6 @@ type SelectiveOptions struct {
 	// configuration to be kept. Zero keeps any strict improvement that
 	// also improves PCR.
 	MinGain float64
-	// Opt configures the optimizer for every trial compile.
-	Opt OptForward
-}
-
-// OptForward mirrors opt.Options without importing it at every call
-// site; zero value means all optimizations on.
-type OptForward struct {
-	NoMACFusion      bool
-	NoLoopShaping    bool
-	NoStrengthReduce bool
 }
 
 // Trial records one candidate evaluation.
@@ -79,9 +69,6 @@ type SelectiveResult struct {
 // trial finishes its own copy of it.
 func CompileSelective(source, name string, sel SelectiveOptions) (*SelectiveResult, error) {
 	baseOpts := Options{Mode: alloc.CBDup, DupOnly: map[string]bool{}}
-	baseOpts.Opt.NoMACFusion = sel.Opt.NoMACFusion
-	baseOpts.Opt.NoLoopShaping = sel.Opt.NoLoopShaping
-	baseOpts.Opt.NoStrengthReduce = sel.Opt.NoStrengthReduce
 	ctx := context.TODO()
 	prep, err := Prepare(ctx, source, name, baseOpts.Opt)
 	if err != nil {

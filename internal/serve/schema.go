@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"dualbank/internal/alloc"
@@ -162,18 +161,6 @@ func (j Job) Options(def bench.Engine) bench.RunOptions {
 // not contain; the HTTP layer maps it to 404.
 var ErrUnknownBench = errors.New("unknown benchmark")
 
-// modeAliases are the dspcc/dspsim short mode names, accepted
-// alongside the canonical alloc.Mode spellings.
-var modeAliases = map[string]alloc.Mode{
-	"single":   alloc.SingleBank,
-	"cb":       alloc.CB,
-	"pr":       alloc.CBProfiled,
-	"dup":      alloc.CBDup,
-	"fulldup":  alloc.FullDup,
-	"ideal":    alloc.Ideal,
-	"loworder": alloc.LowOrder,
-}
-
 // Modes lists every accepted canonical mode name, in experiment order.
 func Modes() []string {
 	all := []alloc.Mode{
@@ -187,19 +174,8 @@ func Modes() []string {
 	return names
 }
 
-// ParseMode resolves a mode string: first the canonical names the
-// modes themselves print, then the dspcc short aliases.
-func ParseMode(s string) (alloc.Mode, error) {
-	var m alloc.Mode
-	if err := m.UnmarshalText([]byte(s)); err == nil {
-		return m, nil
-	}
-	if m, ok := modeAliases[strings.ToLower(s)]; ok {
-		return m, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want one of %s or dspcc short forms)",
-		s, strings.Join(Modes(), ", "))
-}
+// ParseMode resolves a mode string (see alloc.ParseMode).
+func ParseMode(s string) (alloc.Mode, error) { return alloc.ParseMode(s) }
 
 // DecodeRequest parses and validates one request body. It enforces the
 // source-size cap, rejects unknown JSON fields, resolves the mode and
