@@ -72,7 +72,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, "interference graph:")
 			fmt.Fprint(stdout, c.Alloc.Graph.String())
 			fmt.Fprintln(stdout, "partition:")
-			fmt.Fprintln(stdout, c.Alloc.Part.Bipartition().String())
+			fmt.Fprintln(stdout, c.Alloc.Part.String())
 		} else {
 			fmt.Fprintf(stdout, "mode %s builds no interference graph\n", c.Alloc.Mode)
 		}

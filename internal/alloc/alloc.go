@@ -329,10 +329,8 @@ func NewPlan(p *ir.Program, g *core.Graph, opts Options) (*Plan, error) {
 	case CB, CBProfiled, CBDup:
 		part := g.PartitionK(k, opts.Method, opts.fmPasses())
 		pl.Graph, pl.Part = g, part
-		for b, set := range part.Sets {
-			for _, s := range set {
-				pl.Banks[g.NodeIndex(s)] = pl.bankAt(b)
-			}
+		for i, b := range part.Side {
+			pl.Banks[i] = pl.bankAt(int(b))
 		}
 		pl.duplicate(g, opts)
 		// Save/restore slots are partitioned mechanically: successive

@@ -164,8 +164,8 @@ func TestDefaultSpecKeysIdentical(t *testing.T) {
 		if zero != expl {
 			t.Errorf("%v: cache key %q (zero) != %q (explicit 2x1)", mode, zero, expl)
 		}
-		if got := FingerprintSpec(mode, machine.BankSpec{Banks: 2, PortsPerBank: 1}); got != Fingerprint(mode) {
-			t.Errorf("%v: fingerprint %q (explicit) != %q (zero)", mode, got, Fingerprint(mode))
+		if got, zero := FingerprintSpec(mode, machine.BankSpec{Banks: 2, PortsPerBank: 1}), FingerprintSpec(mode, machine.BankSpec{}); got != zero {
+			t.Errorf("%v: fingerprint %q (explicit) != %q (zero)", mode, got, zero)
 		}
 		hw := CacheKey(p, mode, RunOptions{Banks: 4})
 		if hw == zero {

@@ -126,8 +126,11 @@ type runKey struct {
 	// dup encodes the duplication set: "-" for nil (the paper's
 	// marked-arrays policy), otherwise "=" plus the sorted,
 	// deduplicated, comma-joined names ("=" alone is the empty set).
-	dup    string
-	config string
+	dup string
+	// banks and perBank are the normalized bank geometry. With the
+	// mode's port model they make the machine fingerprint
+	// (FingerprintSpec), which String spells out.
+	banks, perBank int
 	// perm encodes a bank permutation ("" when none): cycle counts are
 	// invariant under it but the per-bank memory split is not, so
 	// permuted measurements never alias unpermuted ones.
@@ -158,7 +161,8 @@ func (k runKey) String() string {
 		// Appended only when set, so classic-machine keys are unchanged.
 		s += "|perm=" + k.perm
 	}
-	return s + "|engine=" + k.engine.String() + "|" + k.config
+	spec := machine.BankSpec{Banks: k.banks, PortsPerBank: k.perBank}
+	return s + "|engine=" + k.engine.String() + "|" + FingerprintSpec(k.mode, spec)
 }
 
 // CacheKey returns the canonical string identity of one memoizable
@@ -179,6 +183,7 @@ func CacheKey(p Program, mode alloc.Mode, ro RunOptions) string {
 // never partition or duplicate), so equivalent requests share an
 // entry.
 func newRunKey(p Program, mode alloc.Mode, ro RunOptions) runKey {
+	spec := machine.BankSpec{Banks: ro.Banks, PortsPerBank: ro.Ports}.Norm()
 	key := runKey{
 		bench:    p.Name,
 		mode:     mode,
@@ -186,7 +191,8 @@ func newRunKey(p Program, mode alloc.Mode, ro RunOptions) runKey {
 		fmPasses: ro.FMPasses,
 		profiled: ro.Profiled,
 		dup:      "-",
-		config:   configKeySpec(mode, machine.BankSpec{Banks: ro.Banks, PortsPerBank: ro.Ports}),
+		banks:    spec.Banks,
+		perBank:  spec.PortsPerBank,
 		engine:   ro.Engine,
 	}
 	if ro.BankPerm != nil {
@@ -211,12 +217,16 @@ func newRunKey(p Program, mode alloc.Mode, ro RunOptions) runKey {
 	return key
 }
 
-// configKeySpec fingerprints the machine and port-model configuration
-// a measurement depends on, so cached results can never leak across
-// architecture variants. A non-default bank spec appends an "hw="
-// geometry term (and its own unit count); the classic machine's string
-// is unchanged, preserving every existing cache and checkpoint key.
-func configKeySpec(mode alloc.Mode, spec machine.BankSpec) string {
+// FingerprintSpec returns the machine and port-model configuration
+// string a measurement under mode on the given bank geometry depends
+// on — the string every cache key ends with, so cached results can
+// never leak across architecture variants. The explorer's on-disk
+// checkpoint store includes it in its content-addressed keys for the
+// same reason. A non-default bank spec appends an "hw=" geometry term
+// (and its own unit count); the classic machine's string (the zero
+// spec's) has none, preserving every existing cache and checkpoint
+// key.
+func FingerprintSpec(mode alloc.Mode, spec machine.BankSpec) string {
 	ports := machine.PortsBanked
 	switch mode {
 	case alloc.Ideal:
@@ -231,19 +241,6 @@ func configKeySpec(mode alloc.Mode, spec machine.BankSpec) string {
 		s += ";hw=" + n.String()
 	}
 	return s
-}
-
-// Fingerprint returns the machine and port-model configuration string
-// a measurement under mode depends on — the same string the memo
-// cache keys on. The explorer's on-disk checkpoint store includes it
-// in its content-addressed keys so checkpoints never leak across
-// architecture variants.
-func Fingerprint(mode alloc.Mode) string { return configKeySpec(mode, machine.BankSpec{}) }
-
-// FingerprintSpec is Fingerprint for an explicit bank geometry; the
-// zero spec reproduces Fingerprint exactly.
-func FingerprintSpec(mode alloc.Mode, spec machine.BankSpec) string {
-	return configKeySpec(mode, spec)
 }
 
 // NewHarness returns a harness running at most parallel concurrent

@@ -147,3 +147,28 @@ func TestHarnessBatchedKeysDistinct(t *testing.T) {
 		t.Errorf("repeat batch re-executed: misses %d -> %d", st.Misses, st2.Misses)
 	}
 }
+
+// TestWarmHitAllocFree: a request the result memo already holds builds
+// its key without formatting anything, so serving it allocates
+// nothing, on the classic machine and on a wider one.
+func TestWarmHitAllocFree(t *testing.T) {
+	p, ok := ByName("fir_32_1")
+	if !ok {
+		t.Fatal("fir_32_1 missing")
+	}
+	h := NewHarness(1)
+	ctx := context.Background()
+	for _, ro := range []RunOptions{{}, {Banks: 3}} {
+		if _, _, err := h.RunCtx(ctx, p, alloc.CB, ro); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, cached, err := h.RunCtx(ctx, p, alloc.CB, ro); err != nil || !cached {
+				t.Fatalf("warm request: cached %v, err %v", cached, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("banks %d: a warm hit makes %.0f allocations, want 0", ro.Banks, allocs)
+		}
+	}
+}

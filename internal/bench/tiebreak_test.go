@@ -21,8 +21,8 @@ func graphOf(t *testing.T, p Program) *core.Graph {
 }
 
 // TestFMZeroPassReplaysGreedy pins the property the certified gap
-// report's determinism rests on: PartitionFMPasses(0) is the greedy
-// walk replayed through gain buckets, sharing the canonical
+// report's determinism rests on: FM with no refinement pass is the
+// greedy walk replayed through gain buckets, sharing the canonical
 // first-reference tie-break — identical cost, identical bank
 // assignment, and identical move trace on every benchmark graph. A
 // divergence here would make "greedy" mean different things in
@@ -34,8 +34,8 @@ func TestFMZeroPassReplaysGreedy(t *testing.T) {
 	}
 	for _, p := range progs {
 		g := graphOf(t, p)
-		greedy := g.Partition()
-		replay := g.PartitionFMPasses(0)
+		greedy := g.PartitionK(2, core.MethodGreedy, -1)
+		replay := g.PartitionK(2, core.MethodFM, 0)
 		if replay.Cost != greedy.Cost {
 			t.Errorf("%s: FMPasses(0) cost %d, greedy %d", p.Name, replay.Cost, greedy.Cost)
 			continue
@@ -63,7 +63,7 @@ func TestFMZeroPassReplaysGreedy(t *testing.T) {
 func TestAnnealArmDeterministic(t *testing.T) {
 	for _, p := range append(Kernels(), Applications()...) {
 		g := graphOf(t, p)
-		a, b := g.PartitionAnneal(1), g.PartitionAnneal(1)
+		a, b := g.PartitionK(2, core.MethodAnneal, -1), g.PartitionK(2, core.MethodAnneal, -1)
 		if a.Cost != b.Cost || a.String() != b.String() {
 			t.Errorf("%s: anneal(1) is not deterministic:\n%s\nvs\n%s", p.Name, a, b)
 		}

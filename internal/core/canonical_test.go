@@ -2,7 +2,7 @@ package core
 
 // Unit tests for the canonical greedy tie-break: the first-reference
 // ranking rankByFirstUse assigns, the total-tie diversity rule in
-// Partition, and the FM phase-1 replay of both. The pipeline-level
+// the greedy walk, and the FM phase-1 replay of both. The pipeline-level
 // metamorphic suite proves the end-to-end invariance; these tests pin
 // the mechanism at the graph layer, where a regression is cheapest to
 // diagnose.
@@ -118,9 +118,9 @@ func TestCanonicalRankFirstUse(t *testing.T) {
 func TestPartitionTotalTieDiversity(t *testing.T) {
 	p := lowerSource(t, biquadSource(biquadDecls), "biquad")
 	g := BuildGraph(p, WeightStatic)
-	part := g.Partition()
+	part := g.PartitionK(2, MethodGreedy, -1)
 
-	inY := nameSet(part.SetY)
+	inY := nameSet(part.Sets[1])
 	first := 0 // operands of the first expression: x, a1, a2
 	for _, n := range []string{"x", "a1", "a2"} {
 		if inY[n] {
@@ -133,12 +133,12 @@ func TestPartitionTotalTieDiversity(t *testing.T) {
 			second++
 		}
 	}
-	if first+second != len(part.SetY) {
-		t.Fatalf("unexpected migrated set %v", part.SetY)
+	if first+second != len(part.Sets[1]) {
+		t.Fatalf("unexpected migrated set %v", part.Sets[1])
 	}
 	if first == 0 || second == 0 {
 		t.Errorf("migrated set Y=%s clusters one expression's operands; want a mix",
-			names(part.SetY))
+			names(part.Sets[1]))
 	}
 }
 
@@ -153,13 +153,13 @@ func TestPartitionDeclOrderInvariant(t *testing.T) {
 	}
 	perm := lowerSource(t, biquadSource(reversed), "biquad_rev")
 
-	pb := BuildGraph(base, WeightStatic).Partition()
-	pp := BuildGraph(perm, WeightStatic).Partition()
+	pb := BuildGraph(base, WeightStatic).PartitionK(2, MethodGreedy, -1)
+	pp := BuildGraph(perm, WeightStatic).PartitionK(2, MethodGreedy, -1)
 	if pb.Cost != pp.Cost {
 		t.Fatalf("cost changed under declaration permutation: %d vs %d", pb.Cost, pp.Cost)
 	}
-	bx, by := nameSet(pb.SetX), nameSet(pb.SetY)
-	px, py := nameSet(pp.SetX), nameSet(pp.SetY)
+	bx, by := nameSet(pb.Sets[0]), nameSet(pb.Sets[1])
+	px, py := nameSet(pp.Sets[0]), nameSet(pp.Sets[1])
 	if !sameSet(bx, px) || !sameSet(by, py) {
 		t.Errorf("partition changed under declaration permutation:\nbase %s\nperm %s",
 			pb, pp)
@@ -172,8 +172,8 @@ func TestPartitionDeclOrderInvariant(t *testing.T) {
 func TestFMReplaysCanonicalWalk(t *testing.T) {
 	p := lowerSource(t, biquadSource(biquadDecls), "biquad")
 	g := BuildGraph(p, WeightStatic)
-	greedy := g.Partition()
-	fm := g.PartitionFMPasses(0)
+	greedy := g.PartitionK(2, MethodGreedy, -1)
+	fm := g.PartitionK(2, MethodFM, 0)
 
 	if greedy.Cost != fm.Cost {
 		t.Fatalf("FM phase 1 cost %d differs from greedy %d", fm.Cost, greedy.Cost)
@@ -186,10 +186,10 @@ func TestFMReplaysCanonicalWalk(t *testing.T) {
 			t.Fatalf("FM phase 1 trace %v differs from greedy %v", fm.Trace, greedy.Trace)
 		}
 	}
-	if !sameSet(nameSet(greedy.SetY), nameSet(fm.SetY)) {
+	if !sameSet(nameSet(greedy.Sets[1]), nameSet(fm.Sets[1])) {
 		t.Errorf("FM phase 1 image differs from greedy:\ngreedy %s\nfm %s", greedy, fm)
 	}
-	if full := g.PartitionFM(); full.Cost > greedy.Cost {
+	if full := g.PartitionK(2, MethodFM, -1); full.Cost > greedy.Cost {
 		t.Errorf("refined FM cost %d worse than greedy %d", full.Cost, greedy.Cost)
 	}
 }
@@ -213,7 +213,7 @@ func TestParseMethodRoundTrip(t *testing.T) {
 func TestGraphDiagnostics(t *testing.T) {
 	p := lowerSource(t, biquadSource(biquadDecls), "biquad")
 	g := BuildGraph(p, WeightStatic)
-	part := g.Partition()
+	part := g.PartitionK(2, MethodGreedy, -1)
 	if s := g.String(); !strings.Contains(s, "w=") {
 		t.Errorf("Graph.String rendered no edges:\n%s", s)
 	}
@@ -221,7 +221,7 @@ func TestGraphDiagnostics(t *testing.T) {
 		t.Errorf("Graph.Dot missing header:\n%s", d)
 	}
 	if s := part.String(); !strings.Contains(s, "cost:") {
-		t.Errorf("Partition.String missing cost:\n%s", s)
+		t.Errorf("KPartition.String missing cost:\n%s", s)
 	}
 	var a1, a2 *ir.Symbol
 	for _, s := range g.Nodes {

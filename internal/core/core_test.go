@@ -29,7 +29,7 @@ func TestFigure5GreedyPartition(t *testing.T) {
 	g.addEvent(b, d, blkTop, 0, WeightStatic)
 	g.addEvent(c, d, blkTop, 0, WeightStatic)
 
-	p := g.Partition()
+	p := g.PartitionK(2, MethodGreedy, -1)
 	wantTrace := []int64{7, 3, 2}
 	if len(p.Trace) != len(wantTrace) {
 		t.Fatalf("trace = %v, want %v", p.Trace, wantTrace)
@@ -43,15 +43,15 @@ func TestFigure5GreedyPartition(t *testing.T) {
 		t.Errorf("cost = %d, want 2", p.Cost)
 	}
 	// Final sets: {A, B} stay, {D, C} moved (Figure 5(c)).
-	if len(p.SetX) != 2 || len(p.SetY) != 2 {
-		t.Fatalf("sets X=%v Y=%v", p.SetX, p.SetY)
+	if len(p.Sets[0]) != 2 || len(p.Sets[1]) != 2 {
+		t.Fatalf("sets X=%v Y=%v", p.Sets[0], p.Sets[1])
 	}
 	inY := map[string]bool{}
-	for _, s := range p.SetY {
+	for _, s := range p.Sets[1] {
 		inY[s.Name] = true
 	}
 	if !inY["C"] || !inY["D"] {
-		t.Errorf("moved set = %v, want {C, D}", p.SetY)
+		t.Errorf("moved set = %v, want {C, D}", p.Sets[1])
 	}
 }
 
@@ -167,13 +167,13 @@ func TestPartitionProperties(t *testing.T) {
 				total += w
 			}
 		}
-		p := g.Partition()
+		p := g.PartitionK(2, MethodGreedy, -1)
 		// Disjoint cover.
 		seen := map[*ir.Symbol]int{}
-		for _, s := range p.SetX {
+		for _, s := range p.Sets[0] {
 			seen[s]++
 		}
-		for _, s := range p.SetY {
+		for _, s := range p.Sets[1] {
 			seen[s]++
 		}
 		if len(seen) != n {
@@ -186,7 +186,7 @@ func TestPartitionProperties(t *testing.T) {
 		}
 		// Residual cost is the weight of same-set edges.
 		side := map[*ir.Symbol]int{}
-		for _, s := range p.SetY {
+		for _, s := range p.Sets[1] {
 			side[s] = 1
 		}
 		var residual int64
@@ -214,7 +214,7 @@ func TestPartitionTraceMonotone(t *testing.T) {
 	top := &ir.Block{LoopDepth: 0}
 	g.addEvent(a, b, top, 0, WeightStatic)
 	g.addEvent(c, d, top, 0, WeightStatic)
-	p := g.Partition()
+	p := g.PartitionK(2, MethodGreedy, -1)
 	for i := 1; i < len(p.Trace); i++ {
 		if p.Trace[i] >= p.Trace[i-1] {
 			t.Fatalf("non-decreasing trace %v", p.Trace)

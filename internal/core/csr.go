@@ -66,31 +66,3 @@ func (g *Graph) CSR() *CSR {
 	g.csr = c
 	return c
 }
-
-// cutCost returns the summed weight of edges whose endpoints share a
-// side under the given assignment (inY[i] == true means node i is in
-// bank Y).
-func (c *CSR) cutCost(inY []bool) int64 {
-	var cost int64
-	for i := range inY {
-		for h := c.Start[i]; h < c.Start[i+1]; h++ {
-			if j := c.Adj[h]; int(j) > i && inY[j] == inY[i] {
-				cost += c.W[h]
-			}
-		}
-	}
-	return cost
-}
-
-// moveGain is the cost decrease from flipping node i to the other side.
-func (c *CSR) moveGain(inY []bool, i int) int64 {
-	var same, cross int64
-	for h := c.Start[i]; h < c.Start[i+1]; h++ {
-		if inY[c.Adj[h]] == inY[i] {
-			same += c.W[h]
-		} else {
-			cross += c.W[h]
-		}
-	}
-	return same - cross
-}

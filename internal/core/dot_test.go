@@ -17,7 +17,7 @@ func TestDotGolden(t *testing.T) {
 	// Mark one symbol for duplication so the peripheries attribute is
 	// covered too.
 	g.DupMarks[g.Nodes[1]] = true
-	got := g.Dot(g.Partition())
+	got := g.Dot(g.PartitionK(2, MethodGreedy, -1))
 
 	golden := filepath.Join("testdata", "figure4.dot")
 	if *updateGolden {
@@ -38,7 +38,7 @@ func TestDotGolden(t *testing.T) {
 // byte-identical output each time.
 func TestDotDeterministic(t *testing.T) {
 	g := figure4Graph()
-	p := g.Partition()
+	p := g.PartitionK(2, MethodGreedy, -1)
 	first := g.Dot(p)
 	for i := 0; i < 20; i++ {
 		if out := g.Dot(p); out != first {

@@ -16,10 +16,10 @@
 //     nesting depth of the access (depth+1, so a pair inside one loop
 //     outweighs a pair in straight-line code — Figure 4); the profiled
 //     policy weighs it by the executed frequency of the block.
-//  3. A min-cost bipartition of the graph assigning each symbol to
-//     bank X or bank Y: the paper's greedy walk (Figure 5), optionally
-//     refined or replaced by the alternative partitioners in
-//     partition_alt.go and partition_fm.go.
+//  3. A min-cost partition of the graph assigning each symbol to a
+//     bank — X or Y on the paper's machine: the paper's greedy walk
+//     (Figure 5), optionally refined or replaced by the alternative
+//     partitioners in partition.go and partition_fm.go.
 //
 // When the two blocked memory operations access the *same* symbol, no
 // partition can help; the symbol is marked for duplication instead, the
@@ -195,14 +195,6 @@ func (g *Graph) PairCount(a, b *ir.Symbol) int {
 // Edges returns the number of edges in the graph.
 func (g *Graph) Edges() int { return len(g.edges) }
 
-// NodeIndex returns s's index in Nodes, or -1 if s is not a node.
-func (g *Graph) NodeIndex(s *ir.Symbol) int {
-	if i, ok := g.index[s]; ok {
-		return int(i)
-	}
-	return -1
-}
-
 // addEvent records one discovery of the pair (a, b) in block blk,
 // which ran count times in the profiling run.
 func (g *Graph) addEvent(a, b *ir.Symbol, blk *ir.Block, count int64, policy WeightPolicy) {
@@ -265,23 +257,14 @@ func (g *Graph) String() string {
 }
 
 // Dot renders the interference graph in Graphviz format, with the
-// partition (if given) as node colours and duplication marks as
-// doubled outlines — the visual counterpart of the paper's Figure 4.
-// Node and edge ordering are deterministic (nodes in symbol order,
-// edges sorted by endpoint names), so the output is golden-file
-// testable.
-func (g *Graph) Dot(part *Partition) string {
+// partition (if given) as node colours — banks X and Y filled, any
+// further bank left white — and duplication marks as doubled outlines:
+// the visual counterpart of the paper's Figure 4. Node and edge
+// ordering are deterministic (nodes in symbol order, edges sorted by
+// endpoint names), so the output is golden-file testable.
+func (g *Graph) Dot(part *KPartition) string {
 	var sb strings.Builder
 	sb.WriteString("graph interference {\n  node [shape=ellipse, style=filled, fillcolor=white];\n")
-	side := map[*ir.Symbol]string{}
-	if part != nil {
-		for _, s := range part.SetX {
-			side[s] = "lightblue"
-		}
-		for _, s := range part.SetY {
-			side[s] = "lightsalmon"
-		}
-	}
 	// Only nodes that participate in an edge or a mark are drawn;
 	// whole-program graphs contain many untouched symbols.
 	used := make([]bool, len(g.Nodes))
@@ -294,8 +277,8 @@ func (g *Graph) Dot(part *Partition) string {
 			continue
 		}
 		attrs := ""
-		if c, ok := side[s]; ok {
-			attrs = ", fillcolor=" + c
+		if part != nil && part.Side[i] < 2 {
+			attrs = ", fillcolor=" + [2]string{"lightblue", "lightsalmon"}[part.Side[i]]
 		}
 		if g.DupMarks[s] {
 			attrs += ", peripheries=2"

@@ -1,27 +1,25 @@
 package core
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "fmt"
 
-// This file provides alternative graph partitioners used to validate
-// the paper's choice of the simple greedy algorithm:
+// Besides the paper's greedy walk, Graph.PartitionK offers alternative
+// partitioners used to validate the paper's choice of the simple
+// greedy algorithm:
 //
-//   - PartitionKL refines the greedy result with Kernighan–Lin-style
-//     passes (the paper notes "other algorithms, such as graph
-//     colouring, will probably work just as well").
-//   - PartitionAnneal is a simulated-annealing partitioner in the
-//     spirit of Sudarsanam & Malik's constraint-graph labelling, which
-//     the paper's related-work section discusses; the Princeton study
+//   - kl refines the greedy result with Kernighan–Lin-style passes (the
+//     paper notes "other algorithms, such as graph colouring, will
+//     probably work just as well").
+//   - anneal is a simulated-annealing partitioner in the spirit of
+//     Sudarsanam & Malik's constraint-graph labelling, which the
+//     paper's related-work section discusses; the Princeton study
 //     found annealing performed no better than a greedy heuristic, a
 //     result this reproduction's tests confirm on the benchmark suite.
-//   - PartitionFM (partition_fm.go) is the fast path: a gain-bucket
+//   - fm (partition_fm.go) is the fast path: a gain-bucket
 //     Fiduccia–Mattheyses partitioner that reproduces the greedy walk
 //     in near-linear time and then refines it.
+//   - exact is the certified branch-and-bound search in internal/exact.
 //
-// All are deterministic (the annealer takes an explicit seed).
+// All are deterministic (the annealer runs under a fixed seed).
 
 // Method selects a partitioning algorithm.
 type Method int8
@@ -36,9 +34,10 @@ const (
 	// MethodFM is the gain-bucket Fiduccia–Mattheyses partitioner:
 	// the greedy walk replayed with O(1) best-move extraction and
 	// O(degree) incremental gain updates, followed by FM refinement
-	// passes. Never worse than greedy, asymptotically faster.
+	// passes. Never worse than greedy, asymptotically faster. Beyond
+	// two banks it refines the k-way greedy walk with KL's passes.
 	MethodFM
-	// MethodExact is the certified branch-and-bound bipartitioner from
+	// MethodExact is the certified branch-and-bound partitioner from
 	// internal/exact: it seeds an incumbent from the heuristics and
 	// proves optimality (or a bound) within a deterministic node
 	// budget, so it is never costlier than any heuristic arm. The
@@ -77,134 +76,4 @@ func ParseMethod(s string) (Method, error) {
 		return MethodExact, nil
 	}
 	return 0, fmt.Errorf("core: unknown partition method %q (want greedy, kl, anneal, fm, or exact)", s)
-}
-
-// exactPartition is the registered certified-exact backend. It lives
-// in internal/exact (which imports this package), so dispatch goes
-// through a function value rather than a direct call.
-var exactPartition func(*Graph) *Partition
-
-// RegisterExactPartitioner installs the MethodExact backend. Called
-// from internal/exact's init; last registration wins.
-func RegisterExactPartitioner(f func(*Graph) *Partition) { exactPartition = f }
-
-// PartitionWith partitions the graph with the chosen method.
-func (g *Graph) PartitionWith(m Method) *Partition {
-	return g.PartitionWithPasses(m, -1)
-}
-
-// PartitionWithPasses is PartitionWith with an explicit FM
-// refinement-pass bound: fmPasses < 0 means the library default, and
-// the bound only matters under MethodFM (the other methods fix their
-// own refinement policy).
-func (g *Graph) PartitionWithPasses(m Method, fmPasses int) *Partition {
-	switch m {
-	case MethodKL:
-		return g.PartitionKL()
-	case MethodAnneal:
-		return g.PartitionAnneal(1)
-	case MethodFM:
-		if fmPasses < 0 {
-			fmPasses = fmMaxPasses
-		}
-		return g.PartitionFMPasses(fmPasses)
-	case MethodExact:
-		if exactPartition == nil {
-			panic("core: exact partitioner not linked (import dualbank/internal/exact)")
-		}
-		return exactPartition(g)
-	default:
-		return g.Partition()
-	}
-}
-
-// PartitionKL runs the greedy algorithm and then Kernighan–Lin
-// refinement: repeated passes that tentatively flip every node in
-// best-gain order (allowing temporarily negative gains), keep the best
-// prefix, and stop when a pass yields no improvement.
-func (g *Graph) PartitionKL() *Partition {
-	greedy := g.Partition()
-	n := len(g.Nodes)
-	c := g.CSR()
-	inY := make([]bool, n)
-	for _, s := range greedy.SetY {
-		inY[g.index[s]] = true
-	}
-	cost := greedy.Cost
-
-	for pass := 0; pass < 8; pass++ {
-		locked := make([]bool, n)
-		cur := cost
-		best := cost
-		bestPrefix := 0
-		var flips []int
-		state := append([]bool(nil), inY...)
-		for step := 0; step < n; step++ {
-			bi, bg := -1, int64(math.MinInt64)
-			for i := 0; i < n; i++ {
-				if locked[i] {
-					continue
-				}
-				if gn := c.moveGain(state, i); gn > bg {
-					bi, bg = i, gn
-				}
-			}
-			if bi < 0 {
-				break
-			}
-			state[bi] = !state[bi]
-			locked[bi] = true
-			cur -= bg
-			flips = append(flips, bi)
-			if cur < best {
-				best = cur
-				bestPrefix = len(flips)
-			}
-		}
-		if best >= cost {
-			break
-		}
-		for _, i := range flips[:bestPrefix] {
-			inY[i] = !inY[i]
-		}
-		cost = best
-	}
-	p := g.partitionFrom(inY)
-	p.Trace = []int64{greedy.Cost, p.Cost}
-	return p
-}
-
-// PartitionAnneal partitions by simulated annealing with a geometric
-// cooling schedule. The seed makes it deterministic.
-func (g *Graph) PartitionAnneal(seed int64) *Partition {
-	n := len(g.Nodes)
-	c := g.CSR()
-	total := c.Total
-	rng := rand.New(rand.NewSource(seed))
-	inY := make([]bool, n)
-	cost := c.cutCost(inY)
-	bestY := append([]bool(nil), inY...)
-	best := cost
-
-	if n > 0 && total > 0 {
-		temp := float64(total)
-		const cooling = 0.95
-		for ; temp > 0.01; temp *= cooling {
-			for step := 0; step < 4*n; step++ {
-				i := rng.Intn(n)
-				gain := c.moveGain(inY, i)
-				if gain >= 0 || rng.Float64() < math.Exp(float64(gain)/temp) {
-					inY[i] = !inY[i]
-					cost -= gain
-					if cost < best {
-						best = cost
-						copy(bestY, inY)
-					}
-				}
-			}
-		}
-	}
-	p := g.partitionFrom(bestY)
-	p.Trace = []int64{total, p.Cost}
-	return p
 }

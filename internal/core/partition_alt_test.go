@@ -33,8 +33,8 @@ func TestKLNeverWorseThanGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
 		g := randomGraph(rng, 4+rng.Intn(14), 2+rng.Intn(40))
-		greedy := g.Partition()
-		kl := g.PartitionKL()
+		greedy := g.PartitionK(2, MethodGreedy, -1)
+		kl := g.PartitionK(2, MethodKL, -1)
 		if kl.Cost > greedy.Cost {
 			t.Fatalf("trial %d: KL cost %d worse than greedy %d", trial, kl.Cost, greedy.Cost)
 		}
@@ -58,7 +58,7 @@ func TestKLFindsOptimumGreedyMisses(t *testing.T) {
 	set(2, 3, 1)
 	set(3, 0, 1)
 	set(0, 2, 10)
-	kl := g.PartitionKL()
+	kl := g.PartitionK(2, MethodKL, -1)
 	if kl.Cost > 2 {
 		t.Fatalf("KL cost %d, want <= 2", kl.Cost)
 	}
@@ -76,14 +76,14 @@ func TestAnnealValidAndDecent(t *testing.T) {
 		for _, e := range g.edges {
 			total += e.w
 		}
-		an := g.PartitionAnneal(int64(trial))
+		an := g.anneal(2, int64(trial))
 		if an.Cost > total {
 			t.Fatalf("anneal cost %d exceeds total weight %d", an.Cost, total)
 		}
-		if len(an.SetX)+len(an.SetY) != len(g.Nodes) {
+		if len(an.Sets[0])+len(an.Sets[1]) != len(g.Nodes) {
 			t.Fatal("anneal lost nodes")
 		}
-		gr := g.Partition()
+		gr := g.PartitionK(2, MethodGreedy, -1)
 		switch {
 		case an.Cost < gr.Cost:
 			better++
@@ -103,13 +103,13 @@ func TestAnnealValidAndDecent(t *testing.T) {
 func TestAnnealDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 12, 30)
-	a := g.PartitionAnneal(42)
-	b := g.PartitionAnneal(42)
-	if a.Cost != b.Cost || len(a.SetY) != len(b.SetY) {
+	a := g.anneal(2, 42)
+	b := g.anneal(2, 42)
+	if a.Cost != b.Cost || len(a.Sets[1]) != len(b.Sets[1]) {
 		t.Fatal("annealing is not deterministic for a fixed seed")
 	}
-	for i := range a.SetY {
-		if a.SetY[i] != b.SetY[i] {
+	for i := range a.Sets[1] {
+		if a.Sets[1][i] != b.Sets[1][i] {
 			t.Fatal("annealing is not deterministic for a fixed seed")
 		}
 	}
@@ -122,9 +122,9 @@ func TestMethodsProduceValidPartitions(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 2+int(nn%14), int(ne%50))
 		for _, m := range []Method{MethodGreedy, MethodKL, MethodAnneal, MethodFM} {
-			p := g.PartitionWith(m)
+			p := g.PartitionK(2, m, -1)
 			seen := map[*ir.Symbol]bool{}
-			for _, s := range append(append([]*ir.Symbol{}, p.SetX...), p.SetY...) {
+			for _, s := range append(append([]*ir.Symbol{}, p.Sets[0]...), p.Sets[1]...) {
 				if seen[s] {
 					return false
 				}

@@ -1,42 +1,37 @@
 package core
 
-// PartitionFM is the fast compile path's partitioner: a
+// fmMaxPasses is FM's default refinement-pass bound, and KL's.
+const fmMaxPasses = 8
+
+// fm is the fast compile path's two-bank partitioner: a
 // Fiduccia–Mattheyses-style gain-bucket bipartitioner.
 //
 // Phase 1 replays the paper's greedy walk (Figure 5) exactly — same
 // moves, same tie-breaks, same trace — but with incremental gain
 // maintenance: instead of recomputing every node's move delta from
-// scratch each round (the O(v²) inner loop of Graph.Partition), node
-// gains live in a gain-bucket structure with O(1) best-move extraction
-// and O(degree) updates per move, making the walk O(V + E + moves·deg).
+// scratch each round (the O(v²) inner loop of Graph.walk), node gains
+// live in a gain-bucket structure with O(1) best-move extraction and
+// O(degree) updates per move, making the walk O(V + E + moves·deg).
 //
 // Phase 2 runs classic FM refinement passes: every node is tentatively
 // flipped once in best-gain order (negative gains allowed, so the pass
 // can climb out of the greedy walk's local optimum), the best prefix
 // of flips is kept, and passes repeat until one fails to strictly
 // improve the cut. Because phase 1 reproduces greedy exactly and
-// phase 2 only ever commits strict improvements, PartitionFM is never
-// worse than Partition, and produces the *identical* bank image
-// whenever it cannot improve on it — the property the differential
-// tests pin.
-
-const fmMaxPasses = 8
-
-// PartitionFM bipartitions the graph with the gain-bucket algorithm,
-// running up to the default number of refinement passes.
-func (g *Graph) PartitionFM() *Partition { return g.PartitionFMPasses(fmMaxPasses) }
-
-// PartitionFMPasses is PartitionFM with an explicit refinement-pass
-// bound: passes == 0 stops after the greedy-equivalent phase 1 (the
-// cheapest configuration, identical to the paper's walk), larger
-// values allow up to that many phase-2 passes. The pass loop still
-// exits early as soon as a pass fails to strictly improve the cut, so
-// raising the bound beyond the point of convergence changes nothing.
-// The design-space explorer enumerates this knob.
-func (g *Graph) PartitionFMPasses(passes int) *Partition {
+// phase 2 only ever commits strict improvements, FM is never worse
+// than greedy, and produces the *identical* bank image whenever it
+// cannot improve on it — the property the differential tests pin.
+//
+// passes == 0 stops after the greedy-equivalent phase 1 (the cheapest
+// configuration, identical to the paper's walk); larger values allow
+// up to that many phase-2 passes. The pass loop still exits early as
+// soon as a pass fails to strictly improve the cut, so raising the
+// bound beyond the point of convergence changes nothing. The
+// design-space explorer enumerates this knob.
+func (g *Graph) fm(passes int) *KPartition {
 	n := len(g.Nodes)
 	c := g.CSR()
-	inY := make([]bool, n)
+	side := make([]int32, n)
 	gain := make([]int64, n)
 
 	var pmax int64
@@ -51,10 +46,10 @@ func (g *Graph) PartitionFMPasses(passes int) *Partition {
 	// Phase 1: the greedy walk with incremental gains. A node's gain
 	// starts as its weighted degree (everything is on side X), and
 	// moving b to Y lowers each still-X neighbour's gain by 2w. The
-	// walk must replay Graph.Partition move for move, so extraction
-	// uses the same tie-breaks: canonical first-reference ranks on
+	// walk must replay Graph.walk move for move, so extraction uses
+	// the same tie-breaks: canonical first-reference ranks on
 	// scanner-built graphs (with the total-tie diversity rule — see
-	// Partition), the node-index rule otherwise.
+	// walk), the node-index rule otherwise.
 	cost := c.Total
 	var trace []int64
 	if q.useHeap && g.tiePref != nil {
@@ -63,10 +58,8 @@ func (g *Graph) PartitionFMPasses(passes int) *Partition {
 		// reference walk directly instead of teaching it the diversity
 		// rule. This path keeps phase 1 exact on the rare fallback;
 		// phase 2 below is unaffected.
-		seed := g.Partition()
-		for _, s := range seed.SetY {
-			inY[g.index[s]] = true
-		}
+		seed := g.walk()
+		side = seed.Side
 		cost = seed.Cost
 		trace = seed.Trace
 	} else {
@@ -81,7 +74,7 @@ func (g *Graph) PartitionFMPasses(passes int) *Partition {
 			if !ok {
 				break
 			}
-			inY[b] = true
+			side[b] = 1
 			cost -= gain[b]
 			trace = append(trace, cost)
 			if g.tiePref != nil {
@@ -89,7 +82,7 @@ func (g *Graph) PartitionFMPasses(passes int) *Partition {
 			}
 			for h := c.Start[b]; h < c.Start[b+1]; h++ {
 				a := c.Adj[h]
-				if inY[a] {
+				if side[a] != 0 {
 					continue
 				}
 				gain[a] -= 2 * c.W[h]
@@ -99,17 +92,17 @@ func (g *Graph) PartitionFMPasses(passes int) *Partition {
 	}
 
 	// Phase 2: FM refinement passes over the phase-1 partition.
-	state := make([]bool, n)
+	state := make([]int32, n)
 	locked := make([]bool, n)
 	flips := make([]int32, 0, n)
+	var into [2]int64
 	for pass := 0; pass < passes; pass++ {
-		copy(state, inY)
-		for i := range locked {
-			locked[i] = false
-		}
+		copy(state, side)
+		clear(locked)
 		q.reset()
 		for i := 0; i < n; i++ {
-			gain[i] = c.moveGain(state, i)
+			c.bankWeights(state, i, into[:])
+			gain[i] = into[state[i]] - into[1-state[i]]
 			q.insert(int32(i), gain[i])
 		}
 		cur, best, bestPrefix := cost, cost, 0
@@ -119,7 +112,7 @@ func (g *Graph) PartitionFMPasses(passes int) *Partition {
 			if !ok {
 				break
 			}
-			state[b] = !state[b]
+			state[b] = 1 - state[b]
 			locked[b] = true
 			cur -= gain[b]
 			flips = append(flips, b)
@@ -143,12 +136,12 @@ func (g *Graph) PartitionFMPasses(passes int) *Partition {
 			break
 		}
 		for _, i := range flips[:bestPrefix] {
-			inY[i] = !inY[i]
+			side[i] = 1 - side[i]
 		}
 		cost = best
 	}
 
-	p := g.partitionFrom(inY)
+	p := g.KPartitionFromSides(2, side)
 	p.Trace = trace
 	return p
 }
@@ -319,7 +312,7 @@ func (q *gainQueue) popMax(positiveOnly bool) (int32, bool) {
 // to the highest rank, except on a total tie — every queued node with
 // positive gain sits in the top bucket — where the candidate whose
 // rank lies farthest from the already-moved nodes wins, exactly as in
-// Graph.Partition. Without ranks it degrades to popMax.
+// Graph.walk. Without ranks it degrades to popMax.
 func (q *gainQueue) popGreedy(pref []int32, moved []int32) (int32, bool) {
 	if q.useHeap || pref == nil {
 		return q.popMax(true)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,8 +48,8 @@ func TestFMNeverWorseThanGreedy(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
 		g := randomGraph(rng, n, rng.Intn(4*n))
-		greedy := g.Partition()
-		fm := g.PartitionFM()
+		greedy := g.PartitionK(2, MethodGreedy, -1)
+		fm := g.PartitionK(2, MethodFM, -1)
 		if fm.Cost > greedy.Cost {
 			t.Fatalf("seed %d: FM cost %d worse than greedy %d", seed, fm.Cost, greedy.Cost)
 		}
@@ -69,8 +70,8 @@ func TestFMTraceMatchesGreedy(t *testing.T) {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		n := 2 + rng.Intn(20)
 		g := randomGraph(rng, n, rng.Intn(3*n))
-		greedy := g.Partition()
-		fm := g.PartitionFM()
+		greedy := g.PartitionK(2, MethodGreedy, -1)
+		fm := g.PartitionK(2, MethodFM, -1)
 		if len(fm.Trace) != len(greedy.Trace) {
 			t.Fatalf("seed %d: trace lengths differ: fm %v greedy %v", seed, fm.Trace, greedy.Trace)
 		}
@@ -86,7 +87,7 @@ func TestFMTraceMatchesGreedy(t *testing.T) {
 // 7 -> 3 -> 2 walk the greedy partitioner is tested against.
 func TestFMFigure5(t *testing.T) {
 	g := figure4Graph()
-	p := g.PartitionFM()
+	p := g.PartitionK(2, MethodFM, -1)
 	if p.Cost != 2 {
 		t.Fatalf("FM cost = %d, want 2", p.Cost)
 	}
@@ -133,8 +134,8 @@ func TestFMHeapFallback(t *testing.T) {
 		if !q.useHeap && pmax > 0 {
 			t.Fatalf("seed %d: expected heap fallback for pmax=%d", seed, pmax)
 		}
-		greedy := g.Partition()
-		fm := g.PartitionFM()
+		greedy := g.PartitionK(2, MethodGreedy, -1)
+		fm := g.PartitionK(2, MethodFM, -1)
 		if fm.Cost > greedy.Cost {
 			t.Fatalf("seed %d: heap-mode FM cost %d worse than greedy %d", seed, fm.Cost, greedy.Cost)
 		}
@@ -144,17 +145,12 @@ func TestFMHeapFallback(t *testing.T) {
 	}
 }
 
-func samePartition(a, b *Partition) bool {
-	if len(a.SetX) != len(b.SetX) || len(a.SetY) != len(b.SetY) {
+func samePartition(a, b *KPartition) bool {
+	if len(a.Sets) != len(b.Sets) {
 		return false
 	}
-	for i := range a.SetX {
-		if a.SetX[i] != b.SetX[i] {
-			return false
-		}
-	}
-	for i := range a.SetY {
-		if a.SetY[i] != b.SetY[i] {
+	for i := range a.Sets {
+		if !slices.Equal(a.Sets[i], b.Sets[i]) {
 			return false
 		}
 	}
@@ -178,7 +174,7 @@ func BenchmarkPartitionGreedy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Partition()
+		g.PartitionK(2, MethodGreedy, -1)
 	}
 }
 
@@ -188,7 +184,7 @@ func BenchmarkPartitionFM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.PartitionFM()
+		g.PartitionK(2, MethodFM, -1)
 	}
 }
 
@@ -198,7 +194,7 @@ func BenchmarkPartitionKL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.PartitionKL()
+		g.PartitionK(2, MethodKL, -1)
 	}
 }
 
@@ -212,8 +208,8 @@ func TestFMSpeedupOnLargeGraph(t *testing.T) {
 	}
 	g := benchGraph(t)
 	g.CSR()
-	greedyT := timeIt(func() { g.Partition() }, 3)
-	fmT := timeIt(func() { g.PartitionFM() }, 3)
+	greedyT := timeIt(func() { g.PartitionK(2, MethodGreedy, -1) }, 3)
+	fmT := timeIt(func() { g.PartitionK(2, MethodFM, -1) }, 3)
 	if fmT*5 > greedyT {
 		t.Errorf("FM not 5x faster: greedy %v, fm %v (%.1fx)", greedyT, fmT, float64(greedyT)/float64(fmT))
 	}

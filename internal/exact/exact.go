@@ -1,12 +1,13 @@
 // Package exact is the certified-optimality engine: a branch-and-bound
-// exact bipartitioner over the CSR interference graph that answers the
+// exact partitioner over the CSR interference graph that answers the
 // question the heuristic partitioners (greedy, FM, annealing) cannot —
 // how far from optimal is this partition?
 //
 // The solver decomposes the graph into connected components (their
-// bipartitions are independent, so optima add), seeds an incumbent from
+// partitions are independent, so optima add), seeds an incumbent from
 // the best existing heuristic, and runs a depth-first branch-and-bound
-// per component:
+// per component. On two banks the search is binary (below); beyond
+// two it is k-ary (exactk.go). One driver, Solve, runs both:
 //
 //   - Variables are decided in a static order — the spectral embedding
 //     for components at or above SpectralMin nodes, weighted degree
@@ -37,14 +38,14 @@ package exact
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dualbank/internal/core"
-	"dualbank/internal/ir"
 )
 
-// DefaultNodeBudget is the branch-and-bound node budget when Options
-// leaves it zero. Node counts are deterministic, so this is a
+// DefaultNodeBudget is the two-bank branch-and-bound node budget when
+// Options leaves it zero. Node counts are deterministic, so this is a
 // reproducibility knob, not a timeout.
 const DefaultNodeBudget = 2_000_000
 
@@ -103,20 +104,21 @@ func (v *Verdict) UnmarshalText(text []byte) error {
 // Options configures a Solve call. The zero value uses the defaults.
 type Options struct {
 	// NodeBudget caps branch-and-bound nodes expanded across all
-	// components (0 = DefaultNodeBudget). Deterministic: equal graphs
-	// and budgets always reach the same verdict and bounds.
+	// components (0 = DefaultNodeBudget on two banks,
+	// DefaultNodeBudgetK beyond). Deterministic: equal graphs and
+	// budgets always reach the same verdict and bounds.
 	NodeBudget int64
 	// SpectralMin is the component size at which the spectral
 	// seed+ordering engages (0 = DefaultSpectralMin).
 	SpectralMin int
 }
 
-// annealSeed seeds the annealing arm of the incumbent portfolio.
-const annealSeed = 1
-
-func (o Options) withDefaults() Options {
+func (o Options) withDefaults(k int) Options {
 	if o.NodeBudget <= 0 {
 		o.NodeBudget = DefaultNodeBudget
+		if k > 2 {
+			o.NodeBudget = DefaultNodeBudgetK
+		}
 	}
 	if o.SpectralMin <= 0 {
 		o.SpectralMin = DefaultSpectralMin
@@ -150,34 +152,41 @@ type Certificate struct {
 // Result pairs the solved partition with its certificate. Part.Cost
 // always equals Cert.Upper.
 type Result struct {
-	Part *core.Partition
+	Part *core.KPartition
 	Cert Certificate
 }
 
 func init() {
-	core.RegisterExactPartitioner(func(g *core.Graph) *core.Partition {
-		return Solve(g, Options{}).Part
+	core.RegisterExactPartitioner(func(g *core.Graph, k int) *core.KPartition {
+		return Solve(g, k, Options{}).Part
 	})
 }
 
-// Solve runs the certified bipartitioner on g.
-func Solve(g *core.Graph, opt Options) *Result {
-	opt = opt.withDefaults()
+// search is one component's branch-and-bound: the binary search on two
+// banks, the k-ary one beyond.
+type search interface {
+	base() *component
+	search(budget *int64)
+}
+
+// Solve runs the certified partitioner on g over k banks.
+func Solve(g *core.Graph, k int, opt Options) *Result {
+	opt = opt.withDefaults(k)
 	c := g.CSR()
 	n := len(g.Nodes)
 
 	// Incumbent portfolio: the heuristics this engine certifies, best
 	// first by cost with a fixed preference order on ties. Every seed
 	// is a valid partition, so Upper starts at the best heuristic and
-	// can only improve.
-	idx := make(map[*ir.Symbol]int32, n)
-	for i, s := range g.Nodes {
-		idx[s] = int32(i)
+	// can only improve. Beyond two banks FM starts from greedy-K and
+	// only improves, so it dominates the portfolio alone.
+	methods := []core.Method{core.MethodFM}
+	if k == 2 {
+		methods = append(methods, core.MethodGreedy, core.MethodAnneal)
 	}
-	seeds := [][]bool{
-		sidesOf(idx, n, g.PartitionFM()),
-		sidesOf(idx, n, g.Partition()),
-		sidesOf(idx, n, g.PartitionAnneal(annealSeed)),
+	seeds := make([][]int32, len(methods))
+	for i, m := range methods {
+		seeds[i] = g.PartitionK(k, m, -1).Side
 	}
 
 	comps := components(c, n)
@@ -188,36 +197,41 @@ func Solve(g *core.Graph, opt Options) *Result {
 		return comps[i][0] < comps[j][0]
 	})
 
-	best := make([]bool, n) // isolated nodes stay in bank X
+	best := make([]int32, n) // isolated nodes stay in bank 0
 	cert := Certificate{Budget: opt.NodeBudget}
 	budget := opt.NodeBudget
 	closedAll := true
 	for _, comp := range comps {
-		s := newCompSolver(c, comp, opt)
-		if s.spectral {
-			cert.Spectral = true
+		var s search
+		if k == 2 {
+			s = newCompSolver(c, comp, opt)
+		} else {
+			s = newCompSolverK(c, comp, k)
 		}
-		local := make([]bool, len(comp))
+		b := s.base()
+		local := make([]int32, len(comp))
 		for _, seed := range seeds {
 			for li, v := range comp {
 				local[li] = seed[v]
 			}
-			s.offerLocal(local)
+			b.offer(local)
 		}
-		s.refineIncumbent()
 		s.search(&budget)
 		cert.Components++
-		cert.BBNodes += s.nodes
-		lb, closed := s.lowerBound()
+		cert.BBNodes += b.nodes
+		lb, closed := b.lowerBound()
 		cert.Lower += lb
-		cert.Upper += s.ub
+		cert.Upper += b.ub
 		if closed {
 			cert.Closed++
 		} else {
 			closedAll = false
 		}
+		if b.spectral {
+			cert.Spectral = true
+		}
 		for li, v := range comp {
-			best[v] = s.bestY[li]
+			best[v] = b.best[li]
 		}
 	}
 	switch {
@@ -229,18 +243,9 @@ func Solve(g *core.Graph, opt Options) *Result {
 		cert.Verdict = Budget
 	}
 
-	part := g.PartitionFromSides(best)
+	part := g.KPartitionFromSides(k, best)
 	part.Trace = []int64{c.Total, part.Cost}
 	return &Result{Part: part, Cert: cert}
-}
-
-// sidesOf converts a Partition back to a side-assignment vector.
-func sidesOf(idx map[*ir.Symbol]int32, n int, p *core.Partition) []bool {
-	inY := make([]bool, n)
-	for _, s := range p.SetY {
-		inY[idx[s]] = true
-	}
-	return inY
 }
 
 // components returns the connected components over nodes with at least
@@ -285,55 +290,39 @@ type tri struct {
 	cnt  int8
 }
 
-// compSolver is the branch-and-bound state for one component, over a
-// local (remapped, sorted-adjacency) CSR copy.
-type compSolver struct {
-	n        int
-	start    []int32
-	adj      []int32
-	w        []int64
-	order    []int32 // decision order (local ids)
-	spectral bool
-	seedY    []bool // spectral seed candidate, nil without spectral
-
-	assigned []bool
-	inY      []bool
-	eX, eY   []int64 // unassigned node's weight into each assigned side
-	fixed    int64   // residual cost among assigned nodes
-	sumMin   int64   // sum over unassigned of min(eX, eY)
-
-	tris      []tri
-	triOf     [][]int32
-	triActive int64
-
-	ub      int64
-	bestY   []bool
-	nodes   int64
-	minOpen int64 // min bound among abandoned (budget-cut) subtrees
-	seeded  bool
-}
-
 const infCost = int64(1)<<62 - 1
 
-// newCompSolver builds the local view of one component. Adjacency rows
-// are sorted by neighbour id, so the search is invariant to the order
-// edges were inserted into the parent graph.
-func newCompSolver(c *core.CSR, comp []int32, opt Options) *compSolver {
+// component is the local view of one connected component that both
+// searches run over — a remapped CSR copy whose rows are sorted by
+// neighbour id, so a search is invariant to the order edges were
+// inserted into the parent graph — with the incumbent and the proof
+// bookkeeping they share.
+type component struct {
+	n     int
+	start []int32
+	adj   []int32
+	w     []int64
+
+	ub       int64
+	best     []int32 // the incumbent: each local node's bank
+	nodes    int64
+	minOpen  int64 // min bound among abandoned (budget-cut) subtrees
+	seeded   bool
+	spectral bool // the spectral seed+ordering engaged
+}
+
+func newComponent(c *core.CSR, comp []int32) component {
 	n := len(comp)
 	local := make(map[int32]int32, n)
 	for li, v := range comp {
 		local[v] = int32(li)
 	}
-	s := &compSolver{
-		n:        n,
-		start:    make([]int32, n+1),
-		assigned: make([]bool, n),
-		inY:      make([]bool, n),
-		eX:       make([]int64, n),
-		eY:       make([]int64, n),
-		bestY:    make([]bool, n),
-		ub:       infCost,
-		minOpen:  infCost,
+	s := component{
+		n:       n,
+		start:   make([]int32, n+1),
+		best:    make([]int32, n),
+		ub:      infCost,
+		minOpen: infCost,
 	}
 	type half struct {
 		to int32
@@ -353,41 +342,41 @@ func newCompSolver(c *core.CSR, comp []int32, opt Options) *compSolver {
 			s.w = append(s.w, h.w)
 		}
 	}
-
-	s.order = s.ordering(opt)
-	if n <= triangleMaxNodes {
-		s.packTriangles()
-	}
 	return s
 }
 
-// ordering picks the static decision order: the spectral embedding's
-// most-polarised nodes first for large components, weighted degree
-// descending otherwise, ties to the lower local id.
-func (s *compSolver) ordering(opt Options) []int32 {
+func (s *component) base() *component { return s }
+
+// offer proposes a local bank assignment as an incumbent; the
+// component keeps it if it beats the current one.
+func (s *component) offer(side []int32) {
+	if cost := s.cost(side); cost < s.ub {
+		s.ub = cost
+		copy(s.best, side)
+		s.seeded = true
+	}
+}
+
+// cost is the residual (same-bank) cost of a full local assignment.
+func (s *component) cost(side []int32) int64 {
+	var cost int64
+	for a := int32(0); a < int32(s.n); a++ {
+		for h := s.start[a]; h < s.start[a+1]; h++ {
+			if b := s.adj[h]; b > a && side[b] == side[a] {
+				cost += s.w[h]
+			}
+		}
+	}
+	return cost
+}
+
+// byDegree is the static decision order by weighted degree,
+// descending, ties to the lower local id.
+func (s *component) byDegree() []int32 {
+	deg := make([]int64, s.n)
 	order := make([]int32, s.n)
 	for i := range order {
 		order[i] = int32(i)
-	}
-	if s.n >= opt.SpectralMin {
-		if v := spectralVector(s.n, s.start, s.adj, s.w); v != nil {
-			s.spectral = true
-			s.seedY = make([]bool, s.n)
-			for i := range s.seedY {
-				s.seedY[i] = v[i] < 0
-			}
-			sort.SliceStable(order, func(a, b int) bool {
-				va, vb := abs64(v[order[a]]), abs64(v[order[b]])
-				if va != vb {
-					return va > vb
-				}
-				return order[a] < order[b]
-			})
-			return order
-		}
-	}
-	deg := make([]int64, s.n)
-	for i := 0; i < s.n; i++ {
 		for h := s.start[i]; h < s.start[i+1]; h++ {
 			deg[i] += s.w[h]
 		}
@@ -399,6 +388,79 @@ func (s *compSolver) ordering(opt Options) []int32 {
 		return order[a] < order[b]
 	})
 	return order
+}
+
+// lowerBound returns the component's proven floor and whether the
+// search closed (proved its incumbent optimal). A budget cut whose
+// abandoned bounds all reached the incumbent still closes the search.
+func (s *component) lowerBound() (int64, bool) {
+	if s.minOpen >= s.ub {
+		return s.ub, true
+	}
+	return s.minOpen, false
+}
+
+// compSolver is the two-bank branch-and-bound state for one component.
+type compSolver struct {
+	component
+	order []int32 // decision order (local ids)
+	seedY []int32 // spectral seed candidate, nil without spectral
+
+	assigned []bool
+	inY      []bool
+	eX, eY   []int64 // unassigned node's weight into each assigned side
+	fixed    int64   // residual cost among assigned nodes
+	sumMin   int64   // sum over unassigned of min(eX, eY)
+
+	tris      []tri
+	triOf     [][]int32
+	triActive int64
+}
+
+func newCompSolver(c *core.CSR, comp []int32, opt Options) *compSolver {
+	n := len(comp)
+	s := &compSolver{
+		component: newComponent(c, comp),
+		assigned:  make([]bool, n),
+		inY:       make([]bool, n),
+		eX:        make([]int64, n),
+		eY:        make([]int64, n),
+	}
+	s.order = s.ordering(opt)
+	if n <= triangleMaxNodes {
+		s.packTriangles()
+	}
+	return s
+}
+
+// ordering picks the static decision order: the spectral embedding's
+// most-polarised nodes first for large components, weighted degree
+// descending otherwise, ties to the lower local id.
+func (s *compSolver) ordering(opt Options) []int32 {
+	if s.n >= opt.SpectralMin {
+		if v := spectralVector(s.n, s.start, s.adj, s.w); v != nil {
+			s.spectral = true
+			s.seedY = make([]int32, s.n)
+			for i := range s.seedY {
+				if v[i] < 0 {
+					s.seedY[i] = 1
+				}
+			}
+			order := make([]int32, s.n)
+			for i := range order {
+				order[i] = int32(i)
+			}
+			sort.SliceStable(order, func(a, b int) bool {
+				va, vb := abs64(v[order[a]]), abs64(v[order[b]])
+				if va != vb {
+					return va > vb
+				}
+				return order[a] < order[b]
+			})
+			return order
+		}
+	}
+	return s.byDegree()
 }
 
 func abs64(v float64) float64 {
@@ -480,30 +542,6 @@ func (s *compSolver) packTriangles() {
 	}
 }
 
-// offerLocal proposes a local side assignment as an incumbent; the
-// solver keeps it if it beats the current one.
-func (s *compSolver) offerLocal(inY []bool) {
-	cost := s.cutCost(inY)
-	if cost < s.ub {
-		s.ub = cost
-		copy(s.bestY, inY)
-		s.seeded = true
-	}
-}
-
-// cutCost is the residual (same-side) cost of a full local assignment.
-func (s *compSolver) cutCost(inY []bool) int64 {
-	var cost int64
-	for a := int32(0); a < int32(s.n); a++ {
-		for h := s.start[a]; h < s.start[a+1]; h++ {
-			if b := s.adj[h]; b > a && inY[b] == inY[a] {
-				cost += s.w[h]
-			}
-		}
-	}
-	return cost
-}
-
 // refineIncumbent hill-climbs the incumbent with single-node flips
 // (best strict improvement, ties to the lower id) until it is locally
 // optimal — a cheap polish that tightens the initial Upper bound.
@@ -511,7 +549,7 @@ func (s *compSolver) refineIncumbent() {
 	if !s.seeded {
 		return
 	}
-	cur := append([]bool(nil), s.bestY...)
+	cur := slices.Clone(s.best)
 	cost := s.ub
 	for {
 		best, bestGain := int32(-1), int64(0)
@@ -531,19 +569,21 @@ func (s *compSolver) refineIncumbent() {
 		if best < 0 {
 			break
 		}
-		cur[best] = !cur[best]
+		cur[best] = 1 - cur[best]
 		cost -= bestGain
 	}
 	if cost < s.ub {
 		s.ub = cost
-		copy(s.bestY, cur)
+		copy(s.best, cur)
 	}
 }
 
-// search runs the depth-first branch-and-bound under the shared budget.
+// search polishes the seeded incumbent, offers the spectral seed, and
+// runs the depth-first branch-and-bound under the shared budget.
 func (s *compSolver) search(budget *int64) {
-	if s.spectral && s.seedY != nil {
-		s.offerLocal(s.seedY)
+	s.refineIncumbent()
+	if s.seedY != nil {
+		s.offer(s.seedY)
 		s.refineIncumbent()
 	}
 	s.dfs(0, budget)
@@ -560,7 +600,12 @@ func (s *compSolver) dfs(k int, budget *int64) {
 	}
 	if k == s.n {
 		s.ub = s.fixed
-		copy(s.bestY, s.inY)
+		for i, y := range s.inY {
+			s.best[i] = 0
+			if y {
+				s.best[i] = 1
+			}
+		}
 		return
 	}
 	if *budget <= 0 {
@@ -646,16 +691,6 @@ func (s *compSolver) unassign(v int32, toY bool) {
 	}
 	s.sumMin += min64(s.eX[v], s.eY[v])
 	s.assigned[v] = false
-}
-
-// lowerBound returns the component's proven floor and whether the
-// search closed (proved its incumbent optimal). A budget cut whose
-// abandoned bounds all reached the incumbent still closes the search.
-func (s *compSolver) lowerBound() (int64, bool) {
-	if s.minOpen >= s.ub {
-		return s.ub, true
-	}
-	return s.minOpen, false
 }
 
 func min64(a, b int64) int64 {

@@ -32,20 +32,6 @@ func randomGraph(rng *rand.Rand, n, edges int) *core.Graph {
 	return g
 }
 
-// cutCost evaluates the residual cost of a side assignment on g.
-func cutCost(g *core.Graph, inY []bool) int64 {
-	c := g.CSR()
-	var cost int64
-	for a := 0; a < len(g.Nodes); a++ {
-		for h := c.Start[a]; h < c.Start[a+1]; h++ {
-			if b := int(c.Adj[h]); b > a && inY[b] == inY[a] {
-				cost += c.W[h]
-			}
-		}
-	}
-	return cost
-}
-
 // activeNodes returns the indices of nodes with at least one edge.
 func activeNodes(g *core.Graph) []int {
 	c := g.CSR()
@@ -58,125 +44,12 @@ func activeNodes(g *core.Graph) []int {
 	return act
 }
 
-// bruteForce enumerates every bipartition over the active nodes
-// (isolated nodes cannot contribute cost; the first active node is
-// pinned by symmetry) and returns the minimum residual cost. Callers
-// must keep the active count at or below 16.
-func bruteForce(t *testing.T, g *core.Graph) int64 {
-	t.Helper()
-	act := activeNodes(g)
-	if len(act) == 0 {
-		return 0
-	}
-	if len(act) > 16 {
-		t.Fatalf("bruteForce on %d active nodes", len(act))
-	}
-	inY := make([]bool, len(g.Nodes))
-	best := int64(1) << 62
-	for mask := 0; mask < 1<<(len(act)-1); mask++ {
-		for bi, node := range act[1:] {
-			inY[node] = mask&(1<<bi) != 0
-		}
-		if cost := cutCost(g, inY); cost < best {
-			best = cost
-		}
-	}
-	return best
-}
-
-// checkInvariants asserts the properties every Solve result must have:
-// the partition realises Upper, Lower never exceeds Upper, the exact
-// arm is never costlier than any heuristic, and every heuristic sits
-// inside the reported bound.
-func checkInvariants(t *testing.T, g *core.Graph, r *exact.Result) {
-	t.Helper()
-	if r.Part.Cost != r.Cert.Upper {
-		t.Fatalf("partition cost %d != certificate upper %d", r.Part.Cost, r.Cert.Upper)
-	}
-	if r.Cert.Lower > r.Cert.Upper {
-		t.Fatalf("lower %d > upper %d", r.Cert.Lower, r.Cert.Upper)
-	}
-	if r.Cert.Verdict == exact.Optimal && r.Cert.Lower != r.Cert.Upper {
-		t.Fatalf("verdict optimal with open interval [%d, %d]", r.Cert.Lower, r.Cert.Upper)
-	}
-	heuristics := map[string]int64{
-		"greedy": g.Partition().Cost,
-		"fm":     g.PartitionFM().Cost,
-		"kl":     g.PartitionKL().Cost,
-		"anneal": g.PartitionAnneal(1).Cost,
-	}
-	for name, cost := range heuristics {
-		if r.Cert.Upper > cost {
-			t.Fatalf("exact cost %d worse than %s %d", r.Cert.Upper, name, cost)
-		}
-		if cost < r.Cert.Lower {
-			t.Fatalf("%s cost %d below proven lower bound %d", name, cost, r.Cert.Lower)
-		}
-	}
-}
-
-// TestExactMatchesBruteForceBenchmarks pins the branch-and-bound
-// against exhaustive enumeration on every benchmark whose interference
-// graph has at most 16 active arrays — all twelve kernels and most
-// applications qualify.
-func TestExactMatchesBruteForceBenchmarks(t *testing.T) {
-	progs := append(bench.Kernels(), bench.Applications()...)
-	checked := 0
-	for _, p := range progs {
-		c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: alloc.CB})
-		if err != nil {
-			t.Fatalf("%s: compile: %v", p.Name, err)
-		}
-		g := c.Alloc.Graph
-		if len(activeNodes(g)) > 16 {
-			continue
-		}
-		checked++
-		want := bruteForce(t, g)
-		r := exact.Solve(g, exact.Options{})
-		checkInvariants(t, g, r)
-		if r.Cert.Verdict != exact.Optimal {
-			t.Errorf("%s: verdict %v, want optimal", p.Name, r.Cert.Verdict)
-		}
-		if r.Cert.Upper != want {
-			t.Errorf("%s: exact cost %d, brute force %d", p.Name, r.Cert.Upper, want)
-		}
-	}
-	if checked < 12 {
-		t.Fatalf("only %d benchmarks qualified for brute force, want >= 12 (all kernels)", checked)
-	}
-}
-
-// TestExactMatchesBruteForceRandom pins the solver against brute force
-// on 200 seeded random graphs, both through the default ordering and
-// with the spectral seed+ordering forced on (SpectralMin 2), so the
-// float path is exercised on graphs small enough to verify exhaustively.
-func TestExactMatchesBruteForceRandom(t *testing.T) {
-	for _, opt := range []exact.Options{{}, {SpectralMin: 2}} {
-		rng := rand.New(rand.NewSource(41))
-		for trial := 0; trial < 200; trial++ {
-			n := 2 + rng.Intn(13)
-			g := randomGraph(rng, n, rng.Intn(4*n))
-			want := bruteForce(t, g)
-			r := exact.Solve(g, opt)
-			checkInvariants(t, g, r)
-			if r.Cert.Verdict != exact.Optimal {
-				t.Fatalf("trial %d (spectralMin=%d): verdict %v, want optimal",
-					trial, opt.SpectralMin, r.Cert.Verdict)
-			}
-			if r.Cert.Upper != want {
-				t.Fatalf("trial %d (spectralMin=%d): exact cost %d, brute force %d",
-					trial, opt.SpectralMin, r.Cert.Upper, want)
-			}
-		}
-	}
-}
-
-// bruteForceK enumerates every assignment of g's active nodes to k
+// bruteForce enumerates every assignment of g's active nodes to k
 // banks, a node entering at most one bank past the highest used so far
 // (so each set partition is visited once), and returns the least
-// residual cost: the weight of the edges inside one bank.
-func bruteForceK(g *core.Graph, k int) int64 {
+// residual cost: the weight of the edges inside one bank. Isolated
+// nodes cannot contribute cost.
+func bruteForce(g *core.Graph, k int) int64 {
 	act := activeNodes(g)
 	c := g.CSR()
 	side := make([]int, len(g.Nodes))
@@ -210,24 +83,93 @@ func bruteForceK(g *core.Graph, k int) int64 {
 	return best
 }
 
-// checkInvariantsK asserts what every SolveK result must satisfy
-// against the brute-force optimum want: want lies inside the
-// certificate, an optimal verdict names it, the partition realises
-// Upper, and no k-way heuristic is cheaper.
-func checkInvariantsK(t *testing.T, g *core.Graph, k int, r *exact.ResultK, want int64) {
+// checkInvariants asserts what every Solve result must satisfy against
+// the brute-force optimum want: the partition realises Upper, Lower
+// never exceeds Upper, an optimal verdict has a closed interval and
+// names want, want lies inside the certificate, the exact arm is never
+// costlier than any heuristic, and every heuristic sits inside the
+// reported bound.
+func checkInvariants(t *testing.T, g *core.Graph, k int, r *exact.Result, want int64) {
 	t.Helper()
-	if r.Cert.Lower > want || want > r.Cert.Upper {
-		t.Fatalf("k=%d: optimum %d outside certified [%d, %d]", k, want, r.Cert.Lower, r.Cert.Upper)
+	if r.Part.Cost != r.Cert.Upper {
+		t.Fatalf("k=%d: partition cost %d != certificate upper %d", k, r.Part.Cost, r.Cert.Upper)
+	}
+	if r.Cert.Lower > r.Cert.Upper {
+		t.Fatalf("k=%d: lower %d > upper %d", k, r.Cert.Lower, r.Cert.Upper)
+	}
+	if r.Cert.Verdict == exact.Optimal && r.Cert.Lower != r.Cert.Upper {
+		t.Fatalf("k=%d: verdict optimal with open interval [%d, %d]", k, r.Cert.Lower, r.Cert.Upper)
 	}
 	if r.Cert.Verdict == exact.Optimal && r.Cert.Upper != want {
 		t.Fatalf("k=%d: claimed optimal %d, brute force %d", k, r.Cert.Upper, want)
 	}
-	if r.Part.Cost != r.Cert.Upper {
-		t.Fatalf("k=%d: partition cost %d != certificate upper %d", k, r.Part.Cost, r.Cert.Upper)
+	if r.Cert.Lower > want || want > r.Cert.Upper {
+		t.Fatalf("k=%d: optimum %d outside certified [%d, %d]", k, want, r.Cert.Lower, r.Cert.Upper)
 	}
 	for _, m := range []core.Method{core.MethodGreedy, core.MethodKL, core.MethodAnneal, core.MethodFM} {
-		if cost := g.PartitionK(k, m, 0).Cost; cost < r.Cert.Upper {
+		cost := g.PartitionK(k, m, -1).Cost
+		if r.Cert.Upper > cost {
 			t.Fatalf("k=%d: exact cost %d worse than %v %d", k, r.Cert.Upper, m, cost)
+		}
+		if cost < r.Cert.Lower {
+			t.Fatalf("k=%d: %v cost %d below proven lower bound %d", k, m, cost, r.Cert.Lower)
+		}
+	}
+}
+
+// TestExactMatchesBruteForceBenchmarks pins the branch-and-bound
+// against exhaustive enumeration on every benchmark whose interference
+// graph has at most 16 active arrays — all twelve kernels and most
+// applications qualify.
+func TestExactMatchesBruteForceBenchmarks(t *testing.T) {
+	progs := append(bench.Kernels(), bench.Applications()...)
+	checked := 0
+	for _, p := range progs {
+		c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: alloc.CB})
+		if err != nil {
+			t.Fatalf("%s: compile: %v", p.Name, err)
+		}
+		g := c.Alloc.Graph
+		if len(activeNodes(g)) > 16 {
+			continue
+		}
+		checked++
+		want := bruteForce(g, 2)
+		r := exact.Solve(g, 2, exact.Options{})
+		checkInvariants(t, g, 2, r, want)
+		if r.Cert.Verdict != exact.Optimal {
+			t.Errorf("%s: verdict %v, want optimal", p.Name, r.Cert.Verdict)
+		}
+		if r.Cert.Upper != want {
+			t.Errorf("%s: exact cost %d, brute force %d", p.Name, r.Cert.Upper, want)
+		}
+	}
+	if checked < 12 {
+		t.Fatalf("only %d benchmarks qualified for brute force, want >= 12 (all kernels)", checked)
+	}
+}
+
+// TestExactMatchesBruteForceRandom pins the solver against brute force
+// on 200 seeded random graphs, both through the default ordering and
+// with the spectral seed+ordering forced on (SpectralMin 2), so the
+// float path is exercised on graphs small enough to verify exhaustively.
+func TestExactMatchesBruteForceRandom(t *testing.T) {
+	for _, opt := range []exact.Options{{}, {SpectralMin: 2}} {
+		rng := rand.New(rand.NewSource(41))
+		for trial := 0; trial < 200; trial++ {
+			n := 2 + rng.Intn(13)
+			g := randomGraph(rng, n, rng.Intn(4*n))
+			want := bruteForce(g, 2)
+			r := exact.Solve(g, 2, opt)
+			checkInvariants(t, g, 2, r, want)
+			if r.Cert.Verdict != exact.Optimal {
+				t.Fatalf("trial %d (spectralMin=%d): verdict %v, want optimal",
+					trial, opt.SpectralMin, r.Cert.Verdict)
+			}
+			if r.Cert.Upper != want {
+				t.Fatalf("trial %d (spectralMin=%d): exact cost %d, brute force %d",
+					trial, opt.SpectralMin, r.Cert.Upper, want)
+			}
 		}
 	}
 }
@@ -242,8 +184,8 @@ func TestSolveKMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 400; trial++ {
 			n := 2 + rng.Intn(8)
 			g := randomGraph(rng, n, rng.Intn(4*n))
-			r := exact.SolveK(g, k, exact.Options{})
-			checkInvariantsK(t, g, k, r, bruteForceK(g, k))
+			r := exact.Solve(g, k, exact.Options{})
+			checkInvariants(t, g, k, r, bruteForce(g, k))
 			if r.Cert.Verdict != exact.Optimal {
 				t.Fatalf("k=%d trial %d: verdict %v, want optimal", k, trial, r.Cert.Verdict)
 			}
@@ -259,10 +201,10 @@ func TestExactBudgetExhaustion(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		n := 4 + rng.Intn(10)
 		g := randomGraph(rng, n, n+rng.Intn(3*n))
-		want := bruteForce(t, g)
+		want := bruteForce(g, 2)
 		for _, budget := range []int64{1, 5, 50} {
-			r := exact.Solve(g, exact.Options{NodeBudget: budget})
-			checkInvariants(t, g, r)
+			r := exact.Solve(g, 2, exact.Options{NodeBudget: budget})
+			checkInvariants(t, g, 2, r, want)
 			if r.Cert.Lower > want || want > r.Cert.Upper {
 				t.Fatalf("trial %d budget %d: optimum %d outside [%d, %d]",
 					trial, budget, want, r.Cert.Lower, r.Cert.Upper)
@@ -290,15 +232,15 @@ func TestExactComponentsAdd(t *testing.T) {
 	g.SetWeight(syms[3], syms[4], 2)
 	g.SetWeight(syms[4], syms[5], 3)
 	g.SetWeight(syms[3], syms[5], 6)
-	r := exact.Solve(g, exact.Options{})
+	r := exact.Solve(g, 2, exact.Options{})
 	if r.Cert.Verdict != exact.Optimal || r.Cert.Upper != 3 {
 		t.Fatalf("two triangles: verdict %v cost %d, want optimal 3", r.Cert.Verdict, r.Cert.Upper)
 	}
 	if r.Cert.Components != 2 || r.Cert.Closed != 2 {
 		t.Fatalf("components %d closed %d, want 2 and 2", r.Cert.Components, r.Cert.Closed)
 	}
-	if len(r.Part.SetX)+len(r.Part.SetY) != 7 {
-		t.Fatalf("partition dropped nodes: |X|+|Y| = %d", len(r.Part.SetX)+len(r.Part.SetY))
+	if len(r.Part.Sets[0])+len(r.Part.Sets[1]) != 7 {
+		t.Fatalf("partition dropped nodes: |X|+|Y| = %d", len(r.Part.Sets[0])+len(r.Part.Sets[1]))
 	}
 }
 
@@ -307,8 +249,8 @@ func TestExactComponentsAdd(t *testing.T) {
 func TestExactDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 30, 120)
-	a := exact.Solve(g, exact.Options{NodeBudget: 10_000})
-	b := exact.Solve(g, exact.Options{NodeBudget: 10_000})
+	a := exact.Solve(g, 2, exact.Options{NodeBudget: 10_000})
+	b := exact.Solve(g, 2, exact.Options{NodeBudget: 10_000})
 	if a.Cert != b.Cert {
 		t.Fatalf("certificates differ: %+v vs %+v", a.Cert, b.Cert)
 	}
@@ -332,10 +274,10 @@ func TestExactMethodDispatch(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(rng, 10, 25)
-	got := g.PartitionWith(core.MethodExact)
-	want := exact.Solve(g, exact.Options{})
+	got := g.PartitionK(2, core.MethodExact, -1)
+	want := exact.Solve(g, 2, exact.Options{})
 	if got.Cost != want.Cert.Upper {
-		t.Fatalf("PartitionWith(exact) cost %d, Solve %d", got.Cost, want.Cert.Upper)
+		t.Fatalf("PartitionK(exact) cost %d, Solve %d", got.Cost, want.Cert.Upper)
 	}
 }
 
@@ -379,44 +321,40 @@ func graphFromBytes(data []byte) *core.Graph {
 	return g
 }
 
-// FuzzExactNeverWorse: on arbitrary small graphs the exact arm is never
-// costlier than any heuristic, every heuristic lies inside the reported
-// bound, and (the graphs being small enough to enumerate) a closed
-// search really did find the optimum.
+// fuzzNeverWorse checks one fuzz input at k banks: the exact arm is
+// never costlier than any heuristic, every heuristic lies inside the
+// reported bound, and (the graphs being small enough to enumerate) the
+// certificate brackets the brute-force optimum, which an optimal
+// verdict names.
+func fuzzNeverWorse(t *testing.T, k int, data []byte) {
+	g := graphFromBytes(data)
+	if g == nil {
+		return
+	}
+	checkInvariants(t, g, k, exact.Solve(g, k, exact.Options{}), bruteForce(g, k))
+}
+
+// FuzzExactNeverWorse: the exact-arm invariants on arbitrary small
+// graphs at two banks.
 func FuzzExactNeverWorse(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 3, 1, 2, 5, 0, 2, 2})
 	f.Add([]byte{9, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 0, 1})
 	f.Add([]byte{12, 5, 9, 7, 2, 8, 1, 0, 11, 3, 4, 6, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := graphFromBytes(data)
-		if g == nil {
-			return
-		}
-		r := exact.Solve(g, exact.Options{})
-		checkInvariants(t, g, r)
-		want := bruteForce(t, g)
-		if r.Cert.Lower > want || want > r.Cert.Upper {
-			t.Fatalf("optimum %d outside certified [%d, %d]", want, r.Cert.Lower, r.Cert.Upper)
-		}
-		if r.Cert.Verdict == exact.Optimal && r.Cert.Upper != want {
-			t.Fatalf("claimed optimal %d, brute force %d", r.Cert.Upper, want)
-		}
+		fuzzNeverWorse(t, 2, data)
 	})
 }
 
-// FuzzExactKNeverWorse: on arbitrary small graphs at three or four
-// banks, the k-way exact arm brackets the brute-force optimum, an
-// optimal verdict names it, and no k-way heuristic is cheaper.
+// FuzzExactKNeverWorse: the same invariants at three or four banks;
+// the low bit of the first byte picks the bank count.
 func FuzzExactKNeverWorse(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 3, 1, 2, 5, 0, 2, 2})
 	f.Add([]byte{9, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 0, 1})
 	f.Add([]byte{12, 5, 9, 7, 2, 8, 1, 0, 11, 3, 4, 6, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := graphFromBytes(data)
-		if g == nil {
+		if len(data) == 0 {
 			return
 		}
-		k := 3 + int(data[0]&1)
-		checkInvariantsK(t, g, k, exact.SolveK(g, k, exact.Options{}), bruteForceK(g, k))
+		fuzzNeverWorse(t, 3+int(data[0]&1), data)
 	})
 }

@@ -31,7 +31,7 @@ func Analyze(source, name string) (*Analysis, error) {
 // Dot renders the interference graph in Graphviz format, colored by
 // the final partition.
 func (a *Analysis) Dot() string {
-	return a.Compiled.Alloc.Graph.Dot(a.Compiled.Alloc.Part.Bipartition())
+	return a.Compiled.Alloc.Graph.Dot(a.Compiled.Alloc.Part)
 }
 
 // WriteText renders the full analysis: the weighted interference
@@ -45,7 +45,7 @@ func (a *Analysis) WriteText(w io.Writer) {
 	fmt.Fprintln(w, "Greedy partition (Figure 5): cost after each move:")
 	fmt.Fprintf(w, "  %v\n\n", al.Part.Trace)
 	fmt.Fprintln(w, "Final partition:")
-	fmt.Fprintln(w, al.Part.Bipartition())
+	fmt.Fprintln(w, al.Part)
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Bank assignment:")
 	for _, g := range a.Compiled.IR.Globals {

@@ -1,7 +1,7 @@
 package explore
 
 // Certify is the fleet-wide optimality-gap reporter: it runs the
-// certified exact bipartitioner (internal/exact) on every benchmark's
+// certified exact partitioner (internal/exact) on every benchmark's
 // interference graph and measures each heuristic arm — greedy, FM,
 // annealing — against the proven bound. The output answers the
 // question the heuristic-vs-heuristic comparisons cannot: not "which
@@ -20,9 +20,10 @@ import (
 	"math"
 	"sync"
 
-	"dualbank/internal/alloc"
 	"dualbank/internal/bench"
+	"dualbank/internal/core"
 	"dualbank/internal/exact"
+	"dualbank/internal/opt"
 	"dualbank/internal/pipeline"
 )
 
@@ -114,7 +115,7 @@ func Certify(ctx context.Context, progs []bench.Program, opts CertifyOptions) (*
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i], errs[i] = certifyBench(progs[i], opts.NodeBudget)
+				out[i], errs[i] = certifyBench(ctx, progs[i], opts.NodeBudget)
 				mu.Lock()
 				done++
 				if opts.Progress != nil && errs[i] == nil {
@@ -168,15 +169,18 @@ feed:
 	return rep, nil
 }
 
-// certifyBench certifies one benchmark: compile the CB pipeline,
-// measure each heuristic arm on the interference graph, then run the
+// certifyBench certifies one benchmark: build the static interference
+// graph CB plans on, measure each heuristic arm on it, then run the
 // exact solver and express every arm against the certified bound.
-func certifyBench(p bench.Program, budget int64) (BenchCert, error) {
-	c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: alloc.CB})
+func certifyBench(ctx context.Context, p bench.Program, budget int64) (BenchCert, error) {
+	prep, err := pipeline.Prepare(ctx, p.Source, p.Name, opt.Options{})
 	if err != nil {
 		return BenchCert{}, fmt.Errorf("certify: %s: %w", p.Name, err)
 	}
-	g := c.Alloc.Graph
+	g, err := new(pipeline.Compiler).Graph(ctx, prep, core.WeightStatic)
+	if err != nil {
+		return BenchCert{}, fmt.Errorf("certify: %s: %w", p.Name, err)
+	}
 	csr := g.CSR()
 	bc := BenchCert{Bench: p.Name, Arrays: len(g.Nodes), Total: csr.Total}
 	for i := range g.Nodes {
@@ -190,11 +194,11 @@ func certifyBench(p bench.Program, budget int64) (BenchCert, error) {
 		name string
 		cost int64
 	}{
-		{"greedy", g.Partition().Cost},
-		{"fm", g.PartitionFM().Cost},
-		{"anneal", g.PartitionAnneal(1).Cost},
+		{"greedy", g.PartitionK(2, core.MethodGreedy, -1).Cost},
+		{"fm", g.PartitionK(2, core.MethodFM, -1).Cost},
+		{"anneal", g.PartitionK(2, core.MethodAnneal, -1).Cost},
 	}
-	r := exact.Solve(g, exact.Options{NodeBudget: budget})
+	r := exact.Solve(g, 2, exact.Options{NodeBudget: budget})
 	bc.Cert = r.Cert
 	for _, a := range arms {
 		if a.cost < r.Cert.Upper {

@@ -14,9 +14,10 @@ import (
 	"runtime"
 	"sync"
 
-	"dualbank/internal/alloc"
+	"dualbank/internal/core"
 	"dualbank/internal/exact"
 	"dualbank/internal/genmc"
+	"dualbank/internal/opt"
 	"dualbank/internal/pipeline"
 )
 
@@ -176,21 +177,25 @@ feed:
 	return r, nil
 }
 
-// certifyGenerated certifies one generated program's CB partition.
+// certifyGenerated certifies one generated program's CB partition, on
+// the static interference graph CB plans on.
 func certifyGenerated(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler, budget int64) (CertRow, error) {
-	c, err := cc.CompileCtx(ctx, gp.Source, gp.Name, pipeline.Options{Mode: alloc.CB})
+	prep, err := pipeline.Prepare(ctx, gp.Source, gp.Name, opt.Options{})
 	if err != nil {
 		return CertRow{}, fmt.Errorf("corpus: %s: compile: %w", gp.Name, err)
 	}
-	g := c.Alloc.Graph
+	g, err := cc.Graph(ctx, prep, core.WeightStatic)
+	if err != nil {
+		return CertRow{}, fmt.Errorf("corpus: %s: compile: %w", gp.Name, err)
+	}
 	row := CertRow{
 		Name:      gp.Name,
 		Archetype: gp.Knobs.Archetype.String(),
-		Greedy:    g.Partition().Cost,
-		FM:        g.PartitionFM().Cost,
-		Anneal:    g.PartitionAnneal(1).Cost,
+		Greedy:    g.PartitionK(2, core.MethodGreedy, -1).Cost,
+		FM:        g.PartitionK(2, core.MethodFM, -1).Cost,
+		Anneal:    g.PartitionK(2, core.MethodAnneal, -1).Cost,
 	}
-	res := exact.Solve(g, exact.Options{NodeBudget: budget})
+	res := exact.Solve(g, 2, exact.Options{NodeBudget: budget})
 	row.Verdict = res.Cert.Verdict.String()
 	row.Lower, row.Upper = res.Cert.Lower, res.Cert.Upper
 	row.BBNodes = res.Cert.BBNodes
