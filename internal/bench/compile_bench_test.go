@@ -6,6 +6,7 @@ import (
 
 	"dualbank/internal/alloc"
 	"dualbank/internal/core"
+	"dualbank/internal/genmc"
 	"dualbank/internal/opt"
 	"dualbank/internal/pipeline"
 )
@@ -73,7 +74,22 @@ func BenchmarkRunCB(b *testing.B) {
 // BenchmarkPrepare runs the front end (parse through register
 // allocation) over the 23-program suite; one op is the whole suite.
 func BenchmarkPrepare(b *testing.B) {
-	progs := append(Kernels(), Applications()...)
+	benchmarkPrepare(b, append(Kernels(), Applications()...))
+}
+
+// BenchmarkPrepareGenerated runs the front end over 250 generated
+// programs, the cold path of a server answering fresh generated names;
+// one op is the whole population. Generating the sources is not timed.
+func BenchmarkPrepareGenerated(b *testing.B) {
+	var progs []Program
+	for _, k := range genmc.Population(250, 3) {
+		g := genmc.Generate(k)
+		progs = append(progs, Program{Name: g.Name, Source: g.Source})
+	}
+	benchmarkPrepare(b, progs)
+}
+
+func benchmarkPrepare(b *testing.B, progs []Program) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,6 +1,7 @@
 package exact_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -190,6 +191,41 @@ func TestSolveKMatchesBruteForce(t *testing.T) {
 				t.Fatalf("k=%d trial %d: verdict %v, want optimal", k, trial, r.Cert.Verdict)
 			}
 		}
+	}
+}
+
+// TestSolveKAllocsIndependentOfBudget pins the k-ary search's scratch:
+// no branch-and-bound node allocates, so a search that expands more
+// nodes under a larger budget allocates exactly as often.
+func TestSolveKAllocsIndependentOfBudget(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(3)), 30, 120)
+	run := func(budget int64) (allocs float64, nodes int64) {
+		allocs = testing.AllocsPerRun(5, func() {
+			nodes = exact.Solve(g, 3, exact.Options{NodeBudget: budget}).Cert.BBNodes
+		})
+		return allocs, nodes
+	}
+	small, smallNodes := run(1_000)
+	large, largeNodes := run(100_000)
+	if largeNodes <= smallNodes {
+		t.Fatalf("%d nodes at budget 100,000 and %d at 1,000; the larger budget expanded nothing more", largeNodes, smallNodes)
+	}
+	if small != large {
+		t.Fatalf("%.0f allocations for %d nodes, %.0f for %d: the search allocates per node", small, smallNodes, large, largeNodes)
+	}
+}
+
+// BenchmarkSolveK times the k-ary exact search on a fixed random graph
+// of 30 nodes at three and four banks, at the default budget.
+func BenchmarkSolveK(b *testing.B) {
+	g := randomGraph(rand.New(rand.NewSource(3)), 30, 120)
+	for _, k := range []int{3, 4} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				exact.Solve(g, k, exact.Options{})
+			}
+		})
 	}
 }
 

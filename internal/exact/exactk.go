@@ -29,7 +29,8 @@ type compSolverK struct {
 	side     []int32
 	e        [][]int64 // e[v][b]: v's edge weight into assigned bank b
 	fixed    int64
-	sumMin   int64 // sum over unassigned of min_b e[v][b]
+	sumMin   int64  // sum over unassigned of min_b e[v][b]
+	tried    []bool // tried[d*k+b]: the node at depth d has tried bank b
 }
 
 func newCompSolverK(c *core.CSR, comp []int32, k int) *compSolverK {
@@ -40,6 +41,7 @@ func newCompSolverK(c *core.CSR, comp []int32, k int) *compSolverK {
 		assigned:  make([]bool, n),
 		side:      make([]int32, n),
 		e:         make([][]int64, n),
+		tried:     make([]bool, n*k),
 	}
 	for i := range s.e {
 		s.e[i] = make([]int64, k)
@@ -48,7 +50,9 @@ func newCompSolverK(c *core.CSR, comp []int32, k int) *compSolverK {
 	return s
 }
 
-func (s *compSolverK) search(budget *int64) { s.dfs(0, 0, budget) }
+// search starts at the root with no bank used, so the first node
+// decided enters bank 0 alone.
+func (s *compSolverK) search(budget *int64) { s.dfs(0, -1, budget) }
 
 func (s *compSolverK) minE(v int32) int64 {
 	m := s.e[v][0]
@@ -90,7 +94,8 @@ func (s *compSolverK) dfs(d int, maxUsed int, budget *int64) {
 	}
 	// Cheapest bank first among the permitted prefix; ties to the lower
 	// bank index keep the search deterministic.
-	tried := make([]bool, limit+1)
+	tried := s.tried[d*s.k : d*s.k+limit+1]
+	clear(tried)
 	for range tried {
 		bb, bw := -1, infCost
 		for b := 0; b <= limit; b++ {

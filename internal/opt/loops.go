@@ -20,14 +20,16 @@ import (
 //     instruction with a free PCU slot.
 
 // ShapeLoops runs the loop passes to a fixed point and renumbers the
-// blocks. It is called from Run.
-func ShapeLoops(f *ir.Func) {
+// blocks. Run calls it with the tables it already holds.
+func ShapeLoops(f *ir.Func) { new(tables).shapeLoops(f) }
+
+func (t *tables) shapeLoops(f *ir.Func) {
 	for round := 0; round < 16; round++ {
-		changed := foldBranches(f)
+		changed := t.foldBranches(f)
 		changed = mergeBlocks(f) || changed
-		changed = rotateLoops(f) || changed
+		changed = t.rotateLoops(f) || changed
 		changed = mergeBlocks(f) || changed
-		changed = hardwareLoops(f) || changed
+		changed = t.hardwareLoops(f) || changed
 		if !changed {
 			break
 		}
@@ -40,37 +42,16 @@ func ShapeLoops(f *ir.Func) {
 // loop after rotation) into unconditional branches. Only constants
 // defined in the entry block or earlier in the same block are used, so
 // the definition is guaranteed to execute first.
-func foldBranches(f *ir.Func) bool {
-	type def struct {
-		val   int64
-		blk   *ir.Block
-		count int
-	}
-	defs := make([]def, f.NumRegs())
-	for _, b := range f.Blocks {
-		for _, op := range b.Ops {
-			if op.Dst == ir.NoReg {
-				continue
-			}
-			d := &defs[op.Dst]
-			d.count++
-			d.blk = b
-			d.val = 0
-			if op.Kind == ir.OpConst {
-				d.val = op.Imm
-			} else {
-				d.count += 100 // not a constant: poison
-			}
-		}
-	}
+func (t *tables) foldBranches(f *ir.Func) bool {
+	defs := t.regDefs(f)
 	changed := false
 	for _, b := range f.Blocks {
-		t := b.Terminator()
-		if t == nil || t.Kind != ir.OpCondBr {
+		term := b.Terminator()
+		if term == nil || term.Kind != ir.OpCondBr {
 			continue
 		}
-		d := &defs[t.Args[0]]
-		if d.count != 1 {
+		d := &defs[term.Args[0]]
+		if !d.isConst() {
 			continue
 		}
 		if d.blk != f.Entry() && d.blk != b {
@@ -80,8 +61,8 @@ func foldBranches(f *ir.Func) bool {
 		if d.val == 0 {
 			taken, dead = dead, taken
 		}
-		t.Kind = ir.OpBr
-		t.Args[0] = ir.NoReg
+		term.Kind = ir.OpBr
+		term.Args[0] = ir.NoReg
 		b.Succs = []*ir.Block{taken}
 		if dead != taken {
 			removePred(dead, b)
@@ -89,7 +70,7 @@ func foldBranches(f *ir.Func) bool {
 		changed = true
 	}
 	if changed {
-		removeUnreachable(f)
+		t.removeUnreachable(f)
 		renumber(f)
 	}
 	return changed
@@ -148,23 +129,20 @@ func mergeBlocks(f *ir.Func) bool {
 	}
 }
 
-// usedOutside returns, indexed by register, whether the register is
-// used in any block other than `home`.
-func usedOutside(f *ir.Func, home *ir.Block) []bool {
-	out := make([]bool, f.NumRegs())
-	var buf []ir.Reg
+// usedOutside fills t.used with the registers used in any block other
+// than home.
+func (t *tables) usedOutside(f *ir.Func, home *ir.Block) {
+	t.used.reset(f.NumRegs())
 	for _, b := range f.Blocks {
 		if b == home {
 			continue
 		}
 		for _, op := range b.Ops {
-			buf = op.Uses(buf[:0])
-			for _, u := range buf {
-				out[u] = true
+			for _, u := range t.uses(op) {
+				t.used.add(int(u))
 			}
 		}
 	}
-	return out
 }
 
 // rotateLoops converts while-shaped loops to do-while shape. A header
@@ -172,22 +150,23 @@ func usedOutside(f *ir.Func, home *ir.Block) []bool {
 // conditional branch is copied into every backedge block, which then
 // branches directly to the body or the exit. H keeps its original code
 // and becomes the entry guard, executed once.
-func rotateLoops(f *ir.Func) bool {
+func (t *tables) rotateLoops(f *ir.Func) bool {
 	changed := false
 	for _, h := range f.Blocks {
-		t := h.Terminator()
-		if t == nil || t.Kind != ir.OpCondBr || len(h.Ops) > 8 {
+		term := h.Terminator()
+		if term == nil || term.Kind != ir.OpCondBr || len(h.Ops) > 8 {
 			continue
 		}
 		// Split predecessors into entries (earlier blocks) and
 		// backedges (later blocks ending in an unconditional branch).
 		// The front-end lowers loops with the preheader created before
 		// the header, so block order distinguishes the two.
-		var entries, backs []*ir.Block
+		entries := 0
+		backs := t.blocks[:0]
 		ok := true
 		for _, p := range h.Preds {
 			if p.ID < h.ID {
-				entries = append(entries, p)
+				entries++
 				continue
 			}
 			bt := p.Terminator()
@@ -197,7 +176,8 @@ func rotateLoops(f *ir.Func) bool {
 			}
 			backs = append(backs, p)
 		}
-		if !ok || len(entries) != 1 || len(backs) == 0 {
+		t.blocks = backs
+		if !ok || entries != 1 || len(backs) == 0 {
 			continue
 		}
 		// All header ops must be pure register computations, and the
@@ -213,10 +193,10 @@ func rotateLoops(f *ir.Func) bool {
 		if !pure {
 			continue
 		}
-		outside := usedOutside(f, h)
+		t.usedOutside(f, h)
 		defsOK := true
 		for _, op := range h.Ops {
-			if op.Dst != ir.NoReg && outside[op.Dst] {
+			if op.Dst != ir.NoReg && t.used.has(int(op.Dst)) {
 				defsOK = false
 				break
 			}
@@ -255,32 +235,6 @@ func removePred(b, p *ir.Block) {
 	}
 }
 
-// constRegs returns, indexed by register, the value of every register
-// whose single definition in the function is an integer constant; ok
-// reports which registers have one.
-func constRegs(f *ir.Func) (val []int64, ok []bool) {
-	n := f.NumRegs()
-	defs := make([]int32, n)
-	val = make([]int64, n)
-	ok = make([]bool, n)
-	for _, b := range f.Blocks {
-		for _, op := range b.Ops {
-			if op.Dst == ir.NoReg {
-				continue
-			}
-			defs[op.Dst]++
-			val[op.Dst] = op.Imm
-			ok[op.Dst] = op.Kind == ir.OpConst
-		}
-	}
-	for r, d := range defs {
-		if d != 1 {
-			ok[r] = false
-		}
-	}
-	return val, ok
-}
-
 // hardwareLoops rewrites counted loops to the DO/ENDDO hardware. See
 // the file comment; the recognized shape, produced by mergeBlocks and
 // rotateLoops, is a natural loop whose single exit is a backedge block
@@ -294,19 +248,19 @@ func constRegs(f *ir.Func) (val []int64, ok []bool) {
 // OpDo; the compare and branch are deleted and the backedge block ends
 // in OpEndDo, which the loop hardware evaluates for free.
 //
-// Every candidate branch's natural loop is collected in one blockSet,
+// Every candidate branch's natural loop is collected in t.loop,
 // indexed by Block.ID: the IDs are dense here because mergeBlocks
 // renumbers the blocks just before this pass runs.
-func hardwareLoops(f *ir.Func) bool {
-	consts, isConst := constRegs(f)
-	loop := newBlockSet(len(f.Blocks))
+func (t *tables) hardwareLoops(f *ir.Func) bool {
+	defs := t.regDefs(f)
+	loop := &t.loop
 	for _, l := range f.Blocks {
-		t := l.Terminator()
-		if t == nil || t.Kind != ir.OpCondBr {
+		term := l.Terminator()
+		if term == nil || term.Kind != ir.OpCondBr {
 			continue
 		}
 		head, exit := l.Succs[0], l.Succs[1]
-		if !naturalLoop(head, l, loop) || loop.has(exit) {
+		if !naturalLoop(f, head, l, loop) || loop.has(exit) {
 			continue
 		}
 		// Single exit: only L leaves the loop, via its condbr.
@@ -325,7 +279,7 @@ func hardwareLoops(f *ir.Func) bool {
 		// the condition register used only by the branch.
 		cmpIdx := -1
 		for i := len(l.Ops) - 2; i >= 0; i-- {
-			if l.Ops[i].Dst == t.Args[0] {
+			if l.Ops[i].Dst == term.Args[0] {
 				cmpIdx = i
 				break
 			}
@@ -339,7 +293,7 @@ func hardwareLoops(f *ir.Func) bool {
 		// own copy of the compare, so the register appears in several
 		// blocks; it is safe as long as every use is preceded by a
 		// definition in its own block.
-		if !selfContainedUses(f, t.Args[0], l, cmpIdx) {
+		if !t.selfContainedUses(f, term.Args[0], l, cmpIdx) {
 			continue
 		}
 		var down bool
@@ -377,7 +331,7 @@ func hardwareLoops(f *ir.Func) bool {
 			continue
 		}
 		upd := l.Ops[updIdx]
-		if step := upd.Args[1]; !isConst[step] || consts[step] != 1 || upd.Args[0] != iReg {
+		if step := &defs[upd.Args[1]]; !step.isConst() || step.val != 1 || upd.Args[0] != iReg {
 			continue
 		}
 		switch {
@@ -443,8 +397,8 @@ func hardwareLoops(f *ir.Func) bool {
 
 		// Delete the compare; turn the branch into ENDDO.
 		l.Ops = append(l.Ops[:cmpIdx], l.Ops[cmpIdx+1:]...)
-		t.Kind = ir.OpEndDo
-		t.Args[0] = ir.NoReg
+		term.Kind = ir.OpEndDo
+		term.Args[0] = ir.NoReg
 
 		renumber(f)
 		return true // structure changed; caller re-runs
@@ -453,36 +407,33 @@ func hardwareLoops(f *ir.Func) bool {
 }
 
 // blockSet is a set of blocks indexed by Block.ID, for a function
-// whose block IDs are dense. Starting a new set bumps the epoch rather
-// than clearing the stamps; members lists the blocks in the order they
+// whose block IDs are dense; members lists the blocks in the order they
 // were added.
 type blockSet struct {
-	stamp   []uint32
-	epoch   uint32
+	in      marks
 	members []*ir.Block
 }
 
-func newBlockSet(n int) *blockSet { return &blockSet{stamp: make([]uint32, n)} }
-
-func (s *blockSet) reset() {
-	s.epoch++
+// reset empties the set for a function of n blocks.
+func (s *blockSet) reset(n int) {
+	s.in.reset(n)
 	s.members = s.members[:0]
 }
 
-func (s *blockSet) has(b *ir.Block) bool { return s.stamp[b.ID] == s.epoch }
+func (s *blockSet) has(b *ir.Block) bool { return s.in.has(b.ID) }
 
 func (s *blockSet) add(b *ir.Block) {
-	s.stamp[b.ID] = s.epoch
+	s.in.add(b.ID)
 	s.members = append(s.members, b)
 }
 
-// naturalLoop fills loop with the blocks of the natural loop with
+// naturalLoop fills loop with the blocks of f's natural loop with
 // header head and backedge block tail (tail -> head): head, tail, and
 // every block that reaches tail without passing through head, in
 // breadth-first order from tail. It reports false, leaving loop
 // partial, when the walk takes more than 10,000 steps.
-func naturalLoop(head, tail *ir.Block, loop *blockSet) bool {
-	loop.reset()
+func naturalLoop(f *ir.Func, head, tail *ir.Block, loop *blockSet) bool {
+	loop.reset(len(f.Blocks))
 	loop.add(head)
 	if tail != head {
 		loop.add(tail)
@@ -520,13 +471,11 @@ func definedIn(loop *blockSet, r ir.Reg) bool {
 // definition of r earlier in the same block, and that within block
 // `home` the only use after position defIdx is the terminator. This
 // makes deleting home's definition at defIdx safe.
-func selfContainedUses(f *ir.Func, r ir.Reg, home *ir.Block, defIdx int) bool {
-	var buf []ir.Reg
+func (t *tables) selfContainedUses(f *ir.Func, r ir.Reg, home *ir.Block, defIdx int) bool {
 	for _, b := range f.Blocks {
 		defined := false
 		for i, op := range b.Ops {
-			buf = op.Uses(buf[:0])
-			for _, u := range buf {
+			for _, u := range t.uses(op) {
 				if u != r {
 					continue
 				}

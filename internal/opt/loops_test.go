@@ -36,7 +36,7 @@ func newCFG(succs [][]int) *ir.Func {
 // loopIDs runs naturalLoop and returns its verdict and the member IDs
 // in discovery order.
 func loopIDs(f *ir.Func, loop *blockSet, head, tail int) (bool, []int) {
-	ok := naturalLoop(f.Blocks[head], f.Blocks[tail], loop)
+	ok := naturalLoop(f, f.Blocks[head], f.Blocks[tail], loop)
 	ids := make([]int, len(loop.members))
 	for i, b := range loop.members {
 		ids[i] = b.ID
@@ -87,9 +87,9 @@ func countedSelfLoop() *ir.Func {
 
 func TestNaturalLoopSelfLoop(t *testing.T) {
 	f := countedSelfLoop()
-	checkLoop(t, f, newBlockSet(len(f.Blocks)), 1, 1, []int{1})
+	checkLoop(t, f, new(blockSet), 1, 1, []int{1})
 
-	if !hardwareLoops(f) {
+	if !new(tables).hardwareLoops(f) {
 		t.Fatalf("self-loop not converted:\n%s", f)
 	}
 	b0, b1 := f.Blocks[0], f.Blocks[1]
@@ -108,7 +108,7 @@ func TestNaturalLoopSelfLoop(t *testing.T) {
 func TestNaturalLoopNested(t *testing.T) {
 	// b1 heads the outer loop closed by b4, b2 the inner one closed by b3.
 	f := newCFG([][]int{{1}, {2}, {3}, {2, 4}, {1, 5}, {}})
-	loop := newBlockSet(len(f.Blocks))
+	loop := new(blockSet)
 	checkLoop(t, f, loop, 1, 4, []int{1, 4, 3, 2})
 	// Reusing the set for the inner loop must forget the outer one.
 	checkLoop(t, f, loop, 2, 3, []int{2, 3})
@@ -118,9 +118,9 @@ func TestNaturalLoopIfEscapesToEntry(t *testing.T) {
 	// b1's condbr is an if, not a backedge: the walk from b1 back
 	// towards b2 never meets it and runs to the entry.
 	f := newCFG([][]int{{1}, {2, 3}, {4}, {4}, {}})
-	checkLoop(t, f, newBlockSet(len(f.Blocks)), 2, 1, []int{2, 1, 0})
+	checkLoop(t, f, new(blockSet), 2, 1, []int{2, 1, 0})
 	before := f.String()
-	if hardwareLoops(f) || f.String() != before || len(f.Blocks) != 5 {
+	if new(tables).hardwareLoops(f) || f.String() != before || len(f.Blocks) != 5 {
 		t.Fatalf("if-branch converted to a hardware loop:\n%s", f)
 	}
 }
@@ -141,7 +141,7 @@ func TestNaturalLoopStepCap(t *testing.T) {
 		ok bool
 	}{{10000, true}, {10001, false}} {
 		f := chain(tc.n)
-		ok, ids := loopIDs(f, newBlockSet(len(f.Blocks)), tc.n, tc.n-1)
+		ok, ids := loopIDs(f, new(blockSet), tc.n, tc.n-1)
 		if ok != tc.ok {
 			t.Errorf("chain of %d blocks: naturalLoop = %v with %d members, want %v", tc.n, ok, len(ids), tc.ok)
 		}
@@ -162,8 +162,10 @@ func TestConstRegs(t *testing.T) {
 		{Kind: ir.OpAdd, Type: ir.TInt, Dst: computed, Args: [2]ir.Reg{one, one}},
 		{Kind: ir.OpRet},
 	}
-	val, ok := constRegs(f)
-	if !ok[one] || val[one] != 1 || ok[twice] || ok[computed] || ok[ir.NoReg] {
-		t.Fatalf("constRegs: ok %v val %v; want only r%d = 1", ok, val, one)
+	defs := new(tables).regDefs(f)
+	for r := range defs {
+		if want := ir.Reg(r) == one; defs[r].isConst() != want || want && defs[r].val != 1 {
+			t.Fatalf("regDefs: %v; want only r%d a constant, 1", defs, one)
+		}
 	}
 }

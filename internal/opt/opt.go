@@ -10,6 +10,8 @@
 package opt
 
 import (
+	"slices"
+
 	"dualbank/internal/ir"
 )
 
@@ -28,99 +30,92 @@ type Options struct {
 	NoStrengthReduce bool
 }
 
-// Run applies the optimization pipeline to every function in p.
+// Run applies the optimization pipeline to every function in p. The
+// IR must be verified: block IDs equal their index, as lowering makes
+// them.
 func Run(p *ir.Program, o Options) {
+	t := new(tables)
 	for _, f := range p.Funcs {
-		removeUnreachable(f)
-		for i := 0; i < 2; i++ {
-			for _, b := range f.Blocks {
-				localConstAndCopy(f, b)
-				redundantLoadElim(f, b)
-			}
-			coalesceMoves(f)
-			deadCodeElim(f)
-		}
-		if !o.NoMACFusion {
-			fuseMAC(f)
-		}
-		if !o.NoConstHoist {
-			hoistLoopConstants(f)
-		}
-		deadCodeElim(f)
-		if !o.NoLoopShaping {
-			ShapeLoops(f)
-			if !o.NoStrengthReduce {
-				strengthReduce(f)
-			}
-			for _, b := range f.Blocks {
-				localConstAndCopy(f, b)
-				redundantLoadElim(f, b)
-			}
-			coalesceMoves(f)
-			deadCodeElim(f)
-			// Constant propagation may just have turned a loop entry
-			// guard into a constant branch (constant trip counts);
-			// another shaping round folds it and merges the remnants.
-			ShapeLoops(f)
-			deadCodeElim(f)
-		}
-		removeUnreachable(f)
+		t.run(f, o)
 	}
+}
+
+func (t *tables) run(f *ir.Func, o Options) {
+	t.removeUnreachable(f)
+	for i := 0; i < 2; i++ {
+		for _, b := range f.Blocks {
+			t.localConstAndCopy(f, b)
+			t.redundantLoadElim(f, b)
+		}
+		t.coalesceMoves(f)
+		t.deadCodeElim(f)
+	}
+	if !o.NoMACFusion {
+		t.fuseMAC(f)
+	}
+	if !o.NoConstHoist {
+		t.hoistLoopConstants(f)
+	}
+	t.deadCodeElim(f)
+	if !o.NoLoopShaping {
+		t.shapeLoops(f)
+		if !o.NoStrengthReduce {
+			t.strengthReduce(f)
+		}
+		for _, b := range f.Blocks {
+			t.localConstAndCopy(f, b)
+			t.redundantLoadElim(f, b)
+		}
+		t.coalesceMoves(f)
+		t.deadCodeElim(f)
+		// Constant propagation may just have turned a loop entry
+		// guard into a constant branch (constant trip counts);
+		// another shaping round folds it and merges the remnants.
+		t.shapeLoops(f)
+		t.deadCodeElim(f)
+	}
+	t.removeUnreachable(f)
 }
 
 // removeUnreachable deletes blocks not reachable from the entry and
 // renumbers the remainder.
-func removeUnreachable(f *ir.Func) {
-	reach := make(map[*ir.Block]bool)
-	var stack []*ir.Block
-	stack = append(stack, f.Entry())
-	reach[f.Entry()] = true
+func (t *tables) removeUnreachable(f *ir.Func) {
+	t.reach.reset(len(f.Blocks))
+	t.reach.add(f.Entry().ID)
+	stack := append(t.blocks[:0], f.Entry())
+	reached := 1
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range b.Succs {
-			if !reach[s] {
-				reach[s] = true
+			if !t.reach.has(s.ID) {
+				t.reach.add(s.ID)
+				reached++
 				stack = append(stack, s)
 			}
 		}
 	}
-	var kept []*ir.Block
-	for _, b := range f.Blocks {
-		if reach[b] {
-			kept = append(kept, b)
-		}
-	}
-	if len(kept) == len(f.Blocks) {
+	t.blocks = stack
+	if reached == len(f.Blocks) {
 		return
 	}
-	for i, b := range kept {
-		b.ID = i
-		var preds []*ir.Block
+	// Filter before renumbering: the marks are indexed by the old IDs.
+	kept := f.Blocks[:0]
+	for _, b := range f.Blocks {
+		if !t.reach.has(b.ID) {
+			continue
+		}
+		preds := b.Preds[:0]
 		for _, p := range b.Preds {
-			if reach[p] {
+			if t.reach.has(p.ID) {
 				preds = append(preds, p)
 			}
 		}
 		b.Preds = preds
+		kept = append(kept, b)
 	}
 	f.Blocks = kept
-}
-
-// useCounts returns, for each register, how many times it is read
-// anywhere in the function.
-func useCounts(f *ir.Func) []int {
-	counts := make([]int, f.NumRegs())
-	var buf []ir.Reg
-	for _, b := range f.Blocks {
-		for _, op := range b.Ops {
-			buf = op.Uses(buf[:0])
-			for _, r := range buf {
-				counts[r]++
-			}
-		}
-	}
-	return counts
+	renumber(f)
 }
 
 type constVal struct {
@@ -131,31 +126,35 @@ type constVal struct {
 
 // localConstAndCopy performs block-local constant and copy propagation
 // plus integer constant folding.
-func localConstAndCopy(f *ir.Func, b *ir.Block) {
-	consts := make(map[ir.Reg]constVal)
-	copies := make(map[ir.Reg]ir.Reg) // dst -> src (src still valid)
+func (t *tables) localConstAndCopy(f *ir.Func, b *ir.Block) {
+	n := f.NumRegs()
+	t.known.reset(n)
+	t.copied.reset(n)
+	t.konst = fit(t.konst, n)
+	t.copySrc = fit(t.copySrc, n)
+	t.copyGen = fit(t.copyGen, n)
+	t.gen = fit(t.gen, n)
 
 	resolve := func(r ir.Reg) ir.Reg {
-		for {
-			s, ok := copies[r]
-			if !ok {
-				return r
-			}
-			r = s
+		for t.copied.has(int(r)) && t.gen[t.copySrc[r]] == t.copyGen[r] {
+			r = t.copySrc[r]
 		}
+		return r
 	}
+	// invalidate forgets what d held; bumping its generation retires
+	// every copy of d.
 	invalidate := func(d ir.Reg) {
-		delete(consts, d)
-		delete(copies, d)
-		for k, v := range copies {
-			if v == d {
-				delete(copies, k)
-			}
-		}
+		t.known.remove(int(d))
+		t.copied.remove(int(d))
+		t.gen[d]++
+	}
+	setConst := func(d ir.Reg, c constVal) {
+		t.known.add(int(d))
+		t.konst[d] = c
 	}
 
 	for _, op := range b.Ops {
-		// Rewrite uses through the copy map.
+		// Rewrite uses through the copies.
 		for i, a := range op.Args {
 			if a != ir.NoReg {
 				op.Args[i] = resolve(a)
@@ -169,12 +168,12 @@ func localConstAndCopy(f *ir.Func, b *ir.Block) {
 		}
 
 		// Integer constant folding.
-		if folded, ok := foldInt(op, consts); ok {
+		if folded, ok := t.foldInt(op); ok {
 			invalidate(op.Dst)
 			op.Kind = ir.OpConst
 			op.Args = [2]ir.Reg{}
 			op.Imm = folded
-			consts[op.Dst] = constVal{i: folded}
+			setConst(op.Dst, constVal{i: folded})
 			continue
 		}
 
@@ -183,15 +182,17 @@ func localConstAndCopy(f *ir.Func, b *ir.Block) {
 		}
 		switch op.Kind {
 		case ir.OpConst:
-			consts[op.Dst] = constVal{i: op.Imm}
+			setConst(op.Dst, constVal{i: op.Imm})
 		case ir.OpFConst:
-			consts[op.Dst] = constVal{isFloat: true, fl: op.FImm}
+			setConst(op.Dst, constVal{isFloat: true, fl: op.FImm})
 		case ir.OpMov:
-			if op.Args[0] != op.Dst {
-				copies[op.Dst] = op.Args[0]
+			if src := op.Args[0]; src != op.Dst {
+				t.copied.add(int(op.Dst))
+				t.copySrc[op.Dst] = src
+				t.copyGen[op.Dst] = t.gen[src]
 			}
-			if c, ok := consts[op.Args[0]]; ok {
-				consts[op.Dst] = c
+			if c, ok := t.constOf(op.Args[0]); ok {
+				setConst(op.Dst, c)
 			}
 		case ir.OpCall:
 			// Calls clobber nothing in the caller's register file under
@@ -201,12 +202,20 @@ func localConstAndCopy(f *ir.Func, b *ir.Block) {
 	}
 }
 
+// constOf returns r's constant value in localConstAndCopy's block.
+func (t *tables) constOf(r ir.Reg) (constVal, bool) {
+	if !t.known.has(int(r)) {
+		return constVal{}, false
+	}
+	return t.konst[r], true
+}
+
 // foldInt folds an integer operation whose operands are known
 // constants. It returns the folded value and true on success.
-func foldInt(op *ir.Op, consts map[ir.Reg]constVal) (int64, bool) {
+func (t *tables) foldInt(op *ir.Op) (int64, bool) {
 	bin := func() (int32, int32, bool) {
-		a, okA := consts[op.Args[0]]
-		b, okB := consts[op.Args[1]]
+		a, okA := t.constOf(op.Args[0])
+		b, okB := t.constOf(op.Args[1])
 		if !okA || !okB || a.isFloat || b.isFloat {
 			return 0, 0, false
 		}
@@ -228,11 +237,11 @@ func foldInt(op *ir.Op, consts map[ir.Reg]constVal) (int64, bool) {
 		}
 		return int64(evalIntBin(op.Kind, a, b)), true
 	case ir.OpNeg:
-		if a, ok := consts[op.Args[0]]; ok && !a.isFloat {
+		if a, ok := t.constOf(op.Args[0]); ok && !a.isFloat {
 			return int64(-int32(a.i)), true
 		}
 	case ir.OpNot:
-		if a, ok := consts[op.Args[0]]; ok && !a.isFloat {
+		if a, ok := t.constOf(op.Args[0]); ok && !a.isFloat {
 			return int64(^int32(a.i)), true
 		}
 	}
@@ -298,64 +307,99 @@ func b2i(b bool) int32 {
 // Besides being a standard optimization, this keeps a pair of loads of
 // the *same address* from being mistaken for a simultaneous same-array
 // access and triggering a needless duplication mark.
-func redundantLoadElim(f *ir.Func, b *ir.Block) {
-	type key struct {
-		sym *ir.Symbol
-		idx ir.Reg
-	}
-	avail := make(map[key]ir.Reg)
-	invalidateReg := func(r ir.Reg) {
-		for k, v := range avail {
-			if v == r || k.idx == r {
-				delete(avail, k)
-			}
-		}
-	}
-	invalidateSym := func(s *ir.Symbol) {
-		for k := range avail {
-			if k.sym == s {
-				delete(avail, k)
-			}
-		}
-	}
+func (t *tables) redundantLoadElim(f *ir.Func, b *ir.Block) {
+	t.avail = t.avail[:0]
+	t.named.reset(f.NumRegs())
 	for _, op := range b.Ops {
 		switch op.Kind {
 		case ir.OpLoad:
-			k := key{op.Sym, op.Idx}
-			v, hit := avail[k]
-			if hit {
+			sym, idx := op.Sym, op.Idx
+			if v, hit := t.availValue(sym, idx); hit {
 				op.Kind = ir.OpMov
 				op.Args[0] = v
 				op.Sym = nil
 				op.Idx = ir.NoReg
 			}
-			invalidateReg(op.Dst)
+			t.killReg(op.Dst)
 			// If the destination doubles as the index register, the
 			// index value is gone and the address can no longer be
 			// named.
-			if k.idx != op.Dst {
-				avail[k] = op.Dst
+			if idx != op.Dst {
+				t.setAvail(sym, idx, op.Dst)
 			}
 			continue
 		case ir.OpStore:
-			invalidateSym(op.Sym)
-			avail[key{op.Sym, op.Idx}] = op.Args[0] // store-to-load forwarding
+			t.killSym(op.Sym)
+			t.setAvail(op.Sym, op.Idx, op.Args[0]) // store-to-load forwarding
 			continue
 		case ir.OpCall:
-			avail = make(map[key]ir.Reg)
+			t.avail = t.avail[:0]
+			t.named.reset(0)
 			continue
 		}
 		if op.Dst != ir.NoReg {
-			invalidateReg(op.Dst)
+			t.killReg(op.Dst)
 		}
 	}
+}
+
+// availEntry records that val holds sym[idx].
+type availEntry struct {
+	sym      *ir.Symbol
+	idx, val ir.Reg
+}
+
+func (t *tables) availValue(sym *ir.Symbol, idx ir.Reg) (ir.Reg, bool) {
+	for _, e := range t.avail {
+		if e.sym == sym && e.idx == idx {
+			return e.val, true
+		}
+	}
+	return ir.NoReg, false
+}
+
+func (t *tables) setAvail(sym *ir.Symbol, idx, val ir.Reg) {
+	t.named.add(int(idx))
+	t.named.add(int(val))
+	for i := range t.avail {
+		if e := &t.avail[i]; e.sym == sym && e.idx == idx {
+			e.val = val
+			return
+		}
+	}
+	t.avail = append(t.avail, availEntry{sym, idx, val})
+}
+
+// killReg drops every entry that names r, as index or as value.
+func (t *tables) killReg(r ir.Reg) {
+	if !t.named.has(int(r)) {
+		return
+	}
+	kept := t.avail[:0]
+	for _, e := range t.avail {
+		if e.val != r && e.idx != r {
+			kept = append(kept, e)
+		}
+	}
+	t.avail = kept
+}
+
+// killSym drops every entry of sym.
+func (t *tables) killSym(sym *ir.Symbol) {
+	kept := t.avail[:0]
+	for _, e := range t.avail {
+		if e.sym != sym {
+			kept = append(kept, e)
+		}
+	}
+	t.avail = kept
 }
 
 // coalesceMoves fuses `d = op ...; s = mov d` pairs where d has exactly
 // one use, rewriting the defining op to target s directly. This removes
 // the copies that compound assignments and accumulators introduce.
-func coalesceMoves(f *ir.Func) {
-	counts := useCounts(f)
+func (t *tables) coalesceMoves(f *ir.Func) {
+	counts := t.useCounts(f)
 	for _, b := range f.Blocks {
 		for i := 0; i+1 < len(b.Ops); i++ {
 			op, nxt := b.Ops[i], b.Ops[i+1]
@@ -395,8 +439,8 @@ func coalesceMoves(f *ir.Func) {
 // single multiply-accumulate when t has no other use and a, b, s are
 // not redefined in between. This is the accumulator idiom at the heart
 // of the FIR example in Figure 1.
-func fuseMAC(f *ir.Func) {
-	counts := useCounts(f)
+func (t *tables) fuseMAC(f *ir.Func) {
+	counts := t.useCounts(f)
 	for _, b := range f.Blocks {
 		defsBetween := func(from, to int, r ir.Reg) bool {
 			for j := from + 1; j < to; j++ {
@@ -473,8 +517,9 @@ func fuseMAC(f *ir.Func) {
 // pure and their registers are single-assignment after the hoist, so
 // this is always safe; it frees loop instruction slots at the price of
 // register pressure (spills land on the partitioned stacks).
-func hoistLoopConstants(f *ir.Func) {
-	redef := make(map[ir.Reg]int) // defs per register
+func (t *tables) hoistLoopConstants(f *ir.Func) {
+	n := f.NumRegs()
+	redef := t.clearedCounts(n) // defs per register
 	for _, b := range f.Blocks {
 		for _, op := range b.Ops {
 			if op.Dst != ir.NoReg {
@@ -482,14 +527,14 @@ func hoistLoopConstants(f *ir.Func) {
 			}
 		}
 	}
-	type key struct {
-		kind ir.OpKind
-		imm  int64
-		fimm float64
+	if t.pooled == nil {
+		t.pooled = make(map[constKey]ir.Reg)
 	}
-	pooled := make(map[key]ir.Reg)
-	var hoisted []*ir.Op
-	replace := make(map[ir.Reg]ir.Reg)
+	clear(t.pooled)
+	t.repl.reset(n)
+	t.replTo = fit(t.replTo, n)
+	hoisted := t.ops[:0]
+	replaced := false
 
 	for _, b := range f.Blocks {
 		if b.LoopDepth == 0 {
@@ -498,11 +543,13 @@ func hoistLoopConstants(f *ir.Func) {
 		out := b.Ops[:0]
 		for _, op := range b.Ops {
 			if (op.Kind == ir.OpConst || op.Kind == ir.OpFConst) && redef[op.Dst] == 1 {
-				k := key{kind: op.Kind, imm: op.Imm, fimm: op.FImm}
-				if r, ok := pooled[k]; ok {
-					replace[op.Dst] = r
+				k := constKey{kind: op.Kind, imm: op.Imm, fimm: op.FImm}
+				if r, ok := t.pooled[k]; ok {
+					t.repl.add(int(op.Dst))
+					t.replTo[op.Dst] = r
+					replaced = true
 				} else {
-					pooled[k] = op.Dst
+					t.pooled[k] = op.Dst
 					hoisted = append(hoisted, op)
 				}
 				continue
@@ -511,53 +558,63 @@ func hoistLoopConstants(f *ir.Func) {
 		}
 		b.Ops = out
 	}
-	if len(hoisted) == 0 && len(replace) == 0 {
+	t.ops = hoisted
+	if len(hoisted) == 0 && !replaced {
 		return
 	}
 	entry := f.Entry()
-	entry.Ops = append(hoisted, entry.Ops...)
-	if len(replace) == 0 {
+	entry.Ops = slices.Concat(hoisted, entry.Ops)
+	if !replaced {
 		return
+	}
+	replace := func(r ir.Reg) ir.Reg {
+		if t.repl.has(int(r)) {
+			return t.replTo[r]
+		}
+		return r
 	}
 	for _, b := range f.Blocks {
 		for _, op := range b.Ops {
 			for i, a := range op.Args {
-				if r, ok := replace[a]; ok {
-					op.Args[i] = r
-				}
+				op.Args[i] = replace(a)
 			}
-			if r, ok := replace[op.Idx]; ok {
-				op.Idx = r
-			}
+			op.Idx = replace(op.Idx)
 			for i, a := range op.CallArgs {
-				if r, ok := replace[a]; ok {
-					op.CallArgs[i] = r
-				}
+				op.CallArgs[i] = replace(a)
 			}
 		}
 	}
 }
 
+// constKey is a constant definition's value, the key constants are
+// pooled by.
+type constKey struct {
+	kind ir.OpKind
+	imm  int64
+	fimm float64
+}
+
 // deadCodeElim removes pure operations whose results are never used.
-// It iterates to a fixed point because removing one op can make
-// another's result dead.
-func deadCodeElim(f *ir.Func) {
-	for {
-		counts := useCounts(f)
-		changed := false
+// It counts uses once and lowers the counts as it removes ops, sweeping
+// until a sweep removes nothing: removing an op only lowers counts, so
+// every order reaches the same fixed point.
+func (t *tables) deadCodeElim(f *ir.Func) {
+	counts := t.useCounts(f)
+	for changed := true; changed; {
+		changed = false
 		for _, b := range f.Blocks {
 			out := b.Ops[:0]
 			for _, op := range b.Ops {
 				if isPure(op) && op.Dst != ir.NoReg && counts[op.Dst] == 0 {
+					for _, r := range t.uses(op) {
+						counts[r]--
+					}
 					changed = true
 					continue
 				}
 				out = append(out, op)
 			}
 			b.Ops = out
-		}
-		if !changed {
-			return
 		}
 	}
 }

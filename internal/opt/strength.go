@@ -1,6 +1,10 @@
 package opt
 
-import "dualbank/internal/ir"
+import (
+	"slices"
+
+	"dualbank/internal/ir"
+)
 
 // strengthReduce rewrites derived induction variables in single-block
 // loops. An address computation like `a = n + k` (or `a = i*cols`)
@@ -14,15 +18,15 @@ import "dualbank/internal/ir"
 // the AU units, and it is what lets two array accesses become
 // simultaneously data-ready — the precondition for both interference
 // edges and duplication marks.
-func strengthReduce(f *ir.Func) bool {
+func (t *tables) strengthReduce(f *ir.Func) bool {
 	changed := false
 	for _, l := range f.Blocks {
-		t := l.Terminator()
-		if t == nil {
+		term := l.Terminator()
+		if term == nil {
 			continue
 		}
 		selfLoop := false
-		switch t.Kind {
+		switch term.Kind {
 		case ir.OpEndDo, ir.OpCondBr:
 			selfLoop = len(l.Succs) == 2 && l.Succs[0] == l
 		}
@@ -44,39 +48,53 @@ func strengthReduce(f *ir.Func) bool {
 		if !ok || pre == nil || len(pre.Ops) == 0 {
 			continue
 		}
-		if reduceLoop(f, pre, l) {
+		if t.reduceLoop(f, pre, l) {
 			changed = true
 		}
 	}
 	return changed
 }
 
+// census counts one register's definitions inside and outside a
+// self-loop block, and its uses outside it.
+type census struct{ defsIn, defsOut, usesOut int32 }
+
+// induction describes a base induction variable of a self-loop.
+type induction struct {
+	step ir.Reg // per-iteration step (an invariant register)
+	mul  ir.Reg // optional invariant factor: effective step = step*mul
+}
+
 // reduceLoop performs derived-induction rewriting for one self-loop
 // block with its preheader.
-func reduceLoop(f *ir.Func, pre, l *ir.Block) bool {
-	// Global def/use census to establish invariance and locality.
-	defsIn := make(map[ir.Reg]int)  // defs inside l
-	defsOut := make(map[ir.Reg]int) // defs outside l
-	usesOut := make(map[ir.Reg]int) // uses outside l
-	var buf []ir.Reg
+func (t *tables) reduceLoop(f *ir.Func, pre, l *ir.Block) bool {
+	// Global def/use census to establish invariance and locality. It
+	// covers the registers that exist now: the rewrite below adds
+	// registers only as operands of the ops it inserts, and the update
+	// it inserts into l is skipped as an induction variable before its
+	// operands are read, so the census is never read at a new register
+	// (c has length n, so such a read would panic, not read stale data).
+	n := f.NumRegs()
+	t.census = fit(t.census, n)
+	c := t.census[:n]
+	clear(c)
 	for _, b := range f.Blocks {
 		for _, op := range b.Ops {
 			if op.Dst != ir.NoReg {
 				if b == l {
-					defsIn[op.Dst]++
+					c[op.Dst].defsIn++
 				} else {
-					defsOut[op.Dst]++
+					c[op.Dst].defsOut++
 				}
 			}
 			if b != l {
-				buf = op.Uses(buf[:0])
-				for _, u := range buf {
-					usesOut[u]++
+				for _, u := range t.uses(op) {
+					c[u].usesOut++
 				}
 			}
 		}
 	}
-	invariant := func(r ir.Reg) bool { return defsIn[r] == 0 }
+	invariant := func(r ir.Reg) bool { return c[r].defsIn == 0 }
 
 	// Loop-invariant code motion: hoist pure scalar operations whose
 	// operands are all invariant (the rotation guard guarantees at
@@ -84,11 +102,8 @@ func reduceLoop(f *ir.Func, pre, l *ir.Block) bool {
 	// This exposes computations like i*n to the derivation below.
 	usedBeforeDef := func(v ir.Reg, defIdx int) bool {
 		for i := 0; i < defIdx; i++ {
-			buf = l.Ops[i].Uses(buf[:0])
-			for _, u := range buf {
-				if u == v {
-					return true
-				}
+			if slices.Contains(t.uses(l.Ops[i]), v) {
+				return true
 			}
 		}
 		return false
@@ -97,14 +112,13 @@ func reduceLoop(f *ir.Func, pre, l *ir.Block) bool {
 	for changedLICM {
 		changedLICM = false
 		for oi, op := range l.Ops {
-			if op.Dst == ir.NoReg || defsIn[op.Dst] != 1 || op.IsMem() ||
+			if op.Dst == ir.NoReg || c[op.Dst].defsIn != 1 || op.IsMem() ||
 				op.Kind.IsTerminator() || op.Kind == ir.OpCall ||
 				op.Kind == ir.OpDiv || op.Kind == ir.OpRem {
 				continue
 			}
 			allInv := true
-			buf = op.Uses(buf[:0])
-			for _, u := range buf {
+			for _, u := range t.uses(op) {
 				if !invariant(u) {
 					allInv = false
 					break
@@ -119,8 +133,8 @@ func reduceLoop(f *ir.Func, pre, l *ir.Block) bool {
 			}
 			l.Ops = append(l.Ops[:oi], l.Ops[oi+1:]...)
 			insertBeforeTerm(pre, op)
-			defsIn[op.Dst] = 0
-			defsOut[op.Dst]++
+			c[op.Dst].defsIn = 0
+			c[op.Dst].defsOut++
 			changedLICM = true
 			break
 		}
@@ -128,17 +142,21 @@ func reduceLoop(f *ir.Func, pre, l *ir.Block) bool {
 
 	// Base induction variables: r = add r, s with s invariant, single
 	// in-loop def.
-	type induction struct {
-		step ir.Reg // per-iteration step (an invariant register)
-		mul  ir.Reg // optional invariant factor: effective step = step*mul
+	t.ind.reset(n)
+	t.indOf = fit(t.indOf, n)
+	isInd := func(r ir.Reg) bool { return t.ind.has(int(r)) }
+	setInd := func(r ir.Reg, i induction) {
+		t.ind.add(int(r))
+		t.indOf[r] = i
 	}
-	ind := make(map[ir.Reg]induction)
+	found := false
 	for _, op := range l.Ops {
-		if op.Kind == ir.OpAdd && op.Dst == op.Args[0] && defsIn[op.Dst] == 1 && invariant(op.Args[1]) {
-			ind[op.Dst] = induction{step: op.Args[1]}
+		if op.Kind == ir.OpAdd && op.Dst == op.Args[0] && c[op.Dst].defsIn == 1 && invariant(op.Args[1]) {
+			setInd(op.Dst, induction{step: op.Args[1]})
+			found = true
 		}
 	}
-	if len(ind) == 0 {
+	if !found {
 		return false
 	}
 
@@ -149,27 +167,26 @@ func reduceLoop(f *ir.Func, pre, l *ir.Block) bool {
 	for round := 0; round < 24; round++ {
 		progressed := false
 		for oi, op := range l.Ops {
-			if op.Dst == ir.NoReg || defsIn[op.Dst] != 1 || usesOut[op.Dst] != 0 {
+			if op.Dst == ir.NoReg || c[op.Dst].defsIn != 1 || c[op.Dst].usesOut != 0 {
 				continue
 			}
 			if op.Kind != ir.OpAdd && op.Kind != ir.OpMul {
 				continue
 			}
 			v := op.Dst
-			if _, isInd := ind[v]; isInd {
+			if isInd(v) {
 				continue
 			}
 			var base ir.Reg
 			var other ir.Reg
-			if bi, ok := ind[op.Args[0]]; ok && invariant(op.Args[1]) {
+			if isInd(op.Args[0]) && invariant(op.Args[1]) {
 				base, other = op.Args[0], op.Args[1]
-				_ = bi
-			} else if _, ok := ind[op.Args[1]]; ok && invariant(op.Args[0]) {
+			} else if isInd(op.Args[1]) && invariant(op.Args[0]) {
 				base, other = op.Args[1], op.Args[0]
 			} else {
 				continue
 			}
-			bind := ind[base]
+			bind := t.indOf[base]
 			// The base induction's update must come after this op (the
 			// op must read the pre-increment value) and every use of v
 			// must be inside the loop after this def.
@@ -182,16 +199,7 @@ func reduceLoop(f *ir.Func, pre, l *ir.Block) bool {
 			if updIdx < defIdx {
 				continue
 			}
-			usedBefore := false
-			for i := 0; i < defIdx; i++ {
-				buf = l.Ops[i].Uses(buf[:0])
-				for _, u := range buf {
-					if u == v {
-						usedBefore = true
-					}
-				}
-			}
-			if usedBefore {
+			if usedBeforeDef(v, defIdx) {
 				continue
 			}
 			// A mul-derived induction needs a step multiplied by the
@@ -228,8 +236,8 @@ func reduceLoop(f *ir.Func, pre, l *ir.Block) bool {
 			l.Ops = append(l.Ops[:oi], l.Ops[oi+1:]...)
 			insertBeforeTerm(l, &ir.Op{Kind: ir.OpAdd, Type: ir.TInt, Dst: v,
 				Args: [2]ir.Reg{v, effStep}})
-			ind[v] = induction{step: effStep}
-			defsIn[v] = 1
+			setInd(v, induction{step: effStep})
+			c[v].defsIn = 1
 			progressed = true
 			changed = true
 			break // op indices shifted; rescan

@@ -6,6 +6,7 @@ import (
 
 	"dualbank/internal/alloc"
 	"dualbank/internal/bench"
+	"dualbank/internal/genmc"
 	"dualbank/internal/machine"
 	"dualbank/internal/opt"
 	"dualbank/internal/pipeline"
@@ -13,17 +14,17 @@ import (
 )
 
 // identityCells is the sample the cycle identity is checked on for
-// the i-th benchmark, four cells each:
+// the i-th program, four cells each:
 //   - CB on the paper's 2×1 machine;
 //   - LowOrder on it, the one mode whose run-time bank conflicts stall;
 //   - one of the other five modes on it, turning with the benchmark;
 //   - one placement mode on a wider BENCH_hw.json geometry: the
-//     geometry turns with every benchmark and the mode with every
-//     fifth, so the 23 benchmarks meet 23 of the 25 (geometry, mode)
+//     geometry turns with every program and the mode with every
+//     fifth, so 25 consecutive programs meet all 25 (geometry, mode)
 //     pairs.
 //
-// The reference engine is slow under -race; this sample keeps the test
-// near 6 s there on a 2-vCPU host, where the full matrix takes 41 s.
+// The reference engine is slow under -race; on the suite alone the
+// full matrix takes 41 s there on a 2-vCPU host.
 func identityCells(i int) []backendCell {
 	others := []alloc.Mode{alloc.SingleBank, alloc.CBProfiled, alloc.CBDup, alloc.FullDup, alloc.Ideal}
 	placement := []alloc.Mode{alloc.SingleBank, alloc.CB, alloc.CBProfiled, alloc.CBDup, alloc.FullDup}
@@ -39,16 +40,29 @@ func identityCells(i int) []backendCell {
 	}
 }
 
+// identitySample is the number of generated programs the cycle
+// identity is checked on beside the suite, under the same cell
+// rotation. Under -race on a 2-vCPU host the sample adds 0.2 s to the
+// suite's 4.9 s; 250 programs would take 9.4 s in all.
+const identitySample = 50
+
 // TestCycleIdentity ties the IR interpreter's control flow to both
 // VLIW engines' cycle counts: a run's cycles are the sum over blocks
 // of the block's execution count times its long instructions, plus
 // the stall cycles of run-time bank conflicts. The counts come from
 // the interpreter on the prepared IR, in function then block order;
-// the schedule comes from the back end.
+// the schedule comes from the back end. The check runs on the 23
+// benchmarks and a sample of generated programs, whose cells continue
+// the benchmarks' rotation.
 func TestCycleIdentity(t *testing.T) {
+	progs := append(bench.Kernels(), bench.Applications()...)
+	for _, k := range genmc.Population(identitySample, 1) {
+		g := genmc.Generate(k)
+		progs = append(progs, bench.Program{Name: g.Name, Source: g.Source})
+	}
 	ctx := context.Background()
 	cc := new(pipeline.Compiler)
-	for i, p := range append(bench.Kernels(), bench.Applications()...) {
+	for i, p := range progs {
 		prep, err := pipeline.Prepare(ctx, p.Source, p.Name, opt.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)

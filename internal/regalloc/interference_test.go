@@ -169,8 +169,8 @@ func pressureSource(seed int64) string {
 }
 
 // TestInterferenceMatchesReference pins the interference graph, whose
-// edges are collected with repeats and deduplicated afterwards, to the
-// map-based reference: equal adjacency lists in content and order, and
+// scan skips each pair it has already recorded, to the map-based
+// reference: equal adjacency lists in content and order, and
 // equal spill costs, on the benchmark suite, generated programs and
 // seeded high-pressure programs through every spill round.
 func TestInterferenceMatchesReference(t *testing.T) {

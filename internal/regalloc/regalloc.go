@@ -19,7 +19,8 @@ package regalloc
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"strconv"
 
 	"dualbank/internal/ir"
 )
@@ -43,8 +44,9 @@ type Stats struct {
 // rewrites it to physical form.
 func Run(p *ir.Program) (map[string]Stats, error) {
 	stats := make(map[string]Stats, len(p.Funcs))
+	a := new(allocator)
 	for _, f := range p.Funcs {
-		st, err := allocFunc(f)
+		st, err := a.allocFunc(f)
 		if err != nil {
 			return nil, fmt.Errorf("regalloc %s: %w", f.Name, err)
 		}
@@ -56,7 +58,37 @@ func Run(p *ir.Program) (map[string]Stats, error) {
 	return stats, nil
 }
 
-func allocFunc(f *ir.Func) (Stats, error) {
+// allocator is the register- and block-indexed scratch of one Run
+// call, reused across its functions and their spill rounds: liveness
+// sets, the interference graph, the colouring state and the rewrite
+// buffers. Each round sizes what it uses to the function's registers
+// and blocks, which spilling grows.
+type allocator struct {
+	buf []ir.Reg // Op.Uses scratch
+	ops []*ir.Op // rewritten op list scratch
+
+	// sets holds four liveness bitsets per block (use, def, live-in,
+	// live-out) of words words each; live is the backward scan's set.
+	sets  []uint64
+	words int
+	live  bitset
+
+	g    igraph
+	seen []uint32 // neighbour stamps; see markNeighbours
+	mark uint32
+
+	degree []int32
+	picked []bool
+	low    bitset // unpicked registers of degree < numAllocatable
+	stack  []ir.Reg
+	colors []int
+	spills []ir.Reg
+
+	slot     []*ir.Symbol // spill slot by register, within spill
+	reloaded []reload
+}
+
+func (a *allocator) allocFunc(f *ir.Func) (Stats, error) {
 	var st Stats
 	var colors []int
 	// Registers created by spill rewriting live for a single operation;
@@ -68,24 +100,31 @@ func allocFunc(f *ir.Func) (Stats, error) {
 		if round > maxSpillRounds {
 			return st, fmt.Errorf("did not converge after %d spill rounds", maxSpillRounds)
 		}
-		ig := buildInterference(f)
 		var spills []ir.Reg
-		colors, spills = color(f, ig, firstTemp)
+		colors, spills = a.color(a.buildInterference(f), firstTemp)
 		if len(spills) == 0 {
 			break
 		}
 		st.Spilled += len(spills)
-		spill(f, spills, &st)
+		a.spill(f, spills, &st)
 	}
-	rewrite(f, colors, &st)
+	a.rewrite(f, colors, &st)
 	return st, nil
+}
+
+// fit returns s with length at least n, keeping its contents; new
+// entries are zero.
+func fit[T any](s []T, n int) []T {
+	if d := n - len(s); d > 0 {
+		s = append(s, make([]T, d)...)
+	}
+	return s
 }
 
 // --- Liveness ---
 
 type bitset []uint64
 
-func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
 func (b bitset) get(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
 func (b bitset) clear(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
@@ -102,33 +141,38 @@ func (b bitset) orInto(o bitset) bool {
 	return changed
 }
 
-func (b bitset) copyFrom(o bitset) {
-	copy(b, o)
+// Liveness set kinds, in each block's slot of allocator.sets.
+const (
+	setUse     = iota // upward-exposed uses
+	setDef            // defs
+	setLiveIn         // live on entry
+	setLiveOut        // live on exit
+)
+
+// set returns block i's liveness set of the given kind.
+func (a *allocator) set(i, kind int) bitset {
+	at := (4*i + kind) * a.words
+	return a.sets[at : at+a.words : at+a.words]
 }
 
-// liveness computes live-out sets per block.
-func liveness(f *ir.Func) (liveOut []bitset) {
-	n := f.NumRegs()
+// liveness computes the live-out set of every block of f, read with
+// a.set(i, setLiveOut).
+func (a *allocator) liveness(f *ir.Func) {
 	nb := len(f.Blocks)
-	use := make([]bitset, nb) // upward-exposed uses
-	def := make([]bitset, nb) // defs
-	liveIn := make([]bitset, nb)
-	liveOut = make([]bitset, nb)
-	var buf []ir.Reg
+	a.words = (f.NumRegs() + 63) / 64
+	a.sets = fit(a.sets, 4*nb*a.words)
+	clear(a.sets[:4*nb*a.words])
 	for i, b := range f.Blocks {
-		use[i] = newBitset(n)
-		def[i] = newBitset(n)
-		liveIn[i] = newBitset(n)
-		liveOut[i] = newBitset(n)
+		use, def := a.set(i, setUse), a.set(i, setDef)
 		for _, op := range b.Ops {
-			buf = op.Uses(buf[:0])
-			for _, u := range buf {
-				if !def[i].get(int(u)) {
-					use[i].set(int(u))
+			a.buf = op.Uses(a.buf[:0])
+			for _, u := range a.buf {
+				if !def.get(int(u)) {
+					use.set(int(u))
 				}
 			}
 			if op.Dst != ir.NoReg {
-				def[i].set(int(op.Dst))
+				def.set(int(op.Dst))
 			}
 		}
 	}
@@ -136,22 +180,23 @@ func liveness(f *ir.Func) (liveOut []bitset) {
 		changed = false
 		for i := nb - 1; i >= 0; i-- {
 			b := f.Blocks[i]
+			liveOut := a.set(i, setLiveOut)
 			for _, s := range b.Succs {
-				if liveOut[i].orInto(liveIn[s.ID]) {
+				if liveOut.orInto(a.set(s.ID, setLiveIn)) {
 					changed = true
 				}
 			}
 			// liveIn = use | (liveOut &^ def)
-			for w := range liveIn[i] {
-				nv := use[i][w] | (liveOut[i][w] &^ def[i][w])
-				if nv != liveIn[i][w] {
-					liveIn[i][w] = nv
+			use, def, liveIn := a.set(i, setUse), a.set(i, setDef), a.set(i, setLiveIn)
+			for w := range liveIn {
+				nv := use[w] | (liveOut[w] &^ def[w])
+				if nv != liveIn[w] {
+					liveIn[w] = nv
 					changed = true
 				}
 			}
 		}
 	}
-	return liveOut
 }
 
 // --- Interference graph ---
@@ -162,8 +207,8 @@ type igraph struct {
 	cost []float64  // spill cost per register
 }
 
-// addEdge records that a and b interfere. The scan finds most pairs
-// more than once; dedupe drops the repeats after it.
+// addEdge records that a and b interfere. The caller skips pairs
+// already recorded, so each list names each interfering register once.
 func (g *igraph) addEdge(a, b ir.Reg) {
 	if a == b || a == ir.NoReg || b == ir.NoReg {
 		return
@@ -172,39 +217,38 @@ func (g *igraph) addEdge(a, b ir.Reg) {
 	g.adj[b] = append(g.adj[b], a)
 }
 
-// dedupe keeps the first occurrence of each neighbour in every
-// adjacency list, so each list names each interfering register once,
-// in the order the scan first found the pair.
-func (g *igraph) dedupe() {
-	// seen[m] == r marks m as already kept in r's list; r >= 1, so the
-	// zeroed array starts with nothing marked.
-	seen := make([]ir.Reg, g.n)
-	for r := 1; r < g.n; r++ {
-		list := g.adj[r]
-		k := 0
-		for _, m := range list {
-			if seen[m] != ir.Reg(r) {
-				seen[m] = ir.Reg(r)
-				list[k] = m
-				k++
-			}
-		}
-		g.adj[r] = list[:k]
+// markNeighbours marks d's current neighbours in a.seen with a fresh
+// stamp, so nothing is cleared between definitions or rounds.
+func (a *allocator) markNeighbours(d ir.Reg) {
+	a.mark++
+	if a.mark == 0 { // wrapped: old stamps would match again
+		clear(a.seen)
+		a.mark = 1
+	}
+	for _, m := range a.g.adj[d] {
+		a.seen[m] = a.mark
 	}
 }
 
-func buildInterference(f *ir.Func) *igraph {
+// buildInterference builds f's interference graph in a.g, reusing the
+// previous round's adjacency lists and cost array. Each list holds its
+// partners in the order the scan first found the pair.
+func (a *allocator) buildInterference(f *ir.Func) *igraph {
 	n := f.NumRegs()
-	g := &igraph{
-		n:    n,
-		adj:  make([][]ir.Reg, n),
-		cost: make([]float64, n),
+	g := &a.g
+	g.n = n
+	g.adj = fit(g.adj, n)
+	for r := range g.adj[:n] {
+		g.adj[r] = g.adj[r][:0]
 	}
-	liveOut := liveness(f)
-	live := newBitset(n)
-	var buf []ir.Reg
+	g.cost = fit(g.cost, n)
+	a.seen = fit(a.seen, n)
+	clear(g.cost[:n])
+	a.liveness(f)
+	a.live = fit(a.live, a.words)
+	live := a.live[:a.words]
 	for bi, b := range f.Blocks {
-		live.copyFrom(liveOut[bi])
+		copy(live, a.set(bi, setLiveOut))
 		depthW := 1.0
 		for d := 0; d < b.LoopDepth && d < 6; d++ {
 			depthW *= 10
@@ -218,6 +262,7 @@ func buildInterference(f *ir.Func) *igraph {
 				// Registers of different files never interfere. For a
 				// move, skip the source: giving both the same colour is
 				// harmless and enables coalescing-like assignments.
+				a.markNeighbours(d)
 				for w, word := range live {
 					for word != 0 {
 						bit := bits.TrailingZeros64(word)
@@ -232,19 +277,21 @@ func buildInterference(f *ir.Func) *igraph {
 						if op.Kind == ir.OpMov && r == op.Args[0] {
 							continue
 						}
+						if a.seen[r] == a.mark {
+							continue // found before
+						}
 						g.addEdge(d, r)
 					}
 				}
 				live.clear(int(d))
 			}
-			buf = op.Uses(buf[:0])
-			for _, u := range buf {
+			a.buf = op.Uses(a.buf[:0])
+			for _, u := range a.buf {
 				g.cost[u] += depthW
 				live.set(int(u))
 			}
 		}
 	}
-	g.dedupe()
 	return g
 }
 
@@ -252,63 +299,77 @@ func buildInterference(f *ir.Func) *igraph {
 
 // color assigns each virtual register a colour in [0, numAllocatable)
 // within its register file. It returns the colouring and the registers
-// that must be spilled (empty on success). Registers at or above
-// firstTemp are spill-rewrite temporaries and are only spilled as a
-// last resort.
-func color(f *ir.Func, g *igraph, firstTemp ir.Reg) ([]int, []ir.Reg) {
+// that must be spilled (empty on success), both owned by a. Registers
+// at or above firstTemp are spill-rewrite temporaries and are only
+// spilled as a last resort.
+func (a *allocator) color(g *igraph, firstTemp ir.Reg) ([]int, []ir.Reg) {
 	n := g.n
-	degree := make([]int, n)
-	removed := make([]bool, n)
-	exists := make([]bool, n)
+	a.degree = fit(a.degree, n)
+	degree := a.degree[:n]
+	a.picked = fit(a.picked, n)
+	picked := a.picked[:n]
+	clear(picked)
+	words := (n + 63) / 64
+	a.low = fit(a.low, words)
+	low := a.low[:words]
+	clear(low)
 	for r := 1; r < n; r++ {
-		degree[r] = len(g.adj[r])
-		exists[r] = true
+		degree[r] = int32(len(g.adj[r]))
+		if degree[r] < numAllocatable {
+			low.set(r)
+		}
 	}
 
-	// Simplify: repeatedly remove low-degree nodes; when stuck, pick a
-	// cheap spill candidate optimistically (Briggs).
-	var stack []ir.Reg
-	left := n - 1
-	for left > 0 {
-		picked := ir.NoReg
-		for r := 1; r < n; r++ {
-			if !removed[r] && exists[r] && degree[r] < numAllocatable {
-				picked = ir.Reg(r)
+	// Simplify: repeatedly remove the lowest-numbered low-degree node;
+	// when there is none, pick a cheap spill candidate optimistically
+	// (Briggs). No word of low below first has a bit set.
+	stack := a.stack[:0]
+	first := 0
+	for left := n - 1; left > 0; left-- {
+		p := ir.NoReg
+		for ; first < words; first++ {
+			if low[first] != 0 {
+				p = ir.Reg(first*64 + bits.TrailingZeros64(low[first]))
+				low.clear(int(p))
 				break
 			}
 		}
-		if picked == ir.NoReg {
+		if p == ir.NoReg {
 			// Choose the node with minimal cost/degree as the potential
 			// spill, pushed optimistically; spill temporaries are
 			// penalised so an original register is always preferred.
-			best, bestScore := ir.NoReg, 0.0
+			bestScore := 0.0
 			for r := 1; r < n; r++ {
-				if removed[r] || !exists[r] {
+				if picked[r] {
 					continue
 				}
 				score := g.cost[r] / float64(degree[r]+1)
 				if ir.Reg(r) >= firstTemp {
 					score += 1e12
 				}
-				if best == ir.NoReg || score < bestScore {
-					best, bestScore = ir.Reg(r), score
+				if p == ir.NoReg || score < bestScore {
+					p, bestScore = ir.Reg(r), score
 				}
 			}
-			picked = best
 		}
-		removed[picked] = true
-		left--
-		stack = append(stack, picked)
-		for _, m := range g.adj[picked] {
+		picked[p] = true
+		stack = append(stack, p)
+		for _, m := range g.adj[p] {
 			degree[m]--
+			if degree[m] == numAllocatable-1 && !picked[m] {
+				low.set(int(m))
+				first = min(first, int(m)/64)
+			}
 		}
 	}
+	a.stack = stack
 
-	colors := make([]int, n)
+	a.colors = fit(a.colors, n)
+	colors := a.colors[:n]
 	for i := range colors {
 		colors[i] = -1
 	}
-	var spills []ir.Reg
+	spills := a.spills[:0]
 	next := 0 // round-robin bias
 	for i := len(stack) - 1; i >= 0; i-- {
 		r := stack[i]
@@ -333,68 +394,82 @@ func color(f *ir.Func, g *igraph, firstTemp ir.Reg) ([]int, []ir.Reg) {
 		colors[r] = assigned
 		next = (assigned + 1) % numAllocatable
 	}
+	a.spills = spills
 	return colors, spills
 }
 
 // --- Spilling ---
 
+// reload pairs a spilled register with the temporary that holds it for
+// one operation.
+type reload struct{ reg, tmp ir.Reg }
+
 // spill rewrites each spilled register to live in a fresh stack slot:
 // every use loads it into a new temporary just before the op, every
 // def stores it just after. Spill slots are ordinary stack data and
 // are partitioned between the banks like any other variable.
-func spill(f *ir.Func, regs []ir.Reg, st *Stats) {
-	slots := make(map[ir.Reg]*ir.Symbol, len(regs))
+func (a *allocator) spill(f *ir.Func, regs []ir.Reg, st *Stats) {
+	// Only registers that exist now are looked up; the temporaries
+	// made below appear only in the ops inserted around each op.
+	a.slot = fit(a.slot, f.NumRegs())
+	slot := a.slot
 	for _, r := range regs {
 		sym := &ir.Symbol{
-			Name: fmt.Sprintf("%s.spill%d", f.Name, len(f.Locals)),
+			Name: f.Name + ".spill" + strconv.Itoa(len(f.Locals)),
 			Kind: ir.SymSpill,
 			Elem: f.RegType(r),
 			Size: 1,
 		}
 		f.Locals = append(f.Locals, sym)
-		slots[r] = sym
+		slot[r] = sym
 	}
-	var buf []ir.Reg
+	tmp := func(r ir.Reg) ir.Reg {
+		for _, rl := range a.reloaded {
+			if rl.reg == r {
+				return rl.tmp
+			}
+		}
+		return ir.NoReg
+	}
 	for _, b := range f.Blocks {
-		var out []*ir.Op
+		out := a.ops[:0]
 		for _, op := range b.Ops {
 			// Reload each spilled register the op reads.
-			reloaded := make(map[ir.Reg]ir.Reg)
-			buf = op.Uses(buf[:0])
-			for _, u := range buf {
-				sym, ok := slots[u]
-				if !ok {
-					continue
-				}
-				if _, done := reloaded[u]; done {
+			a.reloaded = a.reloaded[:0]
+			a.buf = op.Uses(a.buf[:0])
+			for _, u := range a.buf {
+				sym := slot[u]
+				if sym == nil || tmp(u) != ir.NoReg {
 					continue
 				}
 				t := f.NewReg(sym.Elem)
-				reloaded[u] = t
+				a.reloaded = append(a.reloaded, reload{u, t})
 				out = append(out, &ir.Op{Kind: ir.OpLoad, Type: sym.Elem, Dst: t, Sym: sym})
 			}
 			macRead := op.Kind == ir.OpMac || op.Kind == ir.OpFMac
-			for i, a := range op.Args {
-				if t, ok := reloaded[a]; ok {
-					op.Args[i] = t
+			if len(a.reloaded) > 0 {
+				for i, r := range op.Args {
+					if t := tmp(r); t != ir.NoReg {
+						op.Args[i] = t
+					}
 				}
-			}
-			if t, ok := reloaded[op.Idx]; ok {
-				op.Idx = t
-			}
-			for i, a := range op.CallArgs {
-				if t, ok := reloaded[a]; ok {
-					op.CallArgs[i] = t
+				if t := tmp(op.Idx); t != ir.NoReg {
+					op.Idx = t
+				}
+				for i, r := range op.CallArgs {
+					if t := tmp(r); t != ir.NoReg {
+						op.CallArgs[i] = t
+					}
 				}
 			}
 			// Store each spilled register the op writes. A
 			// multiply-accumulate reads and writes its destination: the
 			// reload above already retargeted it to the temporary, which
 			// is stored back after the update.
-			if sym, ok := slots[op.Dst]; ok {
+			if sym := slot[op.Dst]; sym != nil {
 				var t ir.Reg
 				if macRead {
-					t = reloaded[op.Dst]
+					t = tmp(op.Dst)
 				} else {
 					t = f.NewReg(sym.Elem)
 				}
@@ -405,7 +480,14 @@ func spill(f *ir.Func, regs []ir.Reg, st *Stats) {
 			}
 			out = append(out, op)
 		}
-		b.Ops = out
+		a.ops = out
+		// Only an op that touches a spilled register grows the block.
+		if len(out) != len(b.Ops) {
+			b.Ops = slices.Clone(out)
+		}
+	}
+	for _, r := range regs {
+		slot[r] = nil
 	}
 }
 
@@ -415,7 +497,7 @@ func spill(f *ir.Func, regs []ir.Reg, st *Stats) {
 // inserts return-value plumbing through r1/f1, and adds the prologue
 // saves and epilogue restores for every physical register the function
 // writes.
-func rewrite(f *ir.Func, colors []int, st *Stats) {
+func (a *allocator) rewrite(f *ir.Func, colors []int, st *Stats) {
 	phys := func(r ir.Reg) ir.Reg {
 		if r == ir.NoReg {
 			return ir.NoReg
@@ -435,21 +517,21 @@ func rewrite(f *ir.Func, colors []int, st *Stats) {
 		return ir.TInt
 	}
 
-	written := make(map[ir.Reg]bool)
+	var written [65]bool // by physical register, r1..r32 then f1..f32
 
 	for _, b := range f.Blocks {
-		var out []*ir.Op
+		out := a.ops[:0]
 		for _, op := range b.Ops {
-			for i, a := range op.Args {
-				if a != ir.NoReg {
-					op.Args[i] = phys(a)
+			for i, r := range op.Args {
+				if r != ir.NoReg {
+					op.Args[i] = phys(r)
 				}
 			}
 			if op.Idx != ir.NoReg {
 				op.Idx = phys(op.Idx)
 			}
-			for i, a := range op.CallArgs {
-				op.CallArgs[i] = phys(a)
+			for i, r := range op.CallArgs {
+				op.CallArgs[i] = phys(r)
 			}
 			switch op.Kind {
 			case ir.OpCall:
@@ -491,36 +573,40 @@ func rewrite(f *ir.Func, colors []int, st *Stats) {
 			}
 			out = append(out, op)
 		}
-		b.Ops = out
+		a.ops = out
+		// Only return-value plumbing grows the block.
+		if len(out) != len(b.Ops) {
+			b.Ops = slices.Clone(out)
+		}
 	}
 	for i, r := range f.ParamRegs {
 		f.ParamRegs[i] = phys(r)
 	}
-	for r := range written {
-		if physType(r) == ir.TFloat {
+	// Callee-save: one slot per written register, in register order
+	// (r1/f1 are scratch and carry return values, and are never
+	// allocated, so they are never written). Prologue saves run before
+	// everything else; restores precede every return. The
+	// data-allocation pass assigns the slots to alternating banks. main
+	// has no caller whose registers need preserving, so it saves
+	// nothing.
+	var saved []ir.Reg
+	for r, w := range written {
+		if !w {
+			continue
+		}
+		if physType(ir.Reg(r)) == ir.TFloat {
 			st.FloatUsed++
 		} else {
 			st.IntUsed++
 		}
-	}
-
-	// Callee-save: one slot per written register (r1/f1 are scratch and
-	// carry return values, and are never allocated, so they are never
-	// in the written set). Prologue saves run before everything else;
-	// restores precede every return. The data-allocation pass assigns
-	// the slots to alternating banks. main has no caller whose
-	// registers need preserving, so it saves nothing.
-	var saved []ir.Reg
-	if f.Name != "main" {
-		for r := range written {
-			saved = append(saved, r)
+		if f.Name != "main" {
+			saved = append(saved, ir.Reg(r))
 		}
 	}
-	sort.Slice(saved, func(i, j int) bool { return saved[i] < saved[j] })
 	slots := make([]*ir.Symbol, len(saved))
 	for i, r := range saved {
 		slots[i] = &ir.Symbol{
-			Name: fmt.Sprintf("%s.save.%d", f.Name, i),
+			Name: f.Name + ".save." + strconv.Itoa(i),
 			Kind: ir.SymSpill,
 			Elem: physType(r),
 			Size: 1,
@@ -533,9 +619,9 @@ func rewrite(f *ir.Func, colors []int, st *Stats) {
 
 	if len(saved) > 0 {
 		entry := f.Entry()
-		var pro []*ir.Op
+		pro := make([]*ir.Op, len(saved), len(saved)+len(entry.Ops))
 		for i, r := range saved {
-			pro = append(pro, &ir.Op{Kind: ir.OpStore, Args: [2]ir.Reg{r}, Sym: slots[i]})
+			pro[i] = &ir.Op{Kind: ir.OpStore, Args: [2]ir.Reg{r}, Sym: slots[i]}
 		}
 		entry.Ops = append(pro, entry.Ops...)
 		for _, b := range f.Blocks {
@@ -543,11 +629,11 @@ func rewrite(f *ir.Func, colors []int, st *Stats) {
 			if t == nil || t.Kind != ir.OpRet {
 				continue
 			}
-			var epi []*ir.Op
+			ops := b.Ops[:len(b.Ops)-1]
 			for i, r := range saved {
-				epi = append(epi, &ir.Op{Kind: ir.OpLoad, Type: physType(r), Dst: r, Sym: slots[i]})
+				ops = append(ops, &ir.Op{Kind: ir.OpLoad, Type: physType(r), Dst: r, Sym: slots[i]})
 			}
-			b.Ops = append(b.Ops[:len(b.Ops)-1], append(epi, t)...)
+			b.Ops = append(ops, t)
 		}
 	}
 
