@@ -104,51 +104,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var names []string
-	if *benchReport != "" {
-		names = benchReportSuite
-	} else if *certify != "" || *hwReport != "" || *banks != 0 || *ports != 0 {
-		// The certified and hardware sweeps — and explorations pinned to
-		// a non-default machine geometry — default to the full suite;
-		// explicit selections narrow them.
-		if *kernels || *apps || *benchmarks != "" {
-			if *kernels {
-				for _, p := range bench.Kernels() {
-					names = append(names, p.Name)
-				}
-			}
-			if *apps {
-				for _, p := range bench.Applications() {
-					names = append(names, p.Name)
-				}
-			}
-			for _, n := range strings.Split(*benchmarks, ",") {
-				if n = strings.TrimSpace(n); n != "" {
-					names = append(names, n)
-				}
-			}
-		} else {
-			for _, p := range append(bench.Kernels(), bench.Applications()...) {
-				names = append(names, p.Name)
-			}
-		}
-	} else {
-		if *kernels {
-			for _, p := range bench.Kernels() {
-				names = append(names, p.Name)
-			}
-		}
-		if *apps {
-			for _, p := range bench.Applications() {
-				names = append(names, p.Name)
-			}
-		}
-		for _, n := range strings.Split(*benchmarks, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-	}
+	names := benchNames(*benchmarks, *kernels, *apps, *benchReport != "",
+		*certify != "" || *hwReport != "" || *banks != 0 || *ports != 0)
 	if len(names) == 0 {
 		fmt.Fprintln(stderr, "dspexplore: nothing to explore (use -benchmark, -kernels, -apps, or -bench-report; -list shows names)")
 		return 2
@@ -195,8 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		h := bench.NewHarness(*workers)
-		rep, err := explore.ExploreHW(ctx, progs, specs, explore.Options{Harness: h})
+		rep, err := explore.ExploreHW(ctx, progs, specs, explore.Options{Workers: *workers})
 		if err != nil {
 			fmt.Fprintln(stderr, "dspexplore:", err)
 			return 1
@@ -289,6 +245,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s\n", *csvPath)
 	}
 	return 0
+}
+
+// benchNames returns the benchmarks the selection flags pick.
+// -bench-report (report) picks its pinned suite. Otherwise -kernels,
+// -apps and -benchmark pick, in that order; without any of them the
+// certified and hardware sweeps and explorations pinned to a
+// non-default machine geometry (wholeSuite) take every benchmark, and
+// a plain exploration takes none.
+func benchNames(benchmarks string, kernels, apps, report, wholeSuite bool) []string {
+	if report {
+		return benchReportSuite
+	}
+	if wholeSuite && !kernels && !apps && benchmarks == "" {
+		kernels, apps = true, true
+	}
+	var names []string
+	if kernels {
+		for _, p := range bench.Kernels() {
+			names = append(names, p.Name)
+		}
+	}
+	if apps {
+		for _, p := range bench.Applications() {
+			names = append(names, p.Name)
+		}
+	}
+	for _, n := range strings.Split(benchmarks, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			names = append(names, n)
+		}
+	}
+	return names
 }
 
 // parseHWGrid parses the -hw-grid flag: comma-separated "BxP"

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"dualbank/internal/bench"
 	"dualbank/internal/explore"
 )
 
@@ -189,6 +191,47 @@ func TestRunCertifySmoke(t *testing.T) {
 	for _, bc := range rep.Benchmarks {
 		if len(bc.Arms) != 3 {
 			t.Errorf("%s: %d arms, want 3", bc.Bench, len(bc.Arms))
+		}
+	}
+}
+
+// TestBenchNames pins the benchmarks each combination of selection
+// flags picks.
+func TestBenchNames(t *testing.T) {
+	var kernels, apps []string
+	for _, p := range bench.Kernels() {
+		kernels = append(kernels, p.Name)
+	}
+	for _, p := range bench.Applications() {
+		apps = append(apps, p.Name)
+	}
+	all := append(slices.Clone(kernels), apps...)
+	cases := []struct {
+		flags                             string // the command line the case stands for
+		benchmarks                        string
+		kernels, apps, report, wholeSuite bool
+		want                              []string
+	}{
+		{flags: "", want: nil},
+		{flags: "-benchmark ' fir_32_1 , ,iir_1_1'", benchmarks: " fir_32_1 , ,iir_1_1", want: []string{"fir_32_1", "iir_1_1"}},
+		{flags: "-benchmark ,", benchmarks: ",", want: nil},
+		{flags: "-kernels", kernels: true, want: kernels},
+		{flags: "-apps", apps: true, want: apps},
+		{flags: "-benchmark adpcm -apps -kernels", benchmarks: "adpcm", kernels: true, apps: true,
+			want: append(slices.Clone(all), "adpcm")},
+		{flags: "-bench-report x", report: true, want: benchReportSuite},
+		{flags: "-bench-report x -kernels -benchmark adpcm", benchmarks: "adpcm", kernels: true, report: true, want: benchReportSuite},
+		{flags: "-certify x", wholeSuite: true, want: all},
+		{flags: "-hw-report x", wholeSuite: true, want: all},
+		{flags: "-banks 3", wholeSuite: true, want: all},
+		{flags: "-ports 2 -apps", apps: true, wholeSuite: true, want: apps},
+		{flags: "-certify x -benchmark fir_32_1", benchmarks: "fir_32_1", wholeSuite: true, want: []string{"fir_32_1"}},
+		{flags: "-hw-report x -benchmark ,", benchmarks: ",", wholeSuite: true, want: nil},
+	}
+	for _, c := range cases {
+		got := benchNames(c.benchmarks, c.kernels, c.apps, c.report, c.wholeSuite)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%q selects %v, want %v", c.flags, got, c.want)
 		}
 	}
 }

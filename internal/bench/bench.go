@@ -70,8 +70,8 @@ func I32(r Reader, name string, idx int) (int32, error) {
 // with an empty Source only names a benchmark ByName resolves:
 // Harness.RunCtx builds it on the cache miss that needs it, so a
 // request the memo answers never builds its program. Only the harness
-// resolves such a reference; RunCtx and the other direct runners need
-// the source.
+// and explore.Certify resolve such a reference; RunCtx and the other
+// direct runners need the source.
 type Program struct {
 	Name   string
 	Desc   string // the Table 1/2 description
@@ -213,7 +213,10 @@ type RunOptions struct {
 	// requested engine's.
 	Engine Engine
 	// Compiler, when non-nil, supplies reusable compiler scratch so
-	// back-to-back measurements skip re-growing it.
+	// back-to-back measurements skip re-growing it. Only bench.RunCtx
+	// callers gain from it: a Harness miss without one borrows a
+	// compiler from the harness. It stays for the direct callers, the
+	// serve workers' uploaded sources and perfbench's paper-matrix.
 	Compiler *pipeline.Compiler
 }
 
@@ -376,7 +379,8 @@ func Gain(base, res Result) float64 {
 }
 
 // BatchItem is one variant of a batched evaluation: an allocation mode
-// plus its run options.
+// plus its run options. It stays only because perfbench, the benchmark
+// module, names it.
 type BatchItem struct {
 	Mode alloc.Mode
 	Opts RunOptions
@@ -385,7 +389,8 @@ type BatchItem struct {
 // BatchOutcome is one batched variant's measurement. Err is per-item:
 // an infeasible or faulting variant does not abort its siblings.
 // Cached reports a memo-cache hit when the batch ran through a
-// Harness.
+// Harness. It stays only because perfbench, the benchmark module,
+// names it.
 type BatchOutcome struct {
 	Res    Result
 	Cached bool

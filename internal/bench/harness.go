@@ -64,6 +64,11 @@ type Harness struct {
 	results memo[runKey, measured]
 	fronts  memo[prepKey, *prepEntry]
 
+	// compilers lends back-end scratch to every miss that brings no
+	// compiler of its own, so misses reuse warm arenas whichever
+	// goroutine runs them.
+	compilers sync.Pool
+
 	hits, misses, l2hits, prepares, sims atomic.Int64
 	// droppedGraphs counts the graphs of the front ends fronts dropped.
 	droppedGraphs atomic.Int64
@@ -139,17 +144,11 @@ type runKey struct {
 	// are engine-independent by the differential pinning, but the
 	// recorded timings are not, so entries never alias across engines.
 	engine Engine
-	// batched marks entries produced by a batched dispatch
-	// (RunBatchCtx), whose timings reflect shared-arena amortization;
-	// they never alias single-run entries.
-	batched bool
 }
 
 // String renders the key's canonical wire form — the identity the
 // cluster tier hashes for consistent routing and the shared L2 result
-// cache stores under. Every in-memory key field except batched appears
-// (batched only distinguishes timing amortization, never the result,
-// so batched and single-run measurements share one L2 entry).
+// cache stores under. Every key field appears.
 func (k runKey) String() string {
 	s := "run|" + k.bench +
 		"|mode=" + k.mode.String() +
@@ -259,6 +258,7 @@ func NewHarness(parallel int) *Harness {
 		}},
 	}
 	h.fronts.evicted = func(e *prepEntry) { h.droppedGraphs.Add(int64(e.prep.Graphs())) }
+	h.compilers.New = func() any { return new(pipeline.Compiler) }
 	return h
 }
 
@@ -294,13 +294,7 @@ func (h *Harness) Stats() CacheStats {
 // request computes via the package-level Run, concurrent and repeated
 // requests share the result.
 func (h *Harness) Run(p Program, mode alloc.Mode) (Result, error) {
-	return h.run(p, mode, nil)
-}
-
-// run is Run with optional reusable compiler scratch (each pool worker
-// owns one).
-func (h *Harness) run(p Program, mode alloc.Mode, cc *pipeline.Compiler) (Result, error) {
-	res, _, err := h.RunCtx(context.Background(), p, mode, RunOptions{Compiler: cc, Engine: h.Engine})
+	res, _, err := h.RunCtx(context.Background(), p, mode, RunOptions{Engine: h.Engine})
 	return res, err
 }
 
@@ -318,36 +312,10 @@ func (h *Harness) run(p Program, mode alloc.Mode, cc *pipeline.Compiler) (Result
 // failures (errors exposing Transient() bool, e.g. injected faults)
 // are likewise never cached: the entry is removed so the next request
 // retries. p may only name its benchmark (see Program): it is built
-// inside the single-flight slot, on a miss, after the L2 lookup.
+// inside the single-flight slot, on a miss, after the L2 lookup. A
+// miss whose ro.Compiler is nil borrows one from the harness.
 func (h *Harness) RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (res Result, cached bool, err error) {
-	return h.runEntry(ctx, newRunKey(p, mode, ro), p, mode, ro)
-}
-
-// RunBatchCtx measures one benchmark under many configuration variants
-// through the single-flight cache, sharing one compiler (back-end
-// scratch plus the compiled engine's recycled simulation arena) across
-// every cache miss in the batch. Entries are keyed as batched, so a
-// batched measurement never aliases a single-run one (their timings
-// reflect different amortization). Outcomes land in item order;
-// per-item failures — including one variant's cancellation — leave the
-// remaining items to run on the same, reset arena.
-func (h *Harness) RunBatchCtx(ctx context.Context, p Program, items []BatchItem) []BatchOutcome {
-	cc := new(pipeline.Compiler)
-	out := make([]BatchOutcome, len(items))
-	for i, it := range items {
-		ro := it.Opts
-		if ro.Compiler == nil {
-			ro.Compiler = cc
-		}
-		key := newRunKey(p, it.Mode, ro)
-		key.batched = true
-		out[i].Res, out[i].Cached, out[i].Err = h.runEntry(ctx, key, p, it.Mode, ro)
-	}
-	return out
-}
-
-// runEntry measures one key through the result memo.
-func (h *Harness) runEntry(ctx context.Context, key runKey, p Program, mode alloc.Mode, ro RunOptions) (res Result, cached bool, err error) {
+	key := newRunKey(p, mode, ro)
 	v, shared, err := h.results.do(ctx, key, func() (measured, error) {
 		// Inside the single-flight slot, try the shared L2 first: a hit
 		// means some node (possibly this one, in a previous life)
@@ -376,6 +344,19 @@ func (h *Harness) runEntry(ctx context.Context, key runKey, p Program, mode allo
 	return v.Result, shared || v.fromL2, err
 }
 
+// RunBatchCtx measures one benchmark under each item's configuration
+// through RunCtx and returns the outcomes in item order; one item's
+// failure, its cancellation included, leaves the rest to run. It stays
+// only because perfbench, the benchmark module, calls it; batching
+// saves nothing now that every miss borrows a compiler.
+func (h *Harness) RunBatchCtx(ctx context.Context, p Program, items []BatchItem) []BatchOutcome {
+	out := make([]BatchOutcome, len(items))
+	for i, it := range items {
+		out[i].Res, out[i].Cached, out[i].Err = h.RunCtx(ctx, p, it.Mode, it.Opts)
+	}
+	return out
+}
+
 // Cached reports whether the harness can serve the measurement without
 // a fresh computation: a kept successful entry, or one currently in
 // flight that a request would coalesce onto. It never blocks and never
@@ -391,7 +372,9 @@ func (h *Harness) Cached(p Program, mode alloc.Mode, ro RunOptions) bool {
 // instrumentation) runs and may veto the measurement. The program's
 // front end comes from the memo. The allocation is planned here; the
 // rest of the back end and the simulation run too, unless the
-// program's back-end memo already measured that plan.
+// program's back-end memo already measured that plan. Without a
+// compiler of its own the back end runs on one borrowed from the
+// harness, returned once runPrepared has read the simulated machine.
 func (h *Harness) compute(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Result, error) {
 	if p.Source == "" {
 		built, ok := ByName(p.Name)
@@ -420,6 +403,11 @@ func (h *Harness) compute(ctx context.Context, p Program, mode alloc.Mode, ro Ru
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
+	}
+	if ro.Compiler == nil {
+		cc := h.compilers.Get().(*pipeline.Compiler)
+		defer h.compilers.Put(cc)
+		ro.Compiler = cc
 	}
 	res, err := runPrepared(ctx, p, e.prep, mode, ro, &e.backs, &h.sims)
 	if err != nil {
@@ -463,89 +451,66 @@ func (h *Harness) Timings() []RunTiming {
 	return out
 }
 
-// job is one unit of pool work: measure prog under mode, deposit the
-// result at a fixed slot so assembly order is deterministic.
-type job struct {
-	prog Program
-	mode alloc.Mode
-}
-
-// runJobs executes every job on up to h.Parallel workers and returns
-// the results in job order. On failure it returns the error of the
-// lowest-numbered failing job, matching the serial harness's
-// first-error semantics.
-func (h *Harness) runJobs(jobs []job) ([]Result, error) {
-	results := make([]Result, len(jobs))
-	errs := make([]error, len(jobs))
-	if h.Parallel <= 1 {
-		cc := new(pipeline.Compiler)
-		for i, j := range jobs {
-			var err error
-			results[i], err = h.run(j.prog, j.mode, cc)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-	workers := h.Parallel
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+// runArms measures each program under the single-bank baseline and
+// then under each of modes, on up to h.Parallel workers, and returns
+// every program's baseline and its results in mode order. On failure it
+// returns the error of the first failing measurement in that order,
+// matching the serial harness's first-error semantics.
+func (h *Harness) runArms(progs []Program, modes []alloc.Mode) (base []Result, arms [][]Result, err error) {
+	stride := len(modes) + 1
+	results := make([]Result, len(progs)*stride)
+	errs := make([]error, len(results))
 	next := make(chan int)
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range max(1, min(h.Parallel, len(results))) {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cc := new(pipeline.Compiler)
 			for i := range next {
-				results[i], errs[i] = h.run(jobs[i].prog, jobs[i].mode, cc)
+				mode := alloc.SingleBank
+				if k := i % stride; k > 0 {
+					mode = modes[k-1]
+				}
+				results[i], _, errs[i] = h.RunCtx(context.Background(), progs[i/stride], mode, RunOptions{Engine: h.Engine})
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := range results {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return results, nil
+	base = make([]Result, len(progs))
+	arms = make([][]Result, len(progs))
+	for i := range progs {
+		base[i], arms[i] = results[i*stride], results[i*stride+1:(i+1)*stride]
+	}
+	return base, arms, nil
 }
 
 // RunFigure measures the given benchmarks under the given modes,
 // producing rows identical to the serial package-level RunFigure.
 func (h *Harness) RunFigure(progs []Program, modes []alloc.Mode) ([]FigureRow, error) {
-	jobs := make([]job, 0, len(progs)*(len(modes)+1))
-	for _, p := range progs {
-		jobs = append(jobs, job{prog: p, mode: alloc.SingleBank})
-		for _, m := range modes {
-			jobs = append(jobs, job{prog: p, mode: m})
-		}
-	}
-	results, err := h.runJobs(jobs)
+	base, arms, err := h.runArms(progs, modes)
 	if err != nil {
 		return nil, err
 	}
 	var rows []FigureRow
-	i := 0
-	for _, p := range progs {
-		base := results[i]
-		i++
+	for i, p := range progs {
 		row := FigureRow{
 			Bench:      p.Name,
-			BaseCycles: base.Cycles,
+			BaseCycles: base[i].Cycles,
 			Gains:      make(map[alloc.Mode]float64, len(modes)),
 			Cycles:     make(map[alloc.Mode]int64, len(modes)),
 		}
-		for _, m := range modes {
-			res := results[i]
-			i++
-			row.Gains[m] = Gain(base, res)
+		for k, m := range modes {
+			res := arms[i][k]
+			row.Gains[m] = Gain(base[i], res)
 			row.Cycles[m] = res.Cycles
 			if m == alloc.CBDup {
 				row.Duplicated = res.Duplicated
@@ -575,27 +540,15 @@ func (h *Harness) Organizations() ([]FigureRow, error) {
 // Table3 reproduces the performance/cost trade-off table.
 func (h *Harness) Table3() ([]Table3Row, error) {
 	apps := Applications()
-	jobs := make([]job, 0, len(apps)*(len(Table3Modes)+1))
-	for _, p := range apps {
-		jobs = append(jobs, job{prog: p, mode: alloc.SingleBank})
-		for _, m := range Table3Modes {
-			jobs = append(jobs, job{prog: p, mode: m})
-		}
-	}
-	results, err := h.runJobs(jobs)
+	base, arms, err := h.runArms(apps, Table3Modes)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Table3Row
-	i := 0
-	for _, p := range apps {
-		base := results[i]
-		i++
+	for i, p := range apps {
 		row := Table3Row{Bench: p.Name, Metrics: make(map[alloc.Mode]cost.Metrics)}
-		for _, m := range Table3Modes {
-			res := results[i]
-			i++
-			row.Metrics[m] = cost.Compare(base.Cycles, res.Cycles, base.Mem, res.Mem)
+		for k, m := range Table3Modes {
+			row.Metrics[m] = cost.Compare(base[i].Cycles, arms[i][k].Cycles, base[i].Mem, arms[i][k].Mem)
 		}
 		rows = append(rows, row)
 	}
@@ -612,21 +565,16 @@ func (h *Harness) SweepFIR(taps []int, samples int) ([]SweepRow, error) {
 	for i, n := range taps {
 		progs[i] = FIR(n, samples)
 	}
-	jobs := make([]job, 0, 2*len(progs))
-	for _, p := range progs {
-		jobs = append(jobs, job{prog: p, mode: alloc.SingleBank}, job{prog: p, mode: alloc.CB})
-	}
-	results, err := h.runJobs(jobs)
+	base, arms, err := h.runArms(progs, []alloc.Mode{alloc.CB})
 	if err != nil {
 		return nil, err
 	}
 	var rows []SweepRow
 	for i, p := range progs {
-		base, cb := results[2*i], results[2*i+1]
 		rows = append(rows, SweepRow{
 			Label:      p.Name,
-			BaseCycles: base.Cycles,
-			CBGain:     Gain(base, cb),
+			BaseCycles: base[i].Cycles,
+			CBGain:     Gain(base[i], arms[i][0]),
 		})
 	}
 	return rows, nil

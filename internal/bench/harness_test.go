@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"context"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dualbank/internal/alloc"
+	"dualbank/internal/genmc"
 )
 
 // TestHarnessParallelDeterminism runs the Figure 7 and Figure 8
@@ -121,5 +125,64 @@ func TestRunFigureSerialEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(direct, pooled) {
 		t.Errorf("serial and pooled rows diverge:\n%+v\n%+v", direct, pooled)
+	}
+}
+
+// TestLentCompilersDoNotAlias runs misses without a compiler of their
+// own on four goroutines through one harness, mode-major over the suite
+// and a generated sample, so lent compilers pass between goroutines and
+// between programs of very different sizes. Every result must equal a
+// fresh bench.RunCtx measurement of its cell, timings aside.
+func TestLentCompilersDoNotAlias(t *testing.T) {
+	progs := append(Kernels(), Applications()...)
+	for _, k := range genmc.Population(24, 1) {
+		progs = append(progs, Program{Name: genmc.Generate(k).Name})
+	}
+	type cell struct {
+		p    Program
+		mode alloc.Mode
+	}
+	var cells []cell
+	for _, mode := range []alloc.Mode{alloc.SingleBank, alloc.CB, alloc.CBDup} {
+		for _, p := range progs {
+			cells = append(cells, cell{p, mode})
+		}
+	}
+	ctx := context.Background()
+	h := NewHarness(1)
+	got := make([]Result, len(cells))
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(cells); i = int(next.Add(1)) - 1 {
+				got[i], _, errs[i] = h.RunCtx(ctx, cells[i].p, cells[i].mode, RunOptions{})
+			}
+		}()
+	}
+	wg.Wait()
+	if st := h.Stats(); st.Misses != int64(len(cells)) || st.Sims == 0 {
+		t.Fatalf("%d misses and %d simulations for %d cells", st.Misses, st.Sims, len(cells))
+	}
+	for i, c := range cells {
+		if errs[i] != nil {
+			t.Fatalf("%s/%v: %v", c.p.Name, c.mode, errs[i])
+		}
+		p := c.p
+		if p.Source == "" {
+			p, _ = ByName(p.Name)
+		}
+		want, err := RunCtx(ctx, p, c.mode, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s/%v: fresh run: %v", c.p.Name, c.mode, err)
+		}
+		got[i].CompileSeconds, got[i].SimSeconds = 0, 0
+		want.CompileSeconds, want.SimSeconds = 0, 0
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%s/%v: harness %+v, fresh %+v", c.p.Name, c.mode, got[i], want)
+		}
 	}
 }

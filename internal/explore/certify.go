@@ -91,7 +91,9 @@ type CertReport struct {
 }
 
 // Certify certifies every program's partition. The report lists
-// benchmarks in input order regardless of worker scheduling.
+// benchmarks in input order regardless of worker scheduling. A program
+// may only name its benchmark (see bench.Program): the worker that
+// certifies it builds it.
 func Certify(ctx context.Context, progs []bench.Program, opts CertifyOptions) (*CertReport, error) {
 	if opts.NodeBudget <= 0 {
 		opts.NodeBudget = exact.DefaultNodeBudget
@@ -114,8 +116,9 @@ func Certify(ctx context.Context, progs []bench.Program, opts CertifyOptions) (*
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			cc := new(pipeline.Compiler)
 			for i := range next {
-				out[i], errs[i] = certifyBench(ctx, progs[i], opts.NodeBudget)
+				out[i], errs[i] = certifyBench(ctx, cc, progs[i], opts.NodeBudget)
 				mu.Lock()
 				done++
 				if opts.Progress != nil && errs[i] == nil {
@@ -169,15 +172,23 @@ feed:
 	return rep, nil
 }
 
-// certifyBench certifies one benchmark: build the static interference
-// graph CB plans on, measure each heuristic arm on it, then run the
-// exact solver and express every arm against the certified bound.
-func certifyBench(ctx context.Context, p bench.Program, budget int64) (BenchCert, error) {
+// certifyBench certifies one benchmark on the worker's compiler cc:
+// build the static interference graph CB plans on, measure each
+// heuristic arm on it, then run the exact solver and express every arm
+// against the certified bound.
+func certifyBench(ctx context.Context, cc *pipeline.Compiler, p bench.Program, budget int64) (BenchCert, error) {
+	if p.Source == "" {
+		built, ok := bench.ByName(p.Name)
+		if !ok {
+			return BenchCert{}, fmt.Errorf("certify: %s: unknown benchmark", p.Name)
+		}
+		p = built
+	}
 	prep, err := pipeline.Prepare(ctx, p.Source, p.Name, opt.Options{})
 	if err != nil {
 		return BenchCert{}, fmt.Errorf("certify: %s: %w", p.Name, err)
 	}
-	g, err := new(pipeline.Compiler).Graph(ctx, prep, core.WeightStatic)
+	g, err := cc.Graph(ctx, prep, core.WeightStatic)
 	if err != nil {
 		return BenchCert{}, fmt.Errorf("certify: %s: %w", p.Name, err)
 	}

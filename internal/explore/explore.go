@@ -34,19 +34,18 @@ import (
 	"dualbank/internal/pipeline"
 )
 
-// EvalFunc executes one measurement. The default runs through a
-// bench.Harness; the HTTP service substitutes its worker pool so
-// exploration shares the serving path's backpressure and metrics.
-// cached reports a memo-cache hit.
+// EvalFunc executes one measurement: every evaluation the explorer
+// makes goes through one. The default is a bench.Harness's RunCtx; the
+// HTTP service substitutes its worker pool so exploration shares the
+// serving path's backpressure and metrics. cached reports a memo-cache
+// hit.
 type EvalFunc func(ctx context.Context, p bench.Program, mode alloc.Mode, ro bench.RunOptions) (res bench.Result, cached bool, err error)
 
-// BatchEvalFunc executes a family of measurements of one benchmark in
-// a single dispatch, returning outcomes in item order. The default
-// runs through bench.Harness.RunBatchCtx, which shares one compiler
-// and one recycled simulation arena across the family — so evaluating
-// a whole duplication-subset round costs one warm-up instead of one
-// per configuration. Per-item errors (infeasible configurations) must
-// come back in their slot, not abort the batch.
+// BatchEvalFunc executes a family of measurements of one benchmark,
+// returning outcomes in item order; an item's error (an infeasible
+// configuration) comes back in its slot. The explorer calls it with
+// one item at a time. It stays only because perfbench, the benchmark
+// module, supplies one.
 type BatchEvalFunc func(ctx context.Context, p bench.Program, items []bench.BatchItem) []bench.BatchOutcome
 
 // Event is one progress notification: an evaluation finished (or was
@@ -72,8 +71,8 @@ type Options struct {
 	// enumerated space is searched in a fixed order, so a smaller
 	// budget explores a deterministic prefix.
 	Budget int
-	// Workers bounds concurrent evaluations (default 1). Any value
-	// produces byte-identical frontiers.
+	// Workers bounds concurrent evaluations (default 1), in Explore and
+	// ExploreHW alike. Any value produces byte-identical frontiers.
 	Workers int
 	// ExactK is the duplication-subset exhaustion bound: benchmarks
 	// with at most this many partitioned arrays have every subset
@@ -82,24 +81,23 @@ type Options struct {
 	// MaxDupArrays caps the arrays considered for duplication search
 	// (default 8); candidates the paper's analysis marks come first.
 	MaxDupArrays int
-	// Store, when non-nil, checkpoints every completed evaluation and
-	// (unless NoResume) replays existing checkpoints instead of
-	// re-simulating. The batched evaluator checkpoints a worker's chunk
-	// when the whole chunk returns, so a cancelled exploration keeps
-	// the evaluations its workers finished before the cancel.
+	// Store, when non-nil, checkpoints each evaluation as it completes
+	// and (unless NoResume) replays existing checkpoints instead of
+	// re-simulating, so a cancelled exploration keeps every evaluation
+	// finished before the cancel.
 	Store *store.Store
 	// NoResume ignores existing checkpoints (they are still written).
 	NoResume bool
-	// Harness supplies the memo cache for the default evaluator; a
-	// private one is created when nil.
+	// Harness supplies the memo cache for the default evaluator, its
+	// RunCtx; a private one is created when nil.
 	Harness *bench.Harness
-	// Evaluate overrides the evaluator with a per-measurement function;
-	// setting it disables batched evaluation (the HTTP service routes
-	// every measurement through its worker pool individually, keeping
-	// exploration under the serving path's backpressure).
+	// Evaluate overrides the evaluator (the HTTP service routes every
+	// measurement through its worker pool, keeping exploration under
+	// the serving path's backpressure).
 	Evaluate EvalFunc
-	// EvaluateBatch overrides the batched evaluator. Ignored when
-	// Evaluate is set.
+	// EvaluateBatch, when Evaluate is nil, is the evaluator: each
+	// measurement is a one-item batch. It stays only because perfbench,
+	// the benchmark module, sets it.
 	EvaluateBatch BatchEvalFunc
 	// Progress, when non-nil, receives one Event per finished
 	// evaluation, serialized (never concurrently).
@@ -197,18 +195,36 @@ type Report struct {
 	CacheHits int `json:"cache_hits"`
 }
 
-// engine carries one exploration's shared state. Exactly one of eval
-// and evalB is non-nil: a per-measurement override forces the
-// one-at-a-time path, otherwise whole configuration families go
-// through the batched evaluator.
+// engine carries one exploration's shared state.
 type engine struct {
-	opts  Options
-	eval  EvalFunc
-	evalB BatchEvalFunc
+	opts Options
+	eval EvalFunc
 
 	mu   sync.Mutex // serializes Progress and per-bench counters
 	done int
 	plan int
+}
+
+// newEngine applies opts' defaults and picks the evaluator: Evaluate
+// if set, else EvaluateBatch on one-item batches, else the harness's
+// RunCtx.
+func newEngine(opts Options) *engine {
+	e := &engine{opts: opts.withDefaults(), eval: opts.Evaluate}
+	switch {
+	case e.eval != nil:
+	case opts.EvaluateBatch != nil:
+		e.eval = func(ctx context.Context, p bench.Program, mode alloc.Mode, ro bench.RunOptions) (bench.Result, bool, error) {
+			o := opts.EvaluateBatch(ctx, p, []bench.BatchItem{{Mode: mode, Opts: ro}})[0]
+			return o.Res, o.Cached, o.Err
+		}
+	default:
+		h := opts.Harness
+		if h == nil {
+			h = bench.NewHarness(1)
+		}
+		e.eval = h.RunCtx
+	}
+	return e
 }
 
 // Explore searches the design space of each benchmark and returns the
@@ -216,19 +232,8 @@ type engine struct {
 // completed so far alongside the error; everything already evaluated
 // is checkpointed.
 func Explore(ctx context.Context, progs []bench.Program, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
-	e := &engine{opts: opts, eval: opts.Evaluate, evalB: opts.EvaluateBatch}
-	if e.eval != nil {
-		e.evalB = nil
-	} else if e.evalB == nil {
-		h := opts.Harness
-		if h == nil {
-			h = bench.NewHarness(1)
-		}
-		e.evalB = func(ctx context.Context, p bench.Program, items []bench.BatchItem) []bench.BatchOutcome {
-			return h.RunBatchCtx(ctx, p, items)
-		}
-	}
+	e := newEngine(opts)
+	opts = e.opts
 
 	rep := &Report{Budget: opts.Budget, ExactK: opts.ExactK}
 	// evalsByBench remembers every feasible evaluation keyed by config,
@@ -511,89 +516,26 @@ func (e *engine) reportBench(p bench.Program, marked, arrays []string, evals []E
 
 // evalBatch evaluates configs and returns the results in candidate
 // order. Infeasible configurations come back as Evals with Err set;
-// cancellation and other context failures abort the batch. The default
-// batched evaluator dispatches whole configuration families per worker
-// (one shared compiler and simulation arena each); a per-measurement
-// override falls back to one-at-a-time dispatch.
+// cancellation and other context failures abort the batch. Each worker
+// takes a contiguous run of configs: handing them over one at a time
+// costs a goroutine hand-off per evaluation, which a sweep answered
+// mostly from the memo feels. Results deposit at their candidate
+// index, so the output is the same at any width.
 func (e *engine) evalBatch(ctx context.Context, p bench.Program, configs []Config) ([]Eval, error) {
-	if e.evalB != nil {
-		return e.evalBatched(ctx, p, configs)
-	}
 	out := make([]Eval, len(configs))
 	errs := make([]error, len(configs))
-	workers := e.opts.Workers
-	if workers > len(configs) {
-		workers = len(configs)
-	}
-	next := make(chan int)
+	workers := min(e.opts.Workers, len(configs))
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
+	for w := range workers {
+		wg.Add(1)
+		go func(lo, hi int) {
 			defer wg.Done()
-			for i := range next {
+			for i := lo; i < hi; i++ {
 				out[i], errs[i] = e.evalOne(ctx, p, configs[i])
 			}
-		}()
+		}(w*len(configs)/workers, (w+1)*len(configs)/workers)
 	}
-	for i := range configs {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// evalBatched is the batched flow: checkpoint replays resolve first in
-// candidate order, then the remaining configurations split into
-// contiguous per-worker chunks, each dispatched as one batch. Results
-// deposit at their candidate index, so the output order — and with it
-// every downstream frontier and counter — is identical to the
-// one-at-a-time path's.
-func (e *engine) evalBatched(ctx context.Context, p bench.Program, configs []Config) ([]Eval, error) {
-	out := make([]Eval, len(configs))
-	errs := make([]error, len(configs))
-	var pending []int
-	for i := range configs {
-		configs[i] = configs[i].Canon()
-		if ev, ok := e.fromStore(p, configs[i]); ok {
-			out[i] = ev
-		} else {
-			pending = append(pending, i)
-		}
-	}
-	if len(pending) > 0 {
-		workers := e.opts.Workers
-		if workers > len(pending) {
-			workers = len(pending)
-		}
-		chunk := (len(pending) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(pending); lo += chunk {
-			hi := lo + chunk
-			if hi > len(pending) {
-				hi = len(pending)
-			}
-			wg.Add(1)
-			go func(idxs []int) {
-				defer wg.Done()
-				items := make([]bench.BatchItem, len(idxs))
-				for k, i := range idxs {
-					items[k] = bench.BatchItem{Mode: configs[i].Mode(), Opts: configs[i].RunOptions()}
-				}
-				for k, o := range e.evalB(ctx, p, items) {
-					i := idxs[k]
-					out[i], errs[i] = e.record(ctx, p, configs[i], o.Res, o.Cached, o.Err)
-				}
-			}(pending[lo:hi])
-		}
-		wg.Wait()
-	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

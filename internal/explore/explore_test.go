@@ -108,14 +108,35 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestExploreHWWorkersDeterministic runs the hardware sweep over a few
+// programs at one and four workers; the reports must marshal to
+// identical bytes.
+func TestExploreHWWorkersDeterministic(t *testing.T) {
+	progs := []bench.Program{prog(t, "fir_32_1"), prog(t, "iir_1_1"), prog(t, "mult_4_4")}
+	var reports [][]byte
+	for _, w := range []int{1, 4} {
+		rep, err := ExploreHW(context.Background(), progs, nil, Options{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, b)
+	}
+	if string(reports[0]) != string(reports[1]) {
+		t.Fatalf("hardware sweep differs between 1 and 4 workers\n1: %s\n4: %s", reports[0], reports[1])
+	}
+}
+
 // TestExploreResumeAfterKill kills an exploration partway through
 // (context cancel triggered by the harness's 9th cache miss), resumes
 // it from the checkpoint store, and requires the resumed frontier to
 // be byte-identical to an uninterrupted run's — with the
 // already-computed prefix replayed from the store, not re-simulated.
-// The kill comes from the harness rather than the progress stream
-// because the batched evaluator records a worker's chunk only once the
-// whole chunk returns, usually after every measurement has finished.
+// The kill comes from the harness, as a measurement starts, so it
+// lands while both workers are mid-run.
 func TestExploreResumeAfterKill(t *testing.T) {
 	p := prog(t, "fir_32_1")
 	uninterrupted, err := Explore(context.Background(), []bench.Program{p}, Options{Budget: 80, Workers: 2})

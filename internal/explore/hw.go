@@ -115,10 +115,11 @@ func hwArms() []Config {
 }
 
 // ExploreHW measures the fixed compiler arms on every geometry for
-// every benchmark and returns the 3-axis Pareto surface. The sweep is
-// deterministic: geometries and arms are visited in argument/fixed
-// order, and every measurement flows through the harness memo cache
-// when opts.Harness is set.
+// every benchmark and returns the 3-axis Pareto surface. Each
+// geometry's arms go through the explorer's evaluator, on
+// opts.Workers workers. The sweep is deterministic: geometries and
+// arms are visited in argument/fixed order, and every measurement
+// flows through the harness memo cache when opts.Harness is set.
 func ExploreHW(ctx context.Context, progs []bench.Program, specs []machine.BankSpec, opts Options) (*HWReport, error) {
 	if len(specs) == 0 {
 		specs = []machine.BankSpec{{}, {Banks: 3}, {Banks: 4}, {PortsPerBank: 2}, {Banks: 4, PortsPerBank: 2}}
@@ -128,10 +129,7 @@ func ExploreHW(ctx context.Context, progs []bench.Program, specs []machine.BankS
 			return nil, fmt.Errorf("explore: hw sweep: %w", err)
 		}
 	}
-	h := opts.Harness
-	if h == nil {
-		h = bench.NewHarness(1)
-	}
+	e := newEngine(opts)
 	arms := hwArms()
 
 	rep := &HWReport{}
@@ -144,32 +142,29 @@ func ExploreHW(ctx context.Context, progs []bench.Program, specs []machine.BankS
 
 	for _, p := range progs {
 		br := HWBenchReport{Bench: p.Name}
+		e.mu.Lock()
+		e.done, e.plan = 0, len(specs)*len(arms)
+		e.mu.Unlock()
 		for _, s := range specs {
 			n := s.Norm()
-			items := make([]bench.BatchItem, len(arms))
 			configs := make([]Config, len(arms))
 			for i, c := range arms {
 				c.Banks, c.Ports = n.Banks, n.PortsPerBank
-				c = c.Canon()
 				configs[i] = c
-				items[i] = bench.BatchItem{Mode: c.Mode(), Opts: c.RunOptions()}
 			}
-			for i, o := range h.RunBatchCtx(ctx, p, items) {
-				if ctx.Err() != nil {
-					return rep, ctx.Err()
-				}
-				pt := HWPoint{
+			evals, err := e.evalBatch(ctx, p, configs)
+			if err != nil {
+				return rep, err
+			}
+			for _, ev := range evals {
+				br.Points = append(br.Points, HWPoint{
 					Banks: n.Banks, Ports: n.PortsPerBank,
 					HW:     n.HardwareCost(),
-					Config: configs[i].Key(),
-				}
-				if o.Err != nil {
-					pt.Err = o.Err.Error()
-				} else {
-					pt.Cycles = o.Res.Cycles
-					pt.Cost = o.Res.Mem.Total()
-				}
-				br.Points = append(br.Points, pt)
+					Config: ev.Key,
+					Cycles: ev.Cycles,
+					Cost:   ev.Mem.Total(),
+					Err:    ev.Err,
+				})
 			}
 		}
 		br.Frontier = frontier3(br.Points)

@@ -128,9 +128,12 @@ func TestDupCandidatesMatchCompile(t *testing.T) {
 
 // TestSweepMemoSound runs one sweep's measurements through one harness
 // with four batches in flight per program: the exploration on four
-// workers, then every geometry's arms four geometries at a time. Every
+// workers, then every geometry's arms four geometries at a time. It
+// runs the sweep again through a second harness with the default
+// evaluator, Explore and ExploreHW each on four workers. Every
 // outcome, back-end memo hits included, must match the unstaged
-// bench.RunCtx measurement of its cell, apart from timings.
+// bench.RunCtx measurement of its cell, apart from timings, and the
+// second harness must hold every cell.
 func TestSweepMemoSound(t *testing.T) {
 	ctx := context.Background()
 	progs := sweepProgs(t)
@@ -177,17 +180,31 @@ func TestSweepMemoSound(t *testing.T) {
 	if st.Sims >= st.Misses {
 		t.Fatalf("%d simulations for %d measurements, want memo hits", st.Sims, st.Misses)
 	}
+
+	dflt := bench.NewHarness(1)
+	if _, err := Explore(ctx, progs, Options{Workers: 4, Harness: dflt}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExploreHW(ctx, progs, sweepSpecs, Options{Workers: 4, Harness: dflt}); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range cells {
 		want, err := bench.RunCtx(ctx, c.p, c.it.Mode, c.it.Opts)
-		got := c.out.Res
-		if (err == nil) != (c.out.Err == nil) {
-			t.Errorf("%s/%v %+v: harness error %v, unstaged error %v", c.p.Name, c.it.Mode, c.it.Opts, c.out.Err, err)
-			continue
-		}
-		got.CompileSeconds, got.SimSeconds = 0, 0
 		want.CompileSeconds, want.SimSeconds = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s/%v %+v: harness %+v, unstaged %+v", c.p.Name, c.it.Mode, c.it.Opts, got, want)
+		got2, cached, err2 := dflt.RunCtx(ctx, c.p, c.it.Mode, c.it.Opts)
+		if !cached {
+			t.Errorf("%s/%v %+v: the default evaluator never measured it", c.p.Name, c.it.Mode, c.it.Opts)
+		}
+		for _, o := range []bench.BatchOutcome{c.out, {Res: got2, Err: err2}} {
+			got := o.Res
+			if (err == nil) != (o.Err == nil) {
+				t.Errorf("%s/%v %+v: harness error %v, unstaged error %v", c.p.Name, c.it.Mode, c.it.Opts, o.Err, err)
+				continue
+			}
+			got.CompileSeconds, got.SimSeconds = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%v %+v: harness %+v, unstaged %+v", c.p.Name, c.it.Mode, c.it.Opts, got, want)
+			}
 		}
 	}
 }

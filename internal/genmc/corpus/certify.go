@@ -12,13 +12,10 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 
-	"dualbank/internal/core"
-	"dualbank/internal/exact"
+	"dualbank/internal/bench"
+	"dualbank/internal/explore"
 	"dualbank/internal/genmc"
-	"dualbank/internal/opt"
-	"dualbank/internal/pipeline"
 )
 
 // CertifyOptions configures a certified sample.
@@ -81,65 +78,44 @@ type CertifyReport struct {
 }
 
 // Certify runs the certified sample: each generated program's CB
-// interference graph goes through the exact solver, and every
-// heuristic arm is scored against the proven optimum.
+// interference graph goes through explore.Certify, which runs the
+// exact solver on it and scores every heuristic arm against the proven
+// optimum.
 func Certify(ctx context.Context, o CertifyOptions) (*CertifyReport, error) {
 	if o.N <= 0 {
 		return nil, fmt.Errorf("corpus: N must be positive, got %d", o.N)
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	copts := explore.CertifyOptions{NodeBudget: o.NodeBudget, Workers: o.Workers}
+	if copts.Workers <= 0 {
+		copts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > o.N {
-		workers = o.N
+	if o.Progress != nil {
+		copts.Progress = func(ev explore.CertifyEvent) { o.Progress(ev.Done, ev.Total) }
 	}
-	pop := genmc.Population(o.N, o.Seed)
-	rows := make([]CertRow, o.N)
-	errs := make([]error, o.N)
-	var mu sync.Mutex
-	done := 0
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cc := new(pipeline.Compiler)
-			for i := range next {
-				gp := genmc.Generate(pop[i])
-				rows[i], errs[i] = certifyGenerated(ctx, gp, cc, o.NodeBudget)
-				if o.Progress != nil {
-					mu.Lock()
-					done++
-					o.Progress(done, o.N)
-					mu.Unlock()
-				}
-			}
-		}()
+	// Name-only programs: explore.Certify's workers generate them.
+	progs := make([]bench.Program, o.N)
+	arch := make([]string, o.N)
+	for i, k := range genmc.Population(o.N, o.Seed) {
+		progs[i], arch[i] = bench.Program{Name: k.Name()}, k.Archetype.String()
 	}
-feed:
-	for i := 0; i < o.N; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	cert, err := explore.Certify(ctx, progs, copts)
+	if err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 
-	r := &CertifyReport{N: o.N, Seed: o.Seed, Rows: rows}
-	if r.NodeBudget = o.NodeBudget; r.NodeBudget <= 0 {
-		r.NodeBudget = exact.DefaultNodeBudget
+	r := &CertifyReport{N: o.N, Seed: o.Seed, NodeBudget: cert.NodeBudget, Rows: make([]CertRow, o.N)}
+	for i, bc := range cert.Benchmarks {
+		r.Rows[i] = CertRow{
+			Name:      bc.Bench,
+			Archetype: arch[i],
+			Verdict:   bc.Cert.Verdict.String(),
+			Lower:     bc.Cert.Lower,
+			Upper:     bc.Cert.Upper,
+			Greedy:    bc.Arms[0].Cost,
+			FM:        bc.Arms[1].Cost,
+			Anneal:    bc.Arms[2].Cost,
+			BBNodes:   bc.Cert.BBNodes,
+		}
 	}
 	archs := genmc.Archetypes()
 	r.Stats = make([]CertArchStats, len(archs))
@@ -149,7 +125,7 @@ feed:
 		byArch[a.String()] = &r.Stats[i]
 	}
 	fmOptimal := 0
-	for _, row := range rows {
+	for _, row := range r.Rows {
 		s := byArch[row.Archetype]
 		if s == nil {
 			return nil, fmt.Errorf("corpus: %s: unknown archetype %q", row.Name, row.Archetype)
@@ -175,40 +151,6 @@ feed:
 		r.FMOptimalPct = round3(100 * float64(fmOptimal) / float64(r.Certified))
 	}
 	return r, nil
-}
-
-// certifyGenerated certifies one generated program's CB partition, on
-// the static interference graph CB plans on.
-func certifyGenerated(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler, budget int64) (CertRow, error) {
-	prep, err := pipeline.Prepare(ctx, gp.Source, gp.Name, opt.Options{})
-	if err != nil {
-		return CertRow{}, fmt.Errorf("corpus: %s: compile: %w", gp.Name, err)
-	}
-	g, err := cc.Graph(ctx, prep, core.WeightStatic)
-	if err != nil {
-		return CertRow{}, fmt.Errorf("corpus: %s: compile: %w", gp.Name, err)
-	}
-	row := CertRow{
-		Name:      gp.Name,
-		Archetype: gp.Knobs.Archetype.String(),
-		Greedy:    g.PartitionK(2, core.MethodGreedy, -1).Cost,
-		FM:        g.PartitionK(2, core.MethodFM, -1).Cost,
-		Anneal:    g.PartitionK(2, core.MethodAnneal, -1).Cost,
-	}
-	res := exact.Solve(g, 2, exact.Options{NodeBudget: budget})
-	row.Verdict = res.Cert.Verdict.String()
-	row.Lower, row.Upper = res.Cert.Lower, res.Cert.Upper
-	row.BBNodes = res.Cert.BBNodes
-	for _, arm := range []struct {
-		name string
-		cost int64
-	}{{"greedy", row.Greedy}, {"fm", row.FM}, {"anneal", row.Anneal}} {
-		if arm.cost < row.Upper {
-			return row, fmt.Errorf("corpus: %s: exact cost %d exceeds %s arm's %d — solver invariant broken",
-				gp.Name, row.Upper, arm.name, arm.cost)
-		}
-	}
-	return row, nil
 }
 
 // WriteText prints the per-archetype certified-sample table.

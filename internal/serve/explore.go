@@ -196,7 +196,7 @@ func (s *Server) handleExploreSubmit(w http.ResponseWriter, r *http.Request) {
 // pool, so it shares workers, backpressure, and the memo cache with
 // interactive requests.
 func (s *Server) exploreEval(ctx context.Context, p bench.Program, mode alloc.Mode, ro bench.RunOptions) (bench.Result, bool, error) {
-	return s.pool.Do(ctx, Job{Prog: p, Mode: mode, Opts: ro, Cacheable: true})
+	return s.pool.Do(ctx, Job{Prog: p, Mode: mode, Opts: ro, Cacheable: true}, 0)
 }
 
 // lookupJob resolves {id} for the polling handlers.

@@ -25,9 +25,10 @@ type RunFunc func(ctx context.Context, cc *pipeline.Compiler, j Job) (bench.Resu
 // Pool is a bounded worker pool. Each worker goroutine owns one
 // pipeline.Compiler — the reusable interference-scanner and scheduler
 // arenas — so steady-state request handling allocates only retained
-// results, exactly like the batch harness's workers. Submission blocks
-// when every worker is busy and the queue is full; the caller's
-// context bounds the wait, which is the service's backpressure.
+// results, as the harness's lent compilers do for its own misses.
+// Submission blocks when every worker is busy and the queue is full;
+// the caller's context bounds the wait, which is the service's
+// backpressure.
 type Pool struct {
 	tasks  chan *task
 	ctx    context.Context // cancelled by Close; aborts queued and running work
@@ -87,36 +88,22 @@ func (p *Pool) Active() int64 { return p.active.Load() }
 // Do submits j and waits for its result. The wait — both for a worker
 // slot and for the job itself — is bounded by ctx; a job whose context
 // is already done when a worker picks it up is skipped, not executed.
-func (p *Pool) Do(ctx context.Context, j Job) (bench.Result, bool, error) {
+// A positive admit bounds admission too: if no queue slot frees within
+// it, the job is shed with ErrShed instead of waiting out the request's
+// whole deadline, so a saturated server fails fast with a retryable
+// signal rather than stacking up work it will time out on anyway. Once
+// admitted, the job runs alike either way.
+func (p *Pool) Do(ctx context.Context, j Job, admit time.Duration) (bench.Result, bool, error) {
 	t := &task{ctx: ctx, job: j, res: make(chan taskResult, 1)}
-	select {
-	case p.tasks <- t:
-	case <-ctx.Done():
-		return bench.Result{}, false, ctx.Err()
-	case <-p.ctx.Done():
-		return bench.Result{}, false, ErrStopped
+	var shed <-chan time.Time
+	if admit > 0 {
+		timer := time.NewTimer(admit)
+		defer timer.Stop()
+		shed = timer.C
 	}
 	select {
-	case r := <-t.res:
-		return r.res, r.cached, r.err
-	case <-p.ctx.Done():
-		return bench.Result{}, false, ErrStopped
-	}
-}
-
-// DoTimeout is Do with bounded admission: if no queue slot frees
-// within admit, the job is shed with ErrShed instead of waiting out
-// the request's whole deadline. Once admitted, the job runs exactly
-// like Do. This is the load-shedding primitive — a saturated server
-// fails fast with a retryable signal rather than stacking up work it
-// will time out on anyway.
-func (p *Pool) DoTimeout(ctx context.Context, j Job, admit time.Duration) (bench.Result, bool, error) {
-	t := &task{ctx: ctx, job: j, res: make(chan taskResult, 1)}
-	timer := time.NewTimer(admit)
-	defer timer.Stop()
-	select {
 	case p.tasks <- t:
-	case <-timer.C:
+	case <-shed:
 		return bench.Result{}, false, ErrShed
 	case <-ctx.Done():
 		return bench.Result{}, false, ctx.Err()

@@ -289,13 +289,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	var res bench.Result
-	var cached bool
-	if s.cfg.AdmitTimeout > 0 {
-		res, cached, err = s.pool.DoTimeout(ctx, job, s.cfg.AdmitTimeout)
-	} else {
-		res, cached, err = s.pool.Do(ctx, job)
-	}
+	res, cached, err := s.pool.Do(ctx, job, s.cfg.AdmitTimeout)
 	if err != nil {
 		if errors.Is(err, ErrShed) {
 			s.metrics.Shed("queue")

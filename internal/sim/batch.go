@@ -5,10 +5,10 @@ import "context"
 // Batch amortizes CompiledMachine allocation across many runs: one
 // Batch owns a machine whose arenas are grown to the largest program
 // seen and re-sliced per run, so evaluating a family of configuration
-// variants — the explorer's duplication subsets, the harness's batched
-// dispatches — performs one lowering per variant and zero steady-state
-// machine allocations. A Batch is not safe for concurrent use; give
-// each worker its own.
+// variants — the explorer's duplication subsets, the misses a harness
+// runs on its lent compilers — performs one lowering per variant and
+// zero steady-state machine allocations. A Batch is not safe for
+// concurrent use; give each worker its own.
 type Batch struct {
 	m CompiledMachine
 }
