@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"dualbank/internal/alloc"
-	"dualbank/internal/compact"
 	"dualbank/internal/core"
 	"dualbank/internal/cost"
 	"dualbank/internal/genmc"
@@ -310,12 +309,12 @@ func pipelineOptions(mode alloc.Mode, ro RunOptions) pipeline.Options {
 }
 
 // measure validates c's schedule, simulates it on engine, checks the
-// program's outputs and assembles the Result; its callers name the
-// measurement in its errors. The compile phase is timed from
-// compileStart to the end of schedule validation. A non-nil sims
-// counts the simulation.
+// program's outputs and assembles the Result, all on cc's scratch; its
+// callers name the measurement in its errors. The compile phase is
+// timed from compileStart to the end of schedule validation. A non-nil
+// sims counts the simulation.
 func measure(ctx context.Context, p Program, mode alloc.Mode, engine Engine, cc *pipeline.Compiler, c *pipeline.Compiled, compileStart time.Time, sims *atomic.Int64) (Result, error) {
-	if err := compact.Validate(c.Sched); err != nil {
+	if err := cc.Validate(c); err != nil {
 		return Result{}, err
 	}
 	compileSeconds := time.Since(compileStart).Seconds()

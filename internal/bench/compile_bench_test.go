@@ -72,32 +72,76 @@ func BenchmarkRunCB(b *testing.B) {
 }
 
 // BenchmarkPrepare runs the front end (parse through register
-// allocation) over the 23-program suite; one op is the whole suite.
+// allocation) over the 23-program suite on one compiler, as every
+// measuring caller does; one op is the whole suite.
 func BenchmarkPrepare(b *testing.B) {
 	benchmarkPrepare(b, append(Kernels(), Applications()...))
 }
 
 // BenchmarkPrepareGenerated runs the front end over 250 generated
-// programs, the cold path of a server answering fresh generated names;
-// one op is the whole population. Generating the sources is not timed.
+// programs on one compiler, the cold path of a server answering fresh
+// generated names; one op is the whole population. Generating the
+// sources is not timed.
 func BenchmarkPrepareGenerated(b *testing.B) {
+	benchmarkPrepare(b, generated(250, 3))
+}
+
+// generated returns the n-program generated population of a base seed,
+// built as the harness builds a generated name, output check included.
+func generated(n int, seed uint64) []Program {
 	var progs []Program
-	for _, k := range genmc.Population(250, 3) {
-		g := genmc.Generate(k)
-		progs = append(progs, Program{Name: g.Name, Source: g.Source})
+	for _, k := range genmc.Population(n, seed) {
+		p, _ := ByName(k.Name())
+		progs = append(progs, p)
 	}
-	benchmarkPrepare(b, progs)
+	return progs
 }
 
 func benchmarkPrepare(b *testing.B, progs []Program) {
 	ctx := context.Background()
+	cc := new(pipeline.Compiler)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range progs {
-			if _, err := pipeline.Prepare(ctx, p.Source, p.Name, opt.Options{}); err != nil {
+			if _, err := cc.Prepare(ctx, p.Source, p.Name, opt.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkRunSuite measures the suite under the paper's seven modes
+// on one warm compiler: 161 bench.RunCtx calls, each a whole
+// measurement (front end, back end, schedule check, simulation and
+// output check); one op is the whole matrix.
+func BenchmarkRunSuite(b *testing.B) {
+	benchmarkRun(b, append(Kernels(), Applications()...), allModes)
+}
+
+// BenchmarkRunGenerated measures 250 generated programs under single,
+// CB and Dup on one warm compiler, a server's cold measurements of
+// fresh generated names; one op is the whole population.
+func BenchmarkRunGenerated(b *testing.B) {
+	benchmarkRun(b, generated(250, 3), []alloc.Mode{alloc.SingleBank, alloc.CB, alloc.CBDup})
+}
+
+func benchmarkRun(b *testing.B, progs []Program, modes []alloc.Mode) {
+	ctx := context.Background()
+	ro := RunOptions{Compiler: new(pipeline.Compiler)}
+	pass := func() {
+		for _, p := range progs {
+			for _, mode := range modes {
+				if _, err := RunCtx(ctx, p, mode, ro); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	pass() // warm the compiler
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
 	}
 }

@@ -64,9 +64,9 @@ type Harness struct {
 	results memo[runKey, measured]
 	fronts  memo[prepKey, *prepEntry]
 
-	// compilers lends back-end scratch to every miss that brings no
-	// compiler of its own, so misses reuse warm arenas whichever
-	// goroutine runs them.
+	// compilers lends a compiler to every miss that brings none of its
+	// own, so misses, their front ends included, reuse warm scratch
+	// whichever goroutine runs them.
 	compilers sync.Pool
 
 	hits, misses, l2hits, prepares, sims atomic.Int64
@@ -373,8 +373,9 @@ func (h *Harness) Cached(p Program, mode alloc.Mode, ro RunOptions) bool {
 // front end comes from the memo. The allocation is planned here; the
 // rest of the back end and the simulation run too, unless the
 // program's back-end memo already measured that plan. Without a
-// compiler of its own the back end runs on one borrowed from the
-// harness, returned once runPrepared has read the simulated machine.
+// compiler of its own the miss borrows one from the harness, returned
+// once runPrepared has read the simulated machine; a front end the
+// memo lacks is prepared on that compiler too.
 func (h *Harness) compute(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Result, error) {
 	if p.Source == "" {
 		built, ok := ByName(p.Name)
@@ -388,11 +389,16 @@ func (h *Harness) compute(ctx context.Context, p Program, mode alloc.Mode, ro Ru
 			return Result{}, err
 		}
 	}
+	if ro.Compiler == nil {
+		cc := h.compilers.Get().(*pipeline.Compiler)
+		defer h.compilers.Put(cc)
+		ro.Compiler = cc
+	}
 	var frontSeconds float64
 	e, _, err := h.fronts.do(ctx, prepKey{name: p.Name, source: p.Source}, func() (*prepEntry, error) {
 		h.prepares.Add(1)
 		start := time.Now()
-		prep, err := pipeline.Prepare(ctx, p.Source, p.Name, opt.Options{})
+		prep, err := ro.Compiler.Prepare(ctx, p.Source, p.Name, opt.Options{})
 		frontSeconds = time.Since(start).Seconds()
 		if err != nil {
 			return nil, err
@@ -403,11 +409,6 @@ func (h *Harness) compute(ctx context.Context, p Program, mode alloc.Mode, ro Ru
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
-	}
-	if ro.Compiler == nil {
-		cc := h.compilers.Get().(*pipeline.Compiler)
-		defer h.compilers.Put(cc)
-		ro.Compiler = cc
 	}
 	res, err := runPrepared(ctx, p, e.prep, mode, ro, &e.backs, &h.sims)
 	if err != nil {

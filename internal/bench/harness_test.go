@@ -131,7 +131,10 @@ func TestRunFigureSerialEquivalence(t *testing.T) {
 // TestLentCompilersDoNotAlias runs misses without a compiler of their
 // own on four goroutines through one harness, mode-major over the suite
 // and a generated sample, so lent compilers pass between goroutines and
-// between programs of very different sizes. Every result must equal a
+// between programs of very different sizes. Every program is new to the
+// harness, so each front end runs on a lent compiler, and the memo
+// holds them all, so each is prepared once and then finished by other
+// compilers while its own prepares the rest. Every result must equal a
 // fresh bench.RunCtx measurement of its cell, timings aside.
 func TestLentCompilersDoNotAlias(t *testing.T) {
 	progs := append(Kernels(), Applications()...)
@@ -150,6 +153,7 @@ func TestLentCompilersDoNotAlias(t *testing.T) {
 	}
 	ctx := context.Background()
 	h := NewHarness(1)
+	h.fronts.max = len(progs)
 	got := make([]Result, len(cells))
 	errs := make([]error, len(cells))
 	var next atomic.Int64
@@ -164,8 +168,9 @@ func TestLentCompilersDoNotAlias(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := h.Stats(); st.Misses != int64(len(cells)) || st.Sims == 0 {
-		t.Fatalf("%d misses and %d simulations for %d cells", st.Misses, st.Sims, len(cells))
+	if st := h.Stats(); st.Misses != int64(len(cells)) || st.Prepares != int64(len(progs)) || st.Sims == 0 {
+		t.Fatalf("%d misses, %d prepares and %d simulations for %d cells of %d programs",
+			st.Misses, st.Prepares, st.Sims, len(cells), len(progs))
 	}
 	for i, c := range cells {
 		if errs[i] != nil {

@@ -10,6 +10,7 @@ package compact
 
 import (
 	"fmt"
+	"slices"
 
 	"dualbank/internal/ddg"
 	"dualbank/internal/ir"
@@ -174,22 +175,22 @@ func (t *unitTable) unitsFor(op *ir.Op) []machine.Unit {
 // Scratch holds the scheduler's reusable working state: the
 // dependence-graph builder and the per-op bookkeeping arrays. The
 // scheduler records each operation's cycle and unit, and seal builds a
-// block's instructions from them once. A warm Scratch makes
-// scheduleBlock allocation-free in steady state (only the sealed
-// per-block output is freshly allocated), so repeated compiles — the
-// experiment harness compiles every benchmark under seven machine
-// modes — stop churning the garbage collector. The zero value is
-// ready to use. A Scratch is not safe for concurrent use; give each
-// worker its own.
+// block's instructions from them once; Validate reuses the same state
+// to check a finished schedule. A warm Scratch makes scheduleBlock and
+// Validate allocation-free in steady state (only the sealed per-block
+// output is freshly allocated), so repeated compiles — the experiment
+// harness compiles every benchmark under seven machine modes — stop
+// churning the garbage collector. The zero value is ready to use. A
+// Scratch is not safe for concurrent use; give each worker its own.
 type Scratch struct {
 	ddg       ddg.Builder
-	cycleOf   []int          // op's cycle, -1 while unscheduled
-	unitOf    []machine.Unit // op's unit, once scheduled
-	blocked   []int          // cycle of the op's last recorded conflict, -1 if none
-	pairIdx   []int32        // index of op.DupPair within the block, -1 if none
-	opIdx     map[*ir.Op]int32
-	drs       []int    // data-ready set, rebuilt each fill iteration
-	inDRS     []uint32 // epoch stamp marking membership of drs
+	cycleOf   []int            // op's cycle, -1 while unscheduled
+	unitOf    []machine.Unit   // op's unit, once scheduled
+	blocked   []int            // cycle of the op's last recorded conflict, -1 if none
+	pairIdx   []int32          // index of op.DupPair within the block, -1 if none
+	opIdx     map[*ir.Op]int32 // block-local op index, for pairs and Validate
+	drs       []int            // data-ready set, rebuilt each fill iteration
+	inDRS     []uint32         // epoch stamp marking membership of drs
 	drsEpoch  uint32
 	remaining int
 	// holder is the instruction being filled: 1 + the index of the op
@@ -447,53 +448,77 @@ func (s *Scratch) seal(b *ir.Block, n int) *Block {
 
 // Validate checks that the schedule respects all dependences and unit
 // constraints; tests run it over every compiled benchmark.
-func Validate(p *Program) error {
-	var bu ddg.Builder // reused across blocks; the graph is read per block
+func Validate(p *Program) error { return new(Scratch).Validate(p) }
+
+// Validate is the package-level Validate on s: it rebuilds each
+// block's dependences with s's builder and records each operation's
+// cycle in s's per-operation arrays, so a warm Scratch checks a
+// schedule without allocating.
+func (s *Scratch) Validate(p *Program) error {
 	var units unitTable
 	units.build(Config{Ports: p.Ports, Spec: p.Spec})
 	for name, f := range p.Funcs {
 		for _, sb := range f.Blocks {
-			cycle := make(map[*ir.Op]int)
-			for c, in := range sb.Instrs {
-				for u, op := range in.Slots {
-					if op == nil {
-						continue
-					}
-					cycle[op] = c
-					cls := op.Kind.Class()
-					okUnit := false
-					for _, au := range units.unitsFor(op) {
-						if machine.Unit(u) == au {
-							okUnit = true
-						}
-					}
-					if !okUnit {
-						return fmt.Errorf("%s: op %s of class %s on unit %s", name, op, cls, machine.Unit(u))
-					}
-				}
+			if err := s.validateBlock(name, sb, &units); err != nil {
+				return err
 			}
-			// Every op scheduled exactly once.
-			if len(cycle) != len(sb.Src.Ops) {
-				return fmt.Errorf("%s %s: %d ops scheduled, want %d", name, sb.Src, len(cycle), len(sb.Src.Ops))
+		}
+	}
+	return nil
+}
+
+// validateBlock checks one scheduled block of function name: every
+// operation of its source block on a unit that can execute it, exactly
+// once, after its strict predecessors and no earlier than its weak
+// ones, and each atomic pair in one instruction.
+func (s *Scratch) validateBlock(name string, sb *Block, units *unitTable) error {
+	ops := sb.Src.Ops
+	n := len(ops)
+	s.ensure(n)
+	clear(s.opIdx)
+	for i, op := range ops {
+		s.opIdx[op] = int32(i)
+		s.cycleOf[i] = -1
+	}
+	placed := 0
+	for c, in := range sb.Instrs {
+		for u, op := range in.Slots {
+			if op == nil {
+				continue
 			}
-			g := bu.Build(sb.Src)
-			for i, op := range g.Ops {
-				for _, e := range g.Succ[i] {
-					to := g.Ops[e.To]
-					if e.Strict && cycle[to] <= cycle[op] {
-						return fmt.Errorf("%s: strict dependence violated: %s -> %s", name, op, to)
-					}
-					if !e.Strict && cycle[to] < cycle[op] {
-						return fmt.Errorf("%s: anti dependence violated: %s -> %s", name, op, to)
-					}
-				}
+			if !slices.Contains(units.unitsFor(op), machine.Unit(u)) {
+				return fmt.Errorf("%s: op %s of class %s on unit %s", name, op, op.Kind.Class(), machine.Unit(u))
 			}
-			// Atomic pairs share an instruction.
-			for op, c := range cycle {
-				if op.Atomic && op.DupPair != nil && cycle[op.DupPair] != c {
-					return fmt.Errorf("%s: atomic pair split across instructions", name)
-				}
+			i, ok := s.opIdx[op]
+			if !ok || s.cycleOf[i] >= 0 {
+				return fmt.Errorf("%s %s: op %s scheduled twice or outside its block", name, sb.Src, op)
 			}
+			s.cycleOf[i] = c
+			placed++
+		}
+	}
+	if placed != n {
+		return fmt.Errorf("%s %s: %d ops scheduled, want %d", name, sb.Src, placed, n)
+	}
+	cycle := s.cycleOf
+	g := s.ddg.Build(sb.Src)
+	for i, op := range g.Ops {
+		for _, e := range g.Succ[i] {
+			to := g.Ops[e.To]
+			if e.Strict && cycle[e.To] <= cycle[i] {
+				return fmt.Errorf("%s: strict dependence violated: %s -> %s", name, op, to)
+			}
+			if !e.Strict && cycle[e.To] < cycle[i] {
+				return fmt.Errorf("%s: anti dependence violated: %s -> %s", name, op, to)
+			}
+		}
+	}
+	for i, op := range ops {
+		if !op.Atomic || op.DupPair == nil {
+			continue
+		}
+		if j, ok := s.opIdx[op.DupPair]; !ok || cycle[j] != cycle[i] {
+			return fmt.Errorf("%s: atomic pair split across instructions", name)
 		}
 	}
 	return nil

@@ -87,14 +87,14 @@ type Builder struct {
 	epoch uint32
 }
 
-// ensureReg grows the per-register tables to cover register r.
+// ensureReg grows the per-register tables to cover register r, in one
+// step to the length r needs.
 func (bld *Builder) ensureReg(r ir.Reg) {
-	n := int(r) + 1
-	for len(bld.lastDef) < n {
-		bld.lastDef = append(bld.lastDef, 0)
-		bld.lastDefEp = append(bld.lastDefEp, 0)
-		bld.uses = append(bld.uses, nil)
-		bld.usesEp = append(bld.usesEp, 0)
+	if d := int(r) + 1 - len(bld.lastDef); d > 0 {
+		bld.lastDef = append(bld.lastDef, make([]int, d)...)
+		bld.lastDefEp = append(bld.lastDefEp, make([]uint32, d)...)
+		bld.uses = append(bld.uses, make([][]int, d)...)
+		bld.usesEp = append(bld.usesEp, make([]uint32, d)...)
 	}
 }
 

@@ -173,9 +173,9 @@ feed:
 }
 
 // certifyBench certifies one benchmark on the worker's compiler cc:
-// build the static interference graph CB plans on, measure each
-// heuristic arm on it, then run the exact solver and express every arm
-// against the certified bound.
+// prepare it, build the static interference graph CB plans on, measure
+// each heuristic arm on it, then run the exact solver and express every
+// arm against the certified bound.
 func certifyBench(ctx context.Context, cc *pipeline.Compiler, p bench.Program, budget int64) (BenchCert, error) {
 	if p.Source == "" {
 		built, ok := bench.ByName(p.Name)
@@ -184,7 +184,7 @@ func certifyBench(ctx context.Context, cc *pipeline.Compiler, p bench.Program, b
 		}
 		p = built
 	}
-	prep, err := pipeline.Prepare(ctx, p.Source, p.Name, opt.Options{})
+	prep, err := cc.Prepare(ctx, p.Source, p.Name, opt.Options{})
 	if err != nil {
 		return BenchCert{}, fmt.Errorf("certify: %s: %w", p.Name, err)
 	}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 
 	"dualbank/internal/alloc"
-	"dualbank/internal/compact"
 	"dualbank/internal/cost"
 	"dualbank/internal/genmc"
 	"dualbank/internal/machine"
@@ -122,7 +121,7 @@ func engines(ctx context.Context, gp genmc.Program, c *pipeline.Compiled, cc *pi
 	fail := func(format string, args ...any) {
 		*fails = append(*fails, fmt.Sprintf("%s/%v: ", gp.Name, mode)+fmt.Sprintf(format, args...))
 	}
-	if err := compact.Validate(c.Sched); err != nil {
+	if err := cc.Validate(c); err != nil {
 		fail("schedule: %v", err)
 		return 0
 	}
@@ -210,8 +209,8 @@ func compiledCycles(ctx context.Context, cc *pipeline.Compiler, prep *pipeline.P
 // oracle, and (optionally) the three metamorphic invariances. It
 // returns the measured row and every failure found — an empty slice
 // means the program verified clean. Each distinct source — the
-// program and its two transformed variants — runs the front end once;
-// every arm finishes its own copy.
+// program and its two transformed variants — runs the front end once on
+// cc; every arm finishes its own copy.
 func VerifyProgram(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler, metamorphic bool) (Row, []string) {
 	row := Row{
 		Name:      gp.Name,
@@ -219,7 +218,7 @@ func VerifyProgram(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler,
 		Seed:      gp.Knobs.Seed,
 	}
 	var fails []string
-	prep, prepErr := pipeline.Prepare(ctx, gp.Source, gp.Name, opt.Options{})
+	prep, prepErr := cc.Prepare(ctx, gp.Source, gp.Name, opt.Options{})
 	base := make(map[alloc.Mode]int64, len(VerifyModes))
 	for _, mode := range VerifyModes {
 		if prepErr != nil {
@@ -261,7 +260,7 @@ func VerifyProgram(ctx context.Context, gp genmc.Program, cc *pipeline.Compiler,
 			if v.transform != nil {
 				source, err := v.transform(gp.Source)
 				if err == nil {
-					vprep, err = pipeline.Prepare(ctx, source, gp.Name, opt.Options{})
+					vprep, err = cc.Prepare(ctx, source, gp.Name, opt.Options{})
 				}
 				if err != nil {
 					fails = append(fails, fmt.Sprintf("%s: %s: %v", gp.Name, v.label, err))

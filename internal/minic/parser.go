@@ -197,9 +197,14 @@ func (p *Parser) initializer() (Expr, error) {
 // initList parses a brace list. An element that is a literal, or one
 // minus sign and a literal, followed by `,` or `}` is packed into Vals
 // without an AST node; anything else goes through initializer, so
-// sema sees it exactly as written.
+// sema sees it exactly as written. A list of literals gets Vals of
+// exactly its length (literalCount).
 func (p *Parser) initList() (*InitList, error) {
+	n := p.literalCount()
 	lst := &InitList{exprBase: exprBase{Pos: p.next().Pos}}
+	if n > 0 {
+		lst.Vals = make([]InitVal, 0, n)
+	}
 	for !p.at(RBrace) {
 		sign := 0
 		if p.at(Minus) {
@@ -230,6 +235,40 @@ func (p *Parser) initList() (*InitList, error) {
 		return nil, err
 	}
 	return lst, nil
+}
+
+// literalCount counts the elements of the brace list the current
+// token opens, by one scan of the source from the brace to its match,
+// so that a long list of literals is packed without regrowing. It
+// counts only while every byte can belong to a list of literals —
+// digits, hex digits, signs, dots, exponents and suffixes, whitespace
+// and commas — and returns 0 at the first other byte, a nested list's
+// brace included, so no byte is scanned more than once more and a list
+// of other elements reserves nothing. The count is bounded by the bytes
+// scanned, never by a declared size.
+func (p *Parser) literalCount() int {
+	if p.n != 1 { // the lexer has read past the brace
+		return 0
+	}
+	src := p.lx.src[p.lx.off:]
+	n, inElem := 0, false
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; {
+		case c == '}':
+			return n
+		case c == ',':
+			inElem = false
+		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
+		case isHex(c) || c == '.' || c == '-' || c == '+' || c == 'x' || c == 'X':
+			if !inElem {
+				n++
+				inElem = true
+			}
+		default:
+			return 0
+		}
+	}
+	return 0
 }
 
 // packLit packs a literal token, negated when neg is set.

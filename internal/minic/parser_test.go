@@ -212,3 +212,38 @@ func TestParseAllocLinear(t *testing.T) {
 		}
 	}
 }
+
+// TestInitListSizedFromSource pins literalCount: a brace list of
+// literals is counted exactly, trailing comma, signs, exponents,
+// suffixes and hex included, and packed into Vals of exactly that
+// capacity; a list holding anything else (a nested list, a comment, a
+// name, a missing brace) counts 0 and reserves nothing; and the count
+// never comes from the declared size.
+func TestInitListSizedFromSource(t *testing.T) {
+	for _, c := range []struct {
+		list string
+		want int
+	}{
+		{"{1, -2, 0x1F, 3,}", 4},
+		{"{1.5e-3f, -.25,\n\t2E+2 }", 3},
+		{"{7}", 1},
+		{"{}", 0},
+		{"{1, 2 /* two */, 3}", 0},
+		{"{{1, 2}, {3}}", 0},
+		{"{1, n, 3}", 0},
+		{"{1, 2", 0},
+	} {
+		p := &Parser{lx: *NewLexer(c.list), n: 1}
+		p.lex(&p.tok[0])
+		if got := p.literalCount(); got != c.want {
+			t.Errorf("literalCount(%q) = %d, want %d", c.list, got, c.want)
+		}
+	}
+	f := mustParse(t, "int a[500000] = {1, -2, 0x1F, 3,};\nfloat b[8] = {1.5e-3f, -.25, 2E+2};\n")
+	for _, d := range f.Decls {
+		lst := d.Init.(*InitList)
+		if len(lst.Vals) != cap(lst.Vals) {
+			t.Errorf("%s: %d values packed with capacity %d", d.Name, len(lst.Vals), cap(lst.Vals))
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"dualbank/internal/ir"
 	"dualbank/internal/machine"
 )
@@ -21,9 +23,9 @@ import (
 
 // ShapeLoops runs the loop passes to a fixed point and renumbers the
 // blocks. Run calls it with the tables it already holds.
-func ShapeLoops(f *ir.Func) { new(tables).shapeLoops(f) }
+func ShapeLoops(f *ir.Func) { new(Tables).shapeLoops(f) }
 
-func (t *tables) shapeLoops(f *ir.Func) {
+func (t *Tables) shapeLoops(f *ir.Func) {
 	for round := 0; round < 16; round++ {
 		changed := t.foldBranches(f)
 		changed = mergeBlocks(f) || changed
@@ -42,7 +44,7 @@ func (t *tables) shapeLoops(f *ir.Func) {
 // loop after rotation) into unconditional branches. Only constants
 // defined in the entry block or earlier in the same block are used, so
 // the definition is guaranteed to execute first.
-func (t *tables) foldBranches(f *ir.Func) bool {
+func (t *Tables) foldBranches(f *ir.Func) bool {
 	defs := t.regDefs(f)
 	changed := false
 	for _, b := range f.Blocks {
@@ -131,7 +133,7 @@ func mergeBlocks(f *ir.Func) bool {
 
 // usedOutside fills t.used with the registers used in any block other
 // than home.
-func (t *tables) usedOutside(f *ir.Func, home *ir.Block) {
+func (t *Tables) usedOutside(f *ir.Func, home *ir.Block) {
 	t.used.reset(f.NumRegs())
 	for _, b := range f.Blocks {
 		if b == home {
@@ -150,7 +152,7 @@ func (t *tables) usedOutside(f *ir.Func, home *ir.Block) {
 // conditional branch is copied into every backedge block, which then
 // branches directly to the body or the exit. H keeps its original code
 // and becomes the entry guard, executed once.
-func (t *tables) rotateLoops(f *ir.Func) bool {
+func (t *Tables) rotateLoops(f *ir.Func) bool {
 	changed := false
 	for _, h := range f.Blocks {
 		term := h.Terminator()
@@ -248,19 +250,23 @@ func removePred(b, p *ir.Block) {
 // OpDo; the compare and branch are deleted and the backedge block ends
 // in OpEndDo, which the loop hardware evaluates for free.
 //
-// Every candidate branch's natural loop is collected in t.loop,
-// indexed by Block.ID: the IDs are dense here because mergeBlocks
-// renumbers the blocks just before this pass runs.
-func (t *tables) hardwareLoops(f *ir.Func) bool {
+// A branch whose target does not dominate it closes no loop (an if,
+// not a backedge), so it is skipped before naturalLoop would walk from
+// it back to the function entry. Every other candidate's natural loop
+// is collected in t.loop. Both are indexed by Block.ID: the IDs are
+// dense here because mergeBlocks renumbers the blocks just before this
+// pass runs, and the pass returns at its first change.
+func (t *Tables) hardwareLoops(f *ir.Func) bool {
 	defs := t.regDefs(f)
 	loop := &t.loop
+	t.dom.build(f)
 	for _, l := range f.Blocks {
 		term := l.Terminator()
 		if term == nil || term.Kind != ir.OpCondBr {
 			continue
 		}
 		head, exit := l.Succs[0], l.Succs[1]
-		if !naturalLoop(f, head, l, loop) || loop.has(exit) {
+		if !t.dom.dominates(head, l) || !naturalLoop(f, head, l, loop) || loop.has(exit) {
 			continue
 		}
 		// Single exit: only L leaves the loop, via its condbr.
@@ -427,6 +433,113 @@ func (s *blockSet) add(b *ir.Block) {
 	s.members = append(s.members, b)
 }
 
+// dominators is a function's dominator tree, for a function whose
+// block IDs are dense: the blocks reachable from the entry in reverse
+// postorder, each one's position in that order, and each position's
+// immediate dominator.
+type dominators struct {
+	order []*ir.Block
+	pos   []int32 // by Block.ID; -1 when unreachable
+	idom  []int32 // by position; the entry is its own
+	stack []domFrame
+}
+
+// domFrame is one block of the depth-first walk and the index of its
+// next successor to visit.
+type domFrame struct {
+	b    *ir.Block
+	next int
+}
+
+// build computes f's dominator tree by Cooper, Harvey and Kennedy's
+// iterative algorithm over the reverse postorder, which settles in two
+// sweeps on reducible control flow.
+func (d *dominators) build(f *ir.Func) {
+	n := len(f.Blocks)
+	d.pos = fit(d.pos, n)
+	pos := d.pos[:n]
+	for i := range pos {
+		pos[i] = -1
+	}
+	// Depth-first from the entry, marking a block on discovery; the
+	// postorder is collected in order, then reversed.
+	post := d.order[:0]
+	entry := f.Entry()
+	pos[entry.ID] = 0
+	stack := append(d.stack[:0], domFrame{b: entry})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next < len(top.b.Succs) {
+			s := top.b.Succs[top.next]
+			top.next++
+			if pos[s.ID] < 0 {
+				pos[s.ID] = 0
+				stack = append(stack, domFrame{b: s})
+			}
+			continue
+		}
+		post = append(post, top.b)
+		stack = stack[:len(stack)-1]
+	}
+	d.stack = stack
+	slices.Reverse(post)
+	d.order = post
+	for i, b := range post {
+		pos[b.ID] = int32(i)
+	}
+	d.idom = fit(d.idom, len(post))
+	idom := d.idom[:len(post)]
+	for i := range idom {
+		idom[i] = -1
+	}
+	idom[0] = 0
+	for changed := true; changed; {
+		changed = false
+		for i := 1; i < len(post); i++ {
+			next := int32(-1)
+			for _, p := range post[i].Preds {
+				q := pos[p.ID]
+				if q < 0 || idom[q] < 0 {
+					continue // unreachable, or not reached yet this sweep
+				}
+				if next < 0 {
+					next = q
+					continue
+				}
+				for q != next {
+					for q > next {
+						q = idom[q]
+					}
+					for next > q {
+						next = idom[next]
+					}
+				}
+			}
+			if idom[i] != next {
+				idom[i] = next
+				changed = true
+			}
+		}
+	}
+}
+
+// dominates reports whether every path from the entry to b passes
+// through a. Every block dominates an unreachable one.
+func (d *dominators) dominates(a, b *ir.Block) bool {
+	q := d.pos[b.ID]
+	if q < 0 {
+		return true
+	}
+	p := d.pos[a.ID]
+	if p < 0 {
+		return false
+	}
+	for q > p {
+		q = d.idom[q]
+	}
+	return q == p
+}
+
 // naturalLoop fills loop with the blocks of f's natural loop with
 // header head and backedge block tail (tail -> head): head, tail, and
 // every block that reaches tail without passing through head, in
@@ -471,7 +584,7 @@ func definedIn(loop *blockSet, r ir.Reg) bool {
 // definition of r earlier in the same block, and that within block
 // `home` the only use after position defIdx is the terminator. This
 // makes deleting home's definition at defIdx safe.
-func (t *tables) selfContainedUses(f *ir.Func, r ir.Reg, home *ir.Block, defIdx int) bool {
+func (t *Tables) selfContainedUses(f *ir.Func, r ir.Reg, home *ir.Block, defIdx int) bool {
 	for _, b := range f.Blocks {
 		defined := false
 		for i, op := range b.Ops {

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"dualbank/internal/ir"
@@ -89,7 +90,7 @@ func TestNaturalLoopSelfLoop(t *testing.T) {
 	f := countedSelfLoop()
 	checkLoop(t, f, new(blockSet), 1, 1, []int{1})
 
-	if !new(tables).hardwareLoops(f) {
+	if !new(Tables).hardwareLoops(f) {
 		t.Fatalf("self-loop not converted:\n%s", f)
 	}
 	b0, b1 := f.Blocks[0], f.Blocks[1]
@@ -120,8 +121,44 @@ func TestNaturalLoopIfEscapesToEntry(t *testing.T) {
 	f := newCFG([][]int{{1}, {2, 3}, {4}, {4}, {}})
 	checkLoop(t, f, new(blockSet), 2, 1, []int{2, 1, 0})
 	before := f.String()
-	if new(tables).hardwareLoops(f) || f.String() != before || len(f.Blocks) != 5 {
+	if new(Tables).hardwareLoops(f) || f.String() != before || len(f.Blocks) != 5 {
 		t.Fatalf("if-branch converted to a hardware loop:\n%s", f)
+	}
+}
+
+func TestHardwareLoopsSkipsNonDominatingBranch(t *testing.T) {
+	// b1's condbr targets b2, which does not dominate b1: the branch
+	// is rejected by the dominator tree, before any natural-loop walk.
+	f := newCFG([][]int{{1}, {2, 3}, {4}, {4}, {}})
+	tb := new(Tables)
+	if tb.hardwareLoops(f) {
+		t.Fatalf("if-branch converted to a hardware loop:\n%s", f)
+	}
+	if tb.loop.in.epoch != 0 || len(tb.loop.members) != 0 {
+		t.Fatalf("naturalLoop walked %d blocks for a branch whose target does not dominate it", len(tb.loop.members))
+	}
+	// The counted self-loop's target dominates its branch, so it is
+	// walked and converted.
+	f = countedSelfLoop()
+	if !tb.hardwareLoops(f) || tb.loop.in.epoch != 1 {
+		t.Fatalf("self-loop not walked and converted:\n%s", f)
+	}
+}
+
+func TestDominators(t *testing.T) {
+	// b0 -> b1; b1 heads a loop closed by b3 through b2 and exits to
+	// b4; b5 is unreachable and branches into the loop, so every block
+	// dominates it.
+	f := newCFG([][]int{{1}, {2, 4}, {3}, {1, 4}, {}, {2}})
+	doms := [][]int{{0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 4}, {0, 1, 2, 3, 4, 5}}
+	var d dominators
+	d.build(f)
+	for b, ds := range doms {
+		for _, a := range f.Blocks {
+			if got, want := d.dominates(a, f.Blocks[b]), slices.Contains(ds, a.ID); got != want {
+				t.Errorf("dominates(b%d, b%d) = %v, want %v", a.ID, b, got, want)
+			}
+		}
 	}
 }
 
@@ -162,7 +199,7 @@ func TestConstRegs(t *testing.T) {
 		{Kind: ir.OpAdd, Type: ir.TInt, Dst: computed, Args: [2]ir.Reg{one, one}},
 		{Kind: ir.OpRet},
 	}
-	defs := new(tables).regDefs(f)
+	defs := new(Tables).regDefs(f)
 	for r := range defs {
 		if want := ir.Reg(r) == one; defs[r].isConst() != want || want && defs[r].val != 1 {
 			t.Fatalf("regDefs: %v; want only r%d a constant, 1", defs, one)

@@ -33,14 +33,16 @@ type Options struct {
 // Run applies the optimization pipeline to every function in p. The
 // IR must be verified: block IDs equal their index, as lowering makes
 // them.
-func Run(p *ir.Program, o Options) {
-	t := new(tables)
+func Run(p *ir.Program, o Options) { new(Tables).Run(p, o) }
+
+// Run is the package-level Run on t's reusable tables.
+func (t *Tables) Run(p *ir.Program, o Options) {
 	for _, f := range p.Funcs {
 		t.run(f, o)
 	}
 }
 
-func (t *tables) run(f *ir.Func, o Options) {
+func (t *Tables) run(f *ir.Func, o Options) {
 	t.removeUnreachable(f)
 	for i := 0; i < 2; i++ {
 		for _, b := range f.Blocks {
@@ -79,7 +81,7 @@ func (t *tables) run(f *ir.Func, o Options) {
 
 // removeUnreachable deletes blocks not reachable from the entry and
 // renumbers the remainder.
-func (t *tables) removeUnreachable(f *ir.Func) {
+func (t *Tables) removeUnreachable(f *ir.Func) {
 	t.reach.reset(len(f.Blocks))
 	t.reach.add(f.Entry().ID)
 	stack := append(t.blocks[:0], f.Entry())
@@ -126,7 +128,7 @@ type constVal struct {
 
 // localConstAndCopy performs block-local constant and copy propagation
 // plus integer constant folding.
-func (t *tables) localConstAndCopy(f *ir.Func, b *ir.Block) {
+func (t *Tables) localConstAndCopy(f *ir.Func, b *ir.Block) {
 	n := f.NumRegs()
 	t.known.reset(n)
 	t.copied.reset(n)
@@ -203,7 +205,7 @@ func (t *tables) localConstAndCopy(f *ir.Func, b *ir.Block) {
 }
 
 // constOf returns r's constant value in localConstAndCopy's block.
-func (t *tables) constOf(r ir.Reg) (constVal, bool) {
+func (t *Tables) constOf(r ir.Reg) (constVal, bool) {
 	if !t.known.has(int(r)) {
 		return constVal{}, false
 	}
@@ -212,7 +214,7 @@ func (t *tables) constOf(r ir.Reg) (constVal, bool) {
 
 // foldInt folds an integer operation whose operands are known
 // constants. It returns the folded value and true on success.
-func (t *tables) foldInt(op *ir.Op) (int64, bool) {
+func (t *Tables) foldInt(op *ir.Op) (int64, bool) {
 	bin := func() (int32, int32, bool) {
 		a, okA := t.constOf(op.Args[0])
 		b, okB := t.constOf(op.Args[1])
@@ -307,7 +309,7 @@ func b2i(b bool) int32 {
 // Besides being a standard optimization, this keeps a pair of loads of
 // the *same address* from being mistaken for a simultaneous same-array
 // access and triggering a needless duplication mark.
-func (t *tables) redundantLoadElim(f *ir.Func, b *ir.Block) {
+func (t *Tables) redundantLoadElim(f *ir.Func, b *ir.Block) {
 	t.avail = t.avail[:0]
 	t.named.reset(f.NumRegs())
 	for _, op := range b.Ops {
@@ -349,7 +351,7 @@ type availEntry struct {
 	idx, val ir.Reg
 }
 
-func (t *tables) availValue(sym *ir.Symbol, idx ir.Reg) (ir.Reg, bool) {
+func (t *Tables) availValue(sym *ir.Symbol, idx ir.Reg) (ir.Reg, bool) {
 	for _, e := range t.avail {
 		if e.sym == sym && e.idx == idx {
 			return e.val, true
@@ -358,7 +360,7 @@ func (t *tables) availValue(sym *ir.Symbol, idx ir.Reg) (ir.Reg, bool) {
 	return ir.NoReg, false
 }
 
-func (t *tables) setAvail(sym *ir.Symbol, idx, val ir.Reg) {
+func (t *Tables) setAvail(sym *ir.Symbol, idx, val ir.Reg) {
 	t.named.add(int(idx))
 	t.named.add(int(val))
 	for i := range t.avail {
@@ -371,7 +373,7 @@ func (t *tables) setAvail(sym *ir.Symbol, idx, val ir.Reg) {
 }
 
 // killReg drops every entry that names r, as index or as value.
-func (t *tables) killReg(r ir.Reg) {
+func (t *Tables) killReg(r ir.Reg) {
 	if !t.named.has(int(r)) {
 		return
 	}
@@ -385,7 +387,7 @@ func (t *tables) killReg(r ir.Reg) {
 }
 
 // killSym drops every entry of sym.
-func (t *tables) killSym(sym *ir.Symbol) {
+func (t *Tables) killSym(sym *ir.Symbol) {
 	kept := t.avail[:0]
 	for _, e := range t.avail {
 		if e.sym != sym {
@@ -398,7 +400,7 @@ func (t *tables) killSym(sym *ir.Symbol) {
 // coalesceMoves fuses `d = op ...; s = mov d` pairs where d has exactly
 // one use, rewriting the defining op to target s directly. This removes
 // the copies that compound assignments and accumulators introduce.
-func (t *tables) coalesceMoves(f *ir.Func) {
+func (t *Tables) coalesceMoves(f *ir.Func) {
 	counts := t.useCounts(f)
 	for _, b := range f.Blocks {
 		for i := 0; i+1 < len(b.Ops); i++ {
@@ -439,7 +441,7 @@ func (t *tables) coalesceMoves(f *ir.Func) {
 // single multiply-accumulate when t has no other use and a, b, s are
 // not redefined in between. This is the accumulator idiom at the heart
 // of the FIR example in Figure 1.
-func (t *tables) fuseMAC(f *ir.Func) {
+func (t *Tables) fuseMAC(f *ir.Func) {
 	counts := t.useCounts(f)
 	for _, b := range f.Blocks {
 		defsBetween := func(from, to int, r ir.Reg) bool {
@@ -517,7 +519,7 @@ func (t *tables) fuseMAC(f *ir.Func) {
 // pure and their registers are single-assignment after the hoist, so
 // this is always safe; it frees loop instruction slots at the price of
 // register pressure (spills land on the partitioned stacks).
-func (t *tables) hoistLoopConstants(f *ir.Func) {
+func (t *Tables) hoistLoopConstants(f *ir.Func) {
 	n := f.NumRegs()
 	redef := t.clearedCounts(n) // defs per register
 	for _, b := range f.Blocks {
@@ -598,7 +600,7 @@ type constKey struct {
 // It counts uses once and lowers the counts as it removes ops, sweeping
 // until a sweep removes nothing: removing an op only lowers counts, so
 // every order reaches the same fixed point.
-func (t *tables) deadCodeElim(f *ir.Func) {
+func (t *Tables) deadCodeElim(f *ir.Func) {
 	counts := t.useCounts(f)
 	for changed := true; changed; {
 		changed = false

@@ -18,7 +18,7 @@ import (
 // the AU units, and it is what lets two array accesses become
 // simultaneously data-ready — the precondition for both interference
 // edges and duplication marks.
-func (t *tables) strengthReduce(f *ir.Func) bool {
+func (t *Tables) strengthReduce(f *ir.Func) bool {
 	changed := false
 	for _, l := range f.Blocks {
 		term := l.Terminator()
@@ -67,7 +67,7 @@ type induction struct {
 
 // reduceLoop performs derived-induction rewriting for one self-loop
 // block with its preheader.
-func (t *tables) reduceLoop(f *ir.Func, pre, l *ir.Block) bool {
+func (t *Tables) reduceLoop(f *ir.Func, pre, l *ir.Block) bool {
 	// Global def/use census to establish invariance and locality. It
 	// covers the registers that exist now: the rewrite below adds
 	// registers only as operands of the ops it inserts, and the update

@@ -2,16 +2,20 @@ package opt
 
 import "dualbank/internal/ir"
 
-// tables is the register- and block-indexed scratch of one Run call.
-// Run creates one set and every pass borrows from it, so the set is
-// reused across the program's functions, their blocks, the fixed-point
-// rounds and the loop-shaping rounds. Indexes are virtual registers and
-// Block.IDs (dense in verified IR); each pass sizes what it uses to the
-// function when it starts, so the tables grow as passes add registers
-// and blocks. Sets empty by epoch (marks), so nothing is cleared
-// between blocks or functions; count arrays are cleared by the pass
-// that fills them.
-type tables struct {
+// Tables is the optimizer's register- and block-indexed scratch. Every
+// pass borrows from one set, so a set is reused across a program's
+// functions, their blocks, the fixed-point rounds and the loop-shaping
+// rounds, and, held by a caller that optimizes many programs (a
+// pipeline.Compiler), across programs. Indexes are virtual registers
+// and Block.IDs (dense in verified IR); each pass sizes what it uses to
+// the function when it starts, so the tables grow as passes add
+// registers and blocks, and no pass reads what an earlier function or
+// program left behind. Sets empty by epoch (marks), so nothing is
+// cleared between blocks, functions or programs; count arrays are
+// cleared by the pass that fills them. No IR the passes write points
+// into the tables. The zero value is ready to use; a Tables is not safe
+// for concurrent use.
+type Tables struct {
 	buf    []ir.Reg    // Op.Uses scratch
 	ops    []*ir.Op    // op list scratch
 	blocks []*ir.Block // block list scratch
@@ -35,12 +39,13 @@ type tables struct {
 	avail []availEntry
 	named marks
 
-	defs   []regDef // per-register definition summary (regDefs)
-	used   marks    // usedOutside
-	reach  marks    // removeUnreachable, by Block.ID
-	loop   blockSet // hardwareLoops' candidate loop
-	census []census // reduceLoop
-	ind    marks    // reduceLoop's induction variables
+	defs   []regDef   // per-register definition summary (regDefs)
+	used   marks      // usedOutside
+	reach  marks      // removeUnreachable, by Block.ID
+	loop   blockSet   // hardwareLoops' candidate loop
+	dom    dominators // hardwareLoops' branch filter
+	census []census   // reduceLoop
+	ind    marks      // reduceLoop's induction variables
 	indOf  []induction
 
 	// hoistLoopConstants: the hoisted constants by value, and the
@@ -81,14 +86,14 @@ func (m *marks) add(i int)      { m.stamp[i] = m.epoch }
 func (m *marks) remove(i int)   { m.stamp[i] = 0 }
 
 // uses returns the registers op reads, in t.buf.
-func (t *tables) uses(op *ir.Op) []ir.Reg {
+func (t *Tables) uses(op *ir.Op) []ir.Reg {
 	t.buf = op.Uses(t.buf[:0])
 	return t.buf
 }
 
 // useCounts returns, for each register, how many times it is read
 // anywhere in the function. The slice is t.counts.
-func (t *tables) useCounts(f *ir.Func) []int32 {
+func (t *Tables) useCounts(f *ir.Func) []int32 {
 	counts := t.clearedCounts(f.NumRegs())
 	for _, b := range f.Blocks {
 		for _, op := range b.Ops {
@@ -101,7 +106,7 @@ func (t *tables) useCounts(f *ir.Func) []int32 {
 }
 
 // clearedCounts returns t.counts sized to n registers and zeroed.
-func (t *tables) clearedCounts(n int) []int32 {
+func (t *Tables) clearedCounts(n int) []int32 {
 	t.counts = fit(t.counts, n)
 	counts := t.counts[:n]
 	clear(counts)
@@ -123,7 +128,7 @@ type regDef struct {
 func (d *regDef) isConst() bool { return d.n == 1 && d.konst }
 
 // regDefs fills t.defs for f and returns it, indexed by register.
-func (t *tables) regDefs(f *ir.Func) []regDef {
+func (t *Tables) regDefs(f *ir.Func) []regDef {
 	n := f.NumRegs()
 	t.defs = fit(t.defs, n)
 	defs := t.defs[:n]

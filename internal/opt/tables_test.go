@@ -50,25 +50,6 @@ const (
 	tablesMain = "void main() { r = big(4) + small(2); }\n"
 )
 
-// TestWarmTablesAllocFree pins the mechanism: once a table set has
-// seen a function, the block-local passes run over it again without
-// allocating.
-func TestWarmTablesAllocFree(t *testing.T) {
-	p := lowered(t, tablesGlobals+bigFunc+smallFunc+tablesMain)
-	f := p.Func("big")
-	tb := new(tables)
-	local := func() {
-		for _, b := range f.Blocks {
-			tb.localConstAndCopy(f, b)
-			tb.redundantLoadElim(f, b)
-		}
-	}
-	local()
-	if n := testing.AllocsPerRun(20, local); n != 0 {
-		t.Fatalf("warm localConstAndCopy and redundantLoadElim allocate %.1f times per run, want 0", n)
-	}
-}
-
 // TestSharedTablesMatchFresh checks that one table set carried from
 // function to function optimizes each exactly as a fresh set does,
 // when the smaller function follows the larger one and the reverse:
@@ -84,7 +65,7 @@ func TestSharedTablesMatchFresh(t *testing.T) {
 		Run(shared, Options{})
 		fresh := lowered(t, src)
 		for _, f := range fresh.Funcs {
-			new(tables).run(f, Options{})
+			new(Tables).run(f, Options{})
 		}
 		if got, want := shared.String(), fresh.String(); got != want {
 			t.Errorf("%s: shared tables give\n%s\nfresh tables give\n%s", order.name, got, want)
@@ -109,7 +90,7 @@ func TestDeadCodeElimOneCall(t *testing.T) {
 	b1.Ops = append(b1.Ops, &ir.Op{Kind: ir.OpRet})
 	b0.Ops = []*ir.Op{{Kind: ir.OpBr}}
 	b0.Succs, b1.Preds = []*ir.Block{b1}, []*ir.Block{b0}
-	new(tables).deadCodeElim(f)
+	new(Tables).deadCodeElim(f)
 	if len(b1.Ops) != 1 {
 		t.Fatalf("one deadCodeElim call left %d ops of a dead chain:\n%s", len(b1.Ops)-1, f)
 	}

@@ -91,7 +91,7 @@ func backendFingerprint(c *pipeline.Compiled) [32]byte {
 // backendGolden returns one line per cell of the matrix for the 23
 // benchmarks and a 30-program generated sample: program, geometry,
 // mode, permutation, interrupt-safe flag and the back end's
-// fingerprint.
+// fingerprint. Every program is prepared and finished on one compiler.
 func backendGolden(t *testing.T) []string {
 	t.Helper()
 	progs := append(bench.Kernels(), bench.Applications()...)
@@ -103,7 +103,7 @@ func backendGolden(t *testing.T) []string {
 	cc := new(pipeline.Compiler)
 	var lines []string
 	for _, p := range progs {
-		prep, err := pipeline.Prepare(context.Background(), p.Source, p.Name, opt.Options{})
+		prep, err := cc.Prepare(context.Background(), p.Source, p.Name, opt.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

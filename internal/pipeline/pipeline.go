@@ -76,14 +76,19 @@ type Compiled struct {
 	Regs  map[string]regalloc.Stats
 }
 
-// Compiler carries the reusable scratch state of the back-end passes —
-// the interference-graph scanner, the list scheduler's bookkeeping, and
-// the compiled simulation engine's recycled machine — so a driver compiling
-// many (program, mode) pairs back to back reaches a steady state where
-// the hot passes allocate only their retained output. The zero value is
-// ready to use. A Compiler is not safe for concurrent use; give each
-// worker goroutine its own.
+// Compiler owns the reusable scratch state of every pass it runs — the
+// optimizer's and the register allocator's tables, the
+// interference-graph scanner, the list scheduler's bookkeeping (which
+// also checks finished schedules), and the compiled simulation
+// engine's recycled machine — so a driver compiling many (program,
+// mode) pairs back to back reaches a steady state where a measurement
+// allocates only what it keeps. Nothing a compiler returns points into
+// its scratch: a Prepared or a Compiled stays valid whatever the
+// compiler runs next. The zero value is ready to use. A Compiler is
+// not safe for concurrent use; give each worker goroutine its own.
 type Compiler struct {
+	tables  opt.Tables
+	regs    regalloc.Allocator
 	scanner core.Scanner
 	scratch compact.Scratch
 	batch   sim.Batch
@@ -114,7 +119,7 @@ func (cc *Compiler) Compile(source, name string, o Options) (*Compiled, error) {
 // It runs both stages back to back on one fresh IR, finishing it in
 // place: nothing is cloned and nothing is kept.
 func (cc *Compiler) CompileCtx(ctx context.Context, source, name string, o Options) (*Compiled, error) {
-	p, err := Prepare(ctx, source, name, o.Opt)
+	p, err := cc.Prepare(ctx, source, name, o.Opt)
 	if err != nil {
 		return nil, err
 	}
@@ -160,8 +165,15 @@ func (p *Prepared) Graphs() int {
 }
 
 // Prepare runs the front end: parse, analyze, lower, optimize, verify
-// and register-allocate. Cancellation is checked between passes.
+// and register-allocate. Cancellation is checked between passes. It is
+// (*Compiler).Prepare on a fresh compiler.
 func Prepare(ctx context.Context, source, name string, o opt.Options) (*Prepared, error) {
+	return new(Compiler).Prepare(ctx, source, name, o)
+}
+
+// Prepare runs the front end with the compiler's optimizer and
+// register-allocator tables.
+func (cc *Compiler) Prepare(ctx context.Context, source, name string, o opt.Options) (*Prepared, error) {
 	pass := func() error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("%s: compile: %w", name, err)
@@ -185,11 +197,11 @@ func Prepare(ctx context.Context, source, name string, o opt.Options) (*Prepared
 	if err := pass(); err != nil {
 		return nil, err
 	}
-	opt.Run(prog, o)
+	cc.tables.Run(prog, o)
 	if err := ir.Verify(prog); err != nil {
 		return nil, fmt.Errorf("%s: after opt: %w", name, err)
 	}
-	regStats, err := regalloc.Run(prog)
+	regStats, err := cc.regs.Run(prog)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -307,6 +319,10 @@ func (cc *Compiler) backEnd(p *Prepared, prog *ir.Program, plan *alloc.Plan) (*C
 	}
 	return &Compiled{Name: p.name, IR: prog, Alloc: allocRes, Sched: sched, Regs: p.regs}, nil
 }
+
+// Validate checks c's schedule, as compact.Validate does, on the
+// compiler's scheduler scratch.
+func (cc *Compiler) Validate(c *Compiled) error { return cc.scratch.Validate(c.Sched) }
 
 // Run executes the compiled program on a fresh machine and returns it
 // for inspection (cycle count, memory contents).

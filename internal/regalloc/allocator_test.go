@@ -52,19 +52,6 @@ func wideFunc(name string, n int) string {
 
 const narrowFunc = "int narrow(int x) { int y = x * 2; return y + 1; }\n"
 
-// TestWarmAllocatorInterferenceAllocFree pins the mechanism: an
-// allocator that has built a function's interference graph builds it
-// again without allocating.
-func TestWarmAllocatorInterferenceAllocFree(t *testing.T) {
-	p := optimized(t, "int A[4];\nint r;\n"+wideFunc("wide", 40)+"void main() { r = wide(3); }\n")
-	f := p.Func("wide")
-	a := new(allocator)
-	a.buildInterference(f)
-	if n := testing.AllocsPerRun(20, func() { a.buildInterference(f) }); n != 0 {
-		t.Fatalf("a warm interference round allocates %.1f times, want 0", n)
-	}
-}
-
 // allocFresh runs allocFunc's rounds with a fresh allocator for every
 // round and for the rewrite.
 func allocFresh(t *testing.T, f *ir.Func) Stats {
@@ -72,14 +59,14 @@ func allocFresh(t *testing.T, f *ir.Func) Stats {
 	var st Stats
 	firstTemp := ir.Reg(f.NumRegs())
 	for round := 0; round <= maxSpillRounds; round++ {
-		a := new(allocator)
+		a := new(Allocator)
 		colors, spills := a.color(a.buildInterference(f), firstTemp)
 		if len(spills) == 0 {
-			new(allocator).rewrite(f, colors, &st)
+			new(Allocator).rewrite(f, colors, &st)
 			return st
 		}
 		st.Spilled += len(spills)
-		new(allocator).spill(f, spills, &st)
+		new(Allocator).spill(f, spills, &st)
 	}
 	t.Fatalf("%s: no colouring after %d spill rounds", f.Name, maxSpillRounds)
 	return st

@@ -42,9 +42,11 @@ type Stats struct {
 
 // Run allocates registers for every function in the program and
 // rewrites it to physical form.
-func Run(p *ir.Program) (map[string]Stats, error) {
+func Run(p *ir.Program) (map[string]Stats, error) { return new(Allocator).Run(p) }
+
+// Run is the package-level Run on a's reusable scratch.
+func (a *Allocator) Run(p *ir.Program) (map[string]Stats, error) {
 	stats := make(map[string]Stats, len(p.Funcs))
-	a := new(allocator)
 	for _, f := range p.Funcs {
 		st, err := a.allocFunc(f)
 		if err != nil {
@@ -58,12 +60,17 @@ func Run(p *ir.Program) (map[string]Stats, error) {
 	return stats, nil
 }
 
-// allocator is the register- and block-indexed scratch of one Run
-// call, reused across its functions and their spill rounds: liveness
-// sets, the interference graph, the colouring state and the rewrite
-// buffers. Each round sizes what it uses to the function's registers
-// and blocks, which spilling grows.
-type allocator struct {
+// Allocator is the allocator's register- and block-indexed scratch:
+// liveness sets, the interference graph, the colouring state and the
+// rewrite buffers. One Allocator is reused across a program's
+// functions and their spill rounds, and, held by a caller that
+// allocates many programs (a pipeline.Compiler), across programs, so
+// its adjacency lists keep their capacity. Each round sizes what it
+// uses to the function's registers and blocks, which spilling grows,
+// and reads nothing an earlier function or program left behind; no IR
+// or Stats it writes points into it. The zero value is ready to use;
+// an Allocator is not safe for concurrent use.
+type Allocator struct {
 	buf []ir.Reg // Op.Uses scratch
 	ops []*ir.Op // rewritten op list scratch
 
@@ -88,7 +95,7 @@ type allocator struct {
 	reloaded []reload
 }
 
-func (a *allocator) allocFunc(f *ir.Func) (Stats, error) {
+func (a *Allocator) allocFunc(f *ir.Func) (Stats, error) {
 	var st Stats
 	var colors []int
 	// Registers created by spill rewriting live for a single operation;
@@ -141,7 +148,7 @@ func (b bitset) orInto(o bitset) bool {
 	return changed
 }
 
-// Liveness set kinds, in each block's slot of allocator.sets.
+// Liveness set kinds, in each block's slot of Allocator.sets.
 const (
 	setUse     = iota // upward-exposed uses
 	setDef            // defs
@@ -150,14 +157,14 @@ const (
 )
 
 // set returns block i's liveness set of the given kind.
-func (a *allocator) set(i, kind int) bitset {
+func (a *Allocator) set(i, kind int) bitset {
 	at := (4*i + kind) * a.words
 	return a.sets[at : at+a.words : at+a.words]
 }
 
 // liveness computes the live-out set of every block of f, read with
 // a.set(i, setLiveOut).
-func (a *allocator) liveness(f *ir.Func) {
+func (a *Allocator) liveness(f *ir.Func) {
 	nb := len(f.Blocks)
 	a.words = (f.NumRegs() + 63) / 64
 	a.sets = fit(a.sets, 4*nb*a.words)
@@ -219,7 +226,7 @@ func (g *igraph) addEdge(a, b ir.Reg) {
 
 // markNeighbours marks d's current neighbours in a.seen with a fresh
 // stamp, so nothing is cleared between definitions or rounds.
-func (a *allocator) markNeighbours(d ir.Reg) {
+func (a *Allocator) markNeighbours(d ir.Reg) {
 	a.mark++
 	if a.mark == 0 { // wrapped: old stamps would match again
 		clear(a.seen)
@@ -233,7 +240,7 @@ func (a *allocator) markNeighbours(d ir.Reg) {
 // buildInterference builds f's interference graph in a.g, reusing the
 // previous round's adjacency lists and cost array. Each list holds its
 // partners in the order the scan first found the pair.
-func (a *allocator) buildInterference(f *ir.Func) *igraph {
+func (a *Allocator) buildInterference(f *ir.Func) *igraph {
 	n := f.NumRegs()
 	g := &a.g
 	g.n = n
@@ -302,7 +309,7 @@ func (a *allocator) buildInterference(f *ir.Func) *igraph {
 // that must be spilled (empty on success), both owned by a. Registers
 // at or above firstTemp are spill-rewrite temporaries and are only
 // spilled as a last resort.
-func (a *allocator) color(g *igraph, firstTemp ir.Reg) ([]int, []ir.Reg) {
+func (a *Allocator) color(g *igraph, firstTemp ir.Reg) ([]int, []ir.Reg) {
 	n := g.n
 	a.degree = fit(a.degree, n)
 	degree := a.degree[:n]
@@ -408,7 +415,7 @@ type reload struct{ reg, tmp ir.Reg }
 // every use loads it into a new temporary just before the op, every
 // def stores it just after. Spill slots are ordinary stack data and
 // are partitioned between the banks like any other variable.
-func (a *allocator) spill(f *ir.Func, regs []ir.Reg, st *Stats) {
+func (a *Allocator) spill(f *ir.Func, regs []ir.Reg, st *Stats) {
 	// Only registers that exist now are looked up; the temporaries
 	// made below appear only in the ops inserted around each op.
 	a.slot = fit(a.slot, f.NumRegs())
@@ -497,7 +504,7 @@ func (a *allocator) spill(f *ir.Func, regs []ir.Reg, st *Stats) {
 // inserts return-value plumbing through r1/f1, and adds the prologue
 // saves and epilogue restores for every physical register the function
 // writes.
-func (a *allocator) rewrite(f *ir.Func, colors []int, st *Stats) {
+func (a *Allocator) rewrite(f *ir.Func, colors []int, st *Stats) {
 	phys := func(r ir.Reg) ir.Reg {
 		if r == ir.NoReg {
 			return ir.NoReg

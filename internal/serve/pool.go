@@ -23,8 +23,8 @@ var ErrShed = errors.New("serve: admission queue full")
 type RunFunc func(ctx context.Context, cc *pipeline.Compiler, j Job) (bench.Result, bool, error)
 
 // Pool is a bounded worker pool. Each worker goroutine owns one
-// pipeline.Compiler — the reusable interference-scanner and scheduler
-// arenas — so steady-state request handling allocates only retained
+// pipeline.Compiler — every pass's reusable scratch, front end
+// included — so steady-state request handling allocates only retained
 // results, as the harness's lent compilers do for its own misses.
 // Submission blocks when every worker is busy and the queue is full;
 // the caller's context bounds the wait, which is the service's
@@ -130,9 +130,9 @@ func (p *Pool) Close() {
 
 // worker executes tasks until the pool closes, then drains the queue
 // so no submitter is left waiting forever. Each worker owns one
-// Compiler for its whole life: the interference scanner and scheduler
-// arena reach a steady state sized by the largest program the worker
-// has seen, and back-to-back requests stop churning the collector.
+// Compiler for its whole life: its scratch reaches a steady state
+// sized by the largest program the worker has seen, and back-to-back
+// requests stop churning the collector.
 func (p *Pool) worker(run RunFunc) {
 	defer p.wg.Done()
 	cc := new(pipeline.Compiler)
