@@ -140,8 +140,8 @@ type Options struct {
 	DupFilter func(*ir.Symbol) bool
 	// Method selects the graph-partitioning algorithm (greedy by
 	// default; Kernighan-Lin refinement, simulated annealing, and the
-	// gain-bucket FM partitioner are available for the
-	// algorithm-comparison study).
+	// FM partitioner are available for the algorithm-comparison
+	// study).
 	Method core.Method
 	// FMPasses bounds the FM partitioner's refinement passes: 0 means
 	// the library default, negative stops after the greedy-equivalent

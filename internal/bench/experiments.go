@@ -24,13 +24,6 @@ type FigureRow struct {
 	Duplicated []string
 }
 
-// RunFigure measures the given benchmarks under the given modes on a
-// fresh serial harness. Long-running callers should construct one
-// Harness and reuse it so baselines and shared arms are measured once.
-func RunFigure(progs []Program, modes []alloc.Mode) ([]FigureRow, error) {
-	return NewHarness(1).RunFigure(progs, modes)
-}
-
 // Figure7Modes and Figure8Modes are the experiment arms shown in each
 // figure; OrganizationModes is the extra memory-organisation study
 // (high-order banked with CB partitioning vs low-order interleaved
@@ -40,12 +33,6 @@ var (
 	Figure8Modes      = []alloc.Mode{alloc.CB, alloc.CBProfiled, alloc.CBDup, alloc.Ideal}
 	OrganizationModes = []alloc.Mode{alloc.LowOrder, alloc.CB, alloc.CBDup, alloc.Ideal}
 )
-
-// Figure7 reproduces the kernel experiment.
-func Figure7() ([]FigureRow, error) { return RunFigure(Kernels(), Figure7Modes) }
-
-// Figure8 reproduces the application experiment.
-func Figure8() ([]FigureRow, error) { return RunFigure(Applications(), Figure8Modes) }
 
 // RenderFigure formats rows as a text table.
 func RenderFigure(title string, rows []FigureRow, modes []alloc.Mode) string {
@@ -85,10 +72,6 @@ type Table3Row struct {
 
 // Table3Modes are the techniques compared in Table 3.
 var Table3Modes = []alloc.Mode{alloc.FullDup, alloc.CBDup, alloc.CB, alloc.Ideal}
-
-// Table3 reproduces the performance/cost trade-off table over the
-// application benchmarks.
-func Table3() ([]Table3Row, error) { return NewHarness(1).Table3() }
 
 // RenderTable3 formats the table with the paper's PG/CI/PCR columns
 // and arithmetic means.

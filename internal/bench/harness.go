@@ -494,8 +494,9 @@ func (h *Harness) runArms(progs []Program, modes []alloc.Mode) (base []Result, a
 	return base, arms, nil
 }
 
-// RunFigure measures the given benchmarks under the given modes,
-// producing rows identical to the serial package-level RunFigure.
+// RunFigure measures the given benchmarks under the given modes, one
+// row per benchmark; the rows do not depend on the harness's worker
+// count.
 func (h *Harness) RunFigure(progs []Program, modes []alloc.Mode) ([]FigureRow, error) {
 	base, arms, err := h.runArms(progs, modes)
 	if err != nil {

@@ -110,12 +110,12 @@ func TestHarnessSharesBaselineAcrossExperiments(t *testing.T) {
 	}
 }
 
-// TestRunFigureSerialEquivalence pins the package-level serial
-// entry points to the harness path.
+// TestRunFigureSerialEquivalence pins a serial harness's rows to a
+// pooled one's.
 func TestRunFigureSerialEquivalence(t *testing.T) {
 	progs := []Program{FIR(8, 4), IIR(1, 1)}
 	modes := []alloc.Mode{alloc.CB, alloc.Ideal}
-	direct, err := RunFigure(progs, modes)
+	direct, err := NewHarness(1).RunFigure(progs, modes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestFigure7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite in short mode")
 	}
-	rows, err := Figure7()
+	rows, err := NewHarness(1).Figure7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFigure8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite in short mode")
 	}
-	rows, err := Figure8()
+	rows, err := NewHarness(1).Figure8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestTable3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite in short mode")
 	}
-	rows, err := Table3()
+	rows, err := NewHarness(1).Table3()
 	if err != nil {
 		t.Fatal(err)
 	}

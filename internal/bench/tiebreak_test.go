@@ -22,7 +22,7 @@ func graphOf(t *testing.T, p Program) *core.Graph {
 
 // TestFMZeroPassReplaysGreedy pins the property the certified gap
 // report's determinism rests on: FM with no refinement pass is the
-// greedy walk replayed through gain buckets, sharing the canonical
+// greedy walk replayed through its gain heap, sharing the canonical
 // first-reference tie-break — identical cost, identical bank
 // assignment, and identical move trace on every benchmark graph. A
 // divergence here would make "greedy" mean different things in

@@ -32,30 +32,24 @@ func (c *StoreCache) Get(key string) (bench.Result, bool) {
 	if !ok || rec.Err != "" {
 		return bench.Result{}, false
 	}
-	res := bench.Result{
+	return bench.Result{
 		Cycles:     rec.Cycles,
+		Mem:        rec.Mem(),
 		DupStores:  rec.DupStores,
 		Duplicated: rec.Duplicated,
-	}
-	res.Mem.XData = rec.MemXData
-	res.Mem.YData = rec.MemYData
-	res.Mem.Stack = rec.MemStack
-	res.Mem.Instr = rec.MemInstr
-	return res, true
+	}, true
 }
 
 // Put publishes one computed result under key. Write failures are
 // swallowed: the L2 is a cache, and a node that cannot reach the
 // shared disk must keep serving from its own memory.
 func (c *StoreCache) Put(key string, r bench.Result) {
-	c.s.Put(l2Prefix+key, store.Record{
+	rec := store.Record{
 		Bench:      r.Bench,
 		Cycles:     r.Cycles,
-		MemXData:   r.Mem.XData,
-		MemYData:   r.Mem.YData,
-		MemStack:   r.Mem.Stack,
-		MemInstr:   r.Mem.Instr,
 		DupStores:  r.DupStores,
 		Duplicated: r.Duplicated,
-	})
+	}
+	rec.SetMem(r.Mem)
+	c.s.Put(l2Prefix+key, rec)
 }

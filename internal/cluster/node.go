@@ -337,11 +337,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte, engi
 		return
 	}
 	// Every candidate peer is down or skipped: degrade to local compute.
-	n.metrics.Local("peer_down")
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
-	n.srv.Handler().ServeHTTP(w, r2)
+	n.serveLocal(w, r, body, "peer_down")
 }
 
 // pinEngine re-marshals the request body with the engine made

@@ -241,6 +241,7 @@ func ScheduleWith(p *ir.Program, cfg Config, s *Scratch) (*Program, error) {
 	if s == nil {
 		s = new(Scratch)
 	}
+	defer s.release()
 	s.units.build(cfg)
 	out := &Program{Src: p, Funcs: make(map[string]*Func, len(p.Funcs)), Ports: cfg.Ports, Spec: cfg.Spec}
 	for _, f := range p.Funcs {
@@ -269,7 +270,16 @@ func ScheduleWith(p *ir.Program, cfg Config, s *Scratch) (*Program, error) {
 // reach MU1 too, and an atomic pair can stall the scheduler (an error).
 func (s *Scratch) Conflicts(b *ir.Block) ([][2]int32, error) {
 	_, err := s.scheduleBlock(b, &scanUnits)
+	s.release()
 	return s.conflicts, err
+}
+
+// release drops the scratch's references to the last block it
+// scheduled or checked, keeping its storage, so a Scratch held across
+// programs does not keep the last one reachable.
+func (s *Scratch) release() {
+	s.ddg.Release()
+	clear(s.opIdx)
 }
 
 // scheduleBlock list-schedules one block, recording each op's cycle
@@ -455,6 +465,7 @@ func Validate(p *Program) error { return new(Scratch).Validate(p) }
 // cycle in s's per-operation arrays, so a warm Scratch checks a
 // schedule without allocating.
 func (s *Scratch) Validate(p *Program) error {
+	defer s.release()
 	var units unitTable
 	units.build(Config{Ports: p.Ports, Spec: p.Spec})
 	for name, f := range p.Funcs {

@@ -319,3 +319,43 @@ func TestConflictsZeroAlloc(t *testing.T) {
 		t.Fatalf("scanning the suite allocates %.1f objects with a warm Scratch, want 0", allocs)
 	}
 }
+
+// TestScratchHoldsNoIR: a Scratch points at no IR once Conflicts,
+// ScheduleWith or Validate returns, so one held across programs (a
+// compiler's, or its interference scanner's) does not keep the last
+// one reachable. One Scratch scans each suite program's prepared IR
+// block by block, then schedules and checks it under CBDup, whose
+// atomic store pairs fill the op-index map.
+func TestScratchHoldsNoIR(t *testing.T) {
+	s := new(compact.Scratch)
+	check := func(name, after string) {
+		t.Helper()
+		if n := s.HeldIR(); n != 0 {
+			t.Errorf("%s: the scratch holds %d IR pointers after %s, want 0", name, n, after)
+		}
+	}
+	for _, p := range append(bench.Kernels(), bench.Applications()...) {
+		prep, err := pipeline.Prepare(context.Background(), p.Source, p.Name, opt.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		for _, f := range prep.IR().Funcs {
+			for _, b := range f.Blocks {
+				if _, err := s.Conflicts(b); err != nil {
+					t.Fatalf("%s: %v", p.Name, err)
+				}
+				check(p.Name, "Conflicts")
+			}
+		}
+		prog, res := build(t, p.Source, alloc.CBDup)
+		sched, err := compact.ScheduleWith(prog, compact.Config{Ports: res.Ports}, s)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		check(p.Name, "ScheduleWith")
+		if err := s.Validate(sched); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		check(p.Name, "Validate")
+	}
+}

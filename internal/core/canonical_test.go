@@ -166,34 +166,6 @@ func TestPartitionDeclOrderInvariant(t *testing.T) {
 	}
 }
 
-// TestFMReplaysCanonicalWalk pins the differential property at the
-// graph layer: FM's phase 1 must replay the canonical greedy walk move
-// for move — same trace, same cost, same bank image.
-func TestFMReplaysCanonicalWalk(t *testing.T) {
-	p := lowerSource(t, biquadSource(biquadDecls), "biquad")
-	g := BuildGraph(p, WeightStatic)
-	greedy := g.PartitionK(2, MethodGreedy, -1)
-	fm := g.PartitionK(2, MethodFM, 0)
-
-	if greedy.Cost != fm.Cost {
-		t.Fatalf("FM phase 1 cost %d differs from greedy %d", fm.Cost, greedy.Cost)
-	}
-	if len(greedy.Trace) != len(fm.Trace) {
-		t.Fatalf("FM phase 1 trace %v differs from greedy %v", fm.Trace, greedy.Trace)
-	}
-	for i := range greedy.Trace {
-		if greedy.Trace[i] != fm.Trace[i] {
-			t.Fatalf("FM phase 1 trace %v differs from greedy %v", fm.Trace, greedy.Trace)
-		}
-	}
-	if !sameSet(nameSet(greedy.Sets[1]), nameSet(fm.Sets[1])) {
-		t.Errorf("FM phase 1 image differs from greedy:\ngreedy %s\nfm %s", greedy, fm)
-	}
-	if full := g.PartitionK(2, MethodFM, -1); full.Cost > greedy.Cost {
-		t.Errorf("refined FM cost %d worse than greedy %d", full.Cost, greedy.Cost)
-	}
-}
-
 // TestParseMethodRoundTrip covers the method name round trip and the
 // error path.
 func TestParseMethodRoundTrip(t *testing.T) {

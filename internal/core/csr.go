@@ -17,8 +17,7 @@ type CSR struct {
 func (c *CSR) Degree(i int) int { return int(c.Start[i+1] - c.Start[i]) }
 
 // weightedDegree returns the summed weight of node i's incident edges
-// — the maximum possible gain of moving i, which bounds the gain-
-// bucket range.
+// — the gain of moving i while every node shares its bank.
 func (c *CSR) weightedDegree(i int) int64 {
 	var d int64
 	for h := c.Start[i]; h < c.Start[i+1]; h++ {

@@ -104,20 +104,25 @@ func TestKWayMethodsProduceValidPartitions(t *testing.T) {
 	}
 }
 
-// FuzzKWayPartition drives PartitionK with fuzz-chosen graph shapes
-// and bank counts, checking the structural invariants and the
-// FM-K ≤ greedy-K guarantee on every input. CI runs it in the fuzz
-// smoke job alongside the pipeline and exact-partition targets.
+// FuzzKWayPartition drives PartitionK with fuzz-chosen graph shapes,
+// weight scales and bank counts, checking the structural invariants
+// and the FM-K ≤ greedy-K guarantee on every input; at two banks FM's
+// phase 1 must also replay greedy's walk, trace and bank vector. Edge
+// weights are drawn from 1 to a fuzzed maximum of up to 10⁶, so the
+// gain queue meets profile-scale weights as well as many ties. CI runs
+// it in the fuzz smoke job alongside the pipeline and exact-partition
+// targets.
 func FuzzKWayPartition(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(12), uint8(3))
-	f.Add(int64(7), uint8(20), uint8(50), uint8(4))
-	f.Add(int64(42), uint8(3), uint8(0), uint8(8))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, edgesRaw, kRaw uint8) {
+	f.Add(int64(1), uint8(8), uint8(12), uint8(3), uint32(4))
+	f.Add(int64(7), uint8(20), uint8(50), uint8(4), uint32(4))
+	f.Add(int64(42), uint8(3), uint8(0), uint8(8), uint32(4))
+	f.Add(int64(5), uint8(25), uint8(90), uint8(0), uint32(999_999))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, edgesRaw, kRaw uint8, scaleRaw uint32) {
 		n := 2 + int(nRaw)%30
 		edges := int(edgesRaw) % (4 * n)
 		k := 2 + int(kRaw)%7
 		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, n, edges)
+		g := weightedGraph(rng, n, edges, 1+int(scaleRaw%1_000_000))
 		greedy := g.PartitionK(k, MethodGreedy, 0)
 		fm := g.PartitionK(k, MethodFM, -1)
 		checkKPartitionShape(t, g, greedy, k)
@@ -125,6 +130,13 @@ func FuzzKWayPartition(f *testing.F) {
 		checkKPartitionShape(t, g, g.PartitionK(k, MethodAnneal, 0), k)
 		if fm.Cost > greedy.Cost {
 			t.Errorf("k=%d: FM-K cost %d > greedy-K cost %d", k, fm.Cost, greedy.Cost)
+		}
+		if k == 2 {
+			fm0 := g.PartitionK(2, MethodFM, 0)
+			if !slices.Equal(fm0.Trace, greedy.Trace) || !slices.Equal(fm0.Side, greedy.Side) {
+				t.Errorf("FM phase 1 trace %v banks %v; greedy trace %v banks %v",
+					fm0.Trace, fm0.Side, greedy.Trace, greedy.Side)
+			}
 		}
 	})
 }

@@ -57,9 +57,9 @@ func RegisterExactPartitioner(f func(*Graph, int) *KPartition) { exactPartition 
 //
 // Where an algorithm's two-bank form differs from its k-way form, the
 // dispatch picks by k: greedy is the paper's walk at k = 2, FM replays
-// that walk with gain buckets, and the exact backend runs its 2-way
-// search. KL refines the greedy result at every k, as FM does beyond
-// two banks.
+// that walk on an indexed gain heap, and the exact backend runs its
+// 2-way search. KL refines the greedy result at every k, as FM does
+// beyond two banks.
 func (g *Graph) PartitionK(k int, m Method, fmPasses int) *KPartition {
 	if k < 2 {
 		panic(fmt.Sprintf("core: PartitionK with k = %d", k))
@@ -163,8 +163,9 @@ func (g *Graph) greedy(k int) *KPartition {
 // pairing partners and migrating them all together would forfeit
 // exactly the parallelism the partition exists to expose. The walk is
 // O(v²) and, as the paper reports, achieves near-ideal partitions in
-// practice; FM (partition_fm.go) reaches the same local optimum with
-// gain buckets in near-linear time.
+// practice; FM (partition_fm.go) replays it move for move on a gain
+// heap in O((V + E) log V), and the tests hold FM to this walk as the
+// reference.
 func (g *Graph) walk() *KPartition {
 	n := len(g.Nodes)
 	c := g.CSR()

@@ -14,9 +14,9 @@ import "fmt"
 //     paper's related-work section discusses; the Princeton study
 //     found annealing performed no better than a greedy heuristic, a
 //     result this reproduction's tests confirm on the benchmark suite.
-//   - fm (partition_fm.go) is the fast path: a gain-bucket
-//     Fiduccia–Mattheyses partitioner that reproduces the greedy walk
-//     in near-linear time and then refines it.
+//   - fm (partition_fm.go) is the fast path: a Fiduccia–Mattheyses
+//     partitioner over an indexed gain heap that reproduces the greedy
+//     walk in O((V + E) log V) time and then refines it.
 //   - exact is the certified branch-and-bound search in internal/exact.
 //
 // All are deterministic (the annealer runs under a fixed seed).
@@ -31,11 +31,11 @@ const (
 	MethodKL
 	// MethodAnneal is simulated annealing.
 	MethodAnneal
-	// MethodFM is the gain-bucket Fiduccia–Mattheyses partitioner:
-	// the greedy walk replayed with O(1) best-move extraction and
-	// O(degree) incremental gain updates, followed by FM refinement
-	// passes. Never worse than greedy, asymptotically faster. Beyond
-	// two banks it refines the k-way greedy walk with KL's passes.
+	// MethodFM is the Fiduccia–Mattheyses partitioner: the greedy walk
+	// replayed on an indexed gain heap, O(log v) best-move extraction
+	// and in-place gain updates, followed by FM refinement passes.
+	// Never worse than greedy, asymptotically faster. Beyond two banks
+	// it refines the k-way greedy walk with KL's passes.
 	MethodFM
 	// MethodExact is the certified branch-and-bound partitioner from
 	// internal/exact: it seeds an incumbent from the heuristics and

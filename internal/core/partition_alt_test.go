@@ -8,8 +8,13 @@ import (
 	"dualbank/internal/ir"
 )
 
-// randomGraph builds a random weighted interference graph.
-func randomGraph(rng *rand.Rand, n, edges int) *Graph {
+// randomGraph builds a random weighted interference graph with
+// weights 1–5.
+func randomGraph(rng *rand.Rand, n, edges int) *Graph { return weightedGraph(rng, n, edges, 5) }
+
+// weightedGraph builds a random interference graph with weights drawn
+// from 1 to maxW.
+func weightedGraph(rng *rand.Rand, n, edges, maxW int) *Graph {
 	syms := make([]*ir.Symbol, n)
 	for i := range syms {
 		syms[i] = &ir.Symbol{Name: string(rune('a'+i%26)) + string(rune('0'+i/26)), Size: 1}
@@ -21,7 +26,7 @@ func randomGraph(rng *rand.Rand, n, edges int) *Graph {
 			continue
 		}
 		if g.Weight(syms[i], syms[j]) == 0 {
-			g.SetWeight(syms[i], syms[j], int64(rng.Intn(5)+1))
+			g.SetWeight(syms[i], syms[j], int64(rng.Intn(maxW)+1))
 		}
 	}
 	return g

@@ -4,14 +4,16 @@ package core
 const fmMaxPasses = 8
 
 // fm is the fast compile path's two-bank partitioner: a
-// Fiduccia–Mattheyses-style gain-bucket bipartitioner.
+// Fiduccia–Mattheyses-style bipartitioner over an indexed gain heap.
 //
 // Phase 1 replays the paper's greedy walk (Figure 5) exactly — same
 // moves, same tie-breaks, same trace — but with incremental gain
 // maintenance: instead of recomputing every node's move delta from
 // scratch each round (the O(v²) inner loop of Graph.walk), node gains
-// live in a gain-bucket structure with O(1) best-move extraction and
-// O(degree) updates per move, making the walk O(V + E + moves·deg).
+// live in a max-heap that knows each node's position, with O(log v)
+// extraction and O(degree · log v) updates per move, making the walk
+// O((V + E) log V) apart from the total ties of scanner-built graphs,
+// whose tied cohort it walks as Graph.walk does.
 //
 // Phase 2 runs classic FM refinement passes: every node is tentatively
 // flipped once in best-gain order (negative gains allowed, so the pass
@@ -32,104 +34,72 @@ func (g *Graph) fm(passes int) *KPartition {
 	n := len(g.Nodes)
 	c := g.CSR()
 	side := make([]int32, n)
-	gain := make([]int64, n)
-
-	var pmax int64
-	for i := 0; i < n; i++ {
-		if d := c.weightedDegree(i); d > pmax {
-			pmax = d
-		}
-	}
 	var q gainQueue
-	q.init(n, pmax)
+	q.init(n)
 
 	// Phase 1: the greedy walk with incremental gains. A node's gain
 	// starts as its weighted degree (everything is on side X), and
 	// moving b to Y lowers each still-X neighbour's gain by 2w. The
 	// walk must replay Graph.walk move for move, so extraction uses
-	// the same tie-breaks: canonical first-reference ranks on
-	// scanner-built graphs (with the total-tie diversity rule — see
-	// walk), the node-index rule otherwise.
+	// the same tie-breaks: canonical first-use ranks on scanner-built
+	// graphs (with the total-tie diversity rule — see walk), the
+	// node-index rule otherwise.
+	q.reset(g.tiePref)
+	for i := 0; i < n; i++ {
+		q.insert(int32(i), c.weightedDegree(i))
+	}
 	cost := c.Total
-	var trace []int64
-	if q.useHeap && g.tiePref != nil {
-		// Wide-range profiled graph with canonical ranks: the lazy
-		// heap cannot see the whole tied cohort at once, so replay the
-		// reference walk directly instead of teaching it the diversity
-		// rule. This path keeps phase 1 exact on the rare fallback;
-		// phase 2 below is unaffected.
-		seed := g.walk()
-		side = seed.Side
-		cost = seed.Cost
-		trace = seed.Trace
-	} else {
-		trace = append(trace, cost)
-		var moved []int32
-		for i := 0; i < n; i++ {
-			gain[i] = c.weightedDegree(i)
-			q.insert(int32(i), gain[i])
+	trace := []int64{cost}
+	var moved []int32
+	for {
+		b, ok := q.popGreedy(moved)
+		if !ok {
+			break
 		}
-		for {
-			b, ok := q.popGreedy(g.tiePref, moved)
-			if !ok {
-				break
-			}
-			side[b] = 1
-			cost -= gain[b]
-			trace = append(trace, cost)
-			if g.tiePref != nil {
-				moved = append(moved, g.tiePref[b])
-			}
-			for h := c.Start[b]; h < c.Start[b+1]; h++ {
-				a := c.Adj[h]
-				if side[a] != 0 {
-					continue
-				}
-				gain[a] -= 2 * c.W[h]
-				q.update(a, gain[a])
-			}
+		side[b] = 1
+		cost -= q.gain[b]
+		trace = append(trace, cost)
+		if q.rank != nil {
+			moved = append(moved, q.rank[b])
+		}
+		for h := c.Start[b]; h < c.Start[b+1]; h++ {
+			a := c.Adj[h]
+			q.update(a, q.gain[a]-2*c.W[h])
 		}
 	}
 
-	// Phase 2: FM refinement passes over the phase-1 partition.
+	// Phase 2: FM refinement passes over the phase-1 partition. A node
+	// leaves the queue when it flips, which locks it for the pass.
 	state := make([]int32, n)
-	locked := make([]bool, n)
 	flips := make([]int32, 0, n)
 	var into [2]int64
 	for pass := 0; pass < passes; pass++ {
 		copy(state, side)
-		clear(locked)
-		q.reset()
+		q.reset(nil)
 		for i := 0; i < n; i++ {
 			c.bankWeights(state, i, into[:])
-			gain[i] = into[state[i]] - into[1-state[i]]
-			q.insert(int32(i), gain[i])
+			q.insert(int32(i), into[state[i]]-into[1-state[i]])
 		}
 		cur, best, bestPrefix := cost, cost, 0
 		flips = flips[:0]
 		for {
-			b, ok := q.popMax(false)
+			b, ok := q.pop()
 			if !ok {
 				break
 			}
 			state[b] = 1 - state[b]
-			locked[b] = true
-			cur -= gain[b]
+			cur -= q.gain[b]
 			flips = append(flips, b)
 			if cur < best {
 				best, bestPrefix = cur, len(flips)
 			}
 			for h := c.Start[b]; h < c.Start[b+1]; h++ {
 				a := c.Adj[h]
-				if locked[a] {
-					continue
-				}
 				if state[a] == state[b] {
-					gain[a] += 2 * c.W[h]
+					q.update(a, q.gain[a]+2*c.W[h])
 				} else {
-					gain[a] -= 2 * c.W[h]
+					q.update(a, q.gain[a]-2*c.W[h])
 				}
-				q.update(a, gain[a])
 			}
 		}
 		if best >= cost {
@@ -146,201 +116,181 @@ func (g *Graph) fm(passes int) *KPartition {
 	return p
 }
 
-// gainQueue is the FM gain structure: a bucket array indexed by gain
-// (offset by the maximum weighted degree) holding intrusive
-// doubly-linked lists of nodes, with a monotone-repair pointer to the
-// highest occupied bucket. Extraction finds the best bucket in
-// amortised O(1); ties inside a bucket are broken towards the highest
-// node index (matching the greedy walk's published tie-break) by a
-// scan of that bucket.
-//
-// Profile-weighted graphs can have gain ranges far too wide for a
-// bucket per distinct gain; past bucketRangeLimit the queue degrades
-// to a lazy binary max-heap with the same ordering (O(log n)
-// extraction), keeping behaviour identical.
+// gainQueue is FM's gain structure: a binary max-heap of node indexes
+// that records each node's heap position, so a gain change sifts the
+// node in place and no stale entry is left behind. It orders nodes by
+// gain, then by a tie key: the higher key wins, and the key is a rank
+// (rank non-nil) or the node index. Both are total orders on the nodes
+// that can move, so the pop order does not depend on the heap's
+// layout. Its storage does not depend on the edge weights.
 type gainQueue struct {
-	n   int
-	off int64 // bucket index = gain + off
-
-	// Bucket mode. sizes and posCount track the top-bucket population
-	// and the number of queued nodes with strictly positive gain, so
-	// the greedy replay can recognise a total tie (every eligible move
-	// equally good) in O(1).
-	buckets    []int32 // head node of each gain bucket, -1 if empty
-	prev, next []int32
-	sizes      []int32
-	posCount   int
-	maxB       int
-
-	// Heap fallback for very wide gain ranges.
-	useHeap bool
-	heap    []heapEnt
-
-	inQ  []bool
-	gain []int64 // the queue's view of each node's current gain
+	heap []int32 // node indexes in heap order
+	pos  []int32 // each node's heap position, -1 once it leaves
+	gain []int64 // each node's gain, kept after it leaves
+	rank []int32 // tie key by node; nil means the node index
 }
 
-type heapEnt struct {
-	g int64
-	i int32
-}
-
-// bucketRangeLimit caps the bucket array at 2M entries (8 MiB of
-// heads); gain ranges beyond this use the heap fallback.
-const bucketRangeLimit = 1 << 21
-
-func (q *gainQueue) init(n int, pmax int64) {
-	q.n = n
-	q.off = pmax
-	q.inQ = make([]bool, n)
+func (q *gainQueue) init(n int) {
+	q.heap = make([]int32, 0, n)
+	q.pos = make([]int32, n)
 	q.gain = make([]int64, n)
-	if r := 2*pmax + 1; r <= bucketRangeLimit {
-		q.buckets = make([]int32, r)
-		for i := range q.buckets {
-			q.buckets[i] = -1
-		}
-		q.prev = make([]int32, n)
-		q.next = make([]int32, n)
-		q.sizes = make([]int32, r)
-		q.posCount = 0
-		q.maxB = -1
-	} else {
-		q.useHeap = true
-		q.heap = make([]heapEnt, 0, n)
+	for i := range q.pos {
+		q.pos[i] = -1
 	}
 }
 
-// reset empties the queue for reuse.
-func (q *gainQueue) reset() {
-	for i := range q.inQ {
-		q.inQ[i] = false
+// reset empties the queue and sets its tie key.
+func (q *gainQueue) reset(rank []int32) {
+	for _, i := range q.heap {
+		q.pos[i] = -1
 	}
-	if q.useHeap {
-		q.heap = q.heap[:0]
-		return
+	q.heap = q.heap[:0]
+	q.rank = rank
+}
+
+// above reports whether node a orders before node b.
+func (q *gainQueue) above(a, b int32) bool {
+	if q.gain[a] != q.gain[b] {
+		return q.gain[a] > q.gain[b]
 	}
-	for i := range q.buckets {
-		q.buckets[i] = -1
+	if q.rank != nil {
+		return q.rank[a] > q.rank[b]
 	}
-	for i := range q.sizes {
-		q.sizes[i] = 0
-	}
-	q.posCount = 0
-	q.maxB = -1
+	return a > b
 }
 
 func (q *gainQueue) insert(i int32, g int64) {
-	q.inQ[i] = true
 	q.gain[i] = g
-	if q.useHeap {
-		q.push(heapEnt{g, i})
-		return
-	}
-	b := int(g + q.off)
-	q.prev[i] = -1
-	q.next[i] = q.buckets[b]
-	if q.next[i] >= 0 {
-		q.prev[q.next[i]] = i
-	}
-	q.buckets[b] = i
-	q.sizes[b]++
-	if g > 0 {
-		q.posCount++
-	}
-	if b > q.maxB {
-		q.maxB = b
-	}
+	q.heap = append(q.heap, i)
+	q.up(len(q.heap)-1, i)
 }
 
-// update moves node i to its new gain bucket; a no-op if i has already
-// been extracted.
+// update sets node i's gain and sifts it in place; a no-op once i has
+// left the queue.
 func (q *gainQueue) update(i int32, g int64) {
-	if !q.inQ[i] {
+	p := q.pos[i]
+	if p < 0 {
 		return
 	}
-	if q.useHeap {
-		q.gain[i] = g
-		q.push(heapEnt{g, i}) // lazy: stale entries are skipped on pop
-		return
-	}
-	q.unlink(i)
-	q.insert(i, g)
-}
-
-func (q *gainQueue) unlink(i int32) {
-	if q.prev[i] >= 0 {
-		q.next[q.prev[i]] = q.next[i]
+	old := q.gain[i]
+	q.gain[i] = g
+	if g > old {
+		q.up(int(p), i)
 	} else {
-		q.buckets[q.gain[i]+q.off] = q.next[i]
-	}
-	if q.next[i] >= 0 {
-		q.prev[q.next[i]] = q.prev[i]
-	}
-	q.sizes[q.gain[i]+q.off]--
-	if q.gain[i] > 0 {
-		q.posCount--
+		q.down(int(p), i)
 	}
 }
 
-// popMax extracts the node with the highest gain, ties towards the
-// highest node index. With positiveOnly it refuses (and keeps) a best
-// node whose gain is not strictly positive — the greedy walk's
-// stopping rule.
-func (q *gainQueue) popMax(positiveOnly bool) (int32, bool) {
-	if q.useHeap {
-		return q.heapPop(positiveOnly)
-	}
-	for q.maxB >= 0 && q.buckets[q.maxB] < 0 {
-		q.maxB--
-	}
-	if q.maxB < 0 || (positiveOnly && int64(q.maxB)-q.off <= 0) {
+// pop takes the top node out of the queue.
+func (q *gainQueue) pop() (int32, bool) {
+	if len(q.heap) == 0 {
 		return 0, false
 	}
-	best := q.buckets[q.maxB]
-	for i := q.next[best]; i >= 0; i = q.next[i] {
-		if i > best {
-			best = i
-		}
+	i := q.heap[0]
+	q.remove(i)
+	return i, true
+}
+
+// remove takes queued node i out of the queue: the last entry fills
+// its place and sifts from there.
+func (q *gainQueue) remove(i int32) {
+	p := int(q.pos[i])
+	q.pos[i] = -1
+	last := len(q.heap) - 1
+	j := q.heap[last]
+	q.heap = q.heap[:last]
+	if p < last {
+		q.up(p, j)
+		q.down(int(q.pos[j]), j)
 	}
-	q.unlink(best)
-	q.inQ[best] = false
+}
+
+// up places node i at heap position p, or above it while i orders
+// before its parent.
+func (q *gainQueue) up(p int, i int32) {
+	for p > 0 {
+		parent := (p - 1) / 2
+		j := q.heap[parent]
+		if !q.above(i, j) {
+			break
+		}
+		q.heap[p] = j
+		q.pos[j] = int32(p)
+		p = parent
+	}
+	q.heap[p] = i
+	q.pos[i] = int32(p)
+}
+
+// down places node i at heap position p, or below it while a child
+// orders before i.
+func (q *gainQueue) down(p int, i int32) {
+	n := len(q.heap)
+	for {
+		c := 2*p + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q.above(q.heap[c+1], q.heap[c]) {
+			c++
+		}
+		j := q.heap[c]
+		if !q.above(j, i) {
+			break
+		}
+		q.heap[p] = j
+		q.pos[j] = int32(p)
+		p = c
+	}
+	q.heap[p] = i
+	q.pos[i] = int32(p)
+}
+
+// popGreedy is pop for the phase-1 replay of the greedy walk. It keeps
+// a top whose gain is not positive — the walk's stopping rule. With
+// first-use ranks it also applies the walk's total-tie rule: when every
+// queued node with positive gain ties the top's gain, the one whose
+// rank lies farthest from the moved nodes' ranks wins, then the higher
+// rank. Nodes tying the top form the subtree at the root whose gain
+// equals the top's.
+func (q *gainQueue) popGreedy(moved []int32) (int32, bool) {
+	if len(q.heap) == 0 || q.gain[q.heap[0]] <= 0 {
+		return 0, false
+	}
+	best := q.heap[0]
+	if top := q.gain[best]; q.rank != nil && q.onlyTies(0, top) {
+		best, _ = q.farthest(0, top, moved, best, prefDist(q.rank[best], moved))
+	}
+	q.remove(best)
 	return best, true
 }
 
-// popGreedy is popMax for the phase-1 replay of the canonical greedy
-// walk: with first-reference ranks (pref non-nil, bucket mode) ties go
-// to the highest rank, except on a total tie — every queued node with
-// positive gain sits in the top bucket — where the candidate whose
-// rank lies farthest from the already-moved nodes wins, exactly as in
-// Graph.walk. Without ranks it degrades to popMax.
-func (q *gainQueue) popGreedy(pref []int32, moved []int32) (int32, bool) {
-	if q.useHeap || pref == nil {
-		return q.popMax(true)
+// onlyTies reports whether the subtree at heap position p holds no
+// positive gain other than g: below a node of another gain, every gain
+// is at most that node's.
+func (q *gainQueue) onlyTies(p int, g int64) bool {
+	if p >= len(q.heap) {
+		return true
 	}
-	for q.maxB >= 0 && q.buckets[q.maxB] < 0 {
-		q.maxB--
+	if gi := q.gain[q.heap[p]]; gi != g {
+		return gi <= 0
 	}
-	if q.maxB < 0 || int64(q.maxB)-q.off <= 0 {
-		return 0, false
+	return q.onlyTies(2*p+1, g) && q.onlyTies(2*p+2, g)
+}
+
+// farthest returns, of best and the tied nodes at and below heap
+// position p, the one whose rank lies farthest from moved, ties to the
+// higher rank, with its distance; bd is best's distance.
+func (q *gainQueue) farthest(p int, g int64, moved []int32, best, bd int32) (int32, int32) {
+	if p >= len(q.heap) || q.gain[q.heap[p]] != g {
+		return best, bd
 	}
-	best := q.buckets[q.maxB]
-	if q.sizes[q.maxB] == int32(q.posCount) {
-		bd := prefDist(pref[best], moved)
-		for i := q.next[best]; i >= 0; i = q.next[i] {
-			if d := prefDist(pref[i], moved); d > bd || (d == bd && pref[i] > pref[best]) {
-				best, bd = i, d
-			}
-		}
-	} else {
-		for i := q.next[best]; i >= 0; i = q.next[i] {
-			if pref[i] > pref[best] {
-				best = i
-			}
-		}
+	i := q.heap[p]
+	if d := prefDist(q.rank[i], moved); d > bd || (d == bd && q.rank[i] > q.rank[best]) {
+		best, bd = i, d
 	}
-	q.unlink(best)
-	q.inQ[best] = false
-	return best, true
+	best, bd = q.farthest(2*p+1, g, moved, best, bd)
+	return q.farthest(2*p+2, g, moved, best, bd)
 }
 
 // prefDist is the first-use distance from rank p to the nearest moved
@@ -357,66 +307,4 @@ func prefDist(p int32, moved []int32) int32 {
 		}
 	}
 	return d
-}
-
-// Heap fallback: a binary max-heap ordered by (gain, index) with lazy
-// deletion — update pushes a fresh entry and pop discards entries
-// whose recorded gain no longer matches the node's current gain.
-func (q *gainQueue) push(e heapEnt) {
-	q.heap = append(q.heap, e)
-	i := len(q.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !entLess(q.heap[p], q.heap[i]) {
-			break
-		}
-		q.heap[p], q.heap[i] = q.heap[i], q.heap[p]
-		i = p
-	}
-}
-
-func entLess(a, b heapEnt) bool {
-	if a.g != b.g {
-		return a.g < b.g
-	}
-	return a.i < b.i
-}
-
-func (q *gainQueue) heapPop(positiveOnly bool) (int32, bool) {
-	for len(q.heap) > 0 {
-		top := q.heap[0]
-		if !q.inQ[top.i] || q.gain[top.i] != top.g {
-			q.discardTop() // stale
-			continue
-		}
-		if positiveOnly && top.g <= 0 {
-			return 0, false
-		}
-		q.discardTop()
-		q.inQ[top.i] = false
-		return top.i, true
-	}
-	return 0, false
-}
-
-func (q *gainQueue) discardTop() {
-	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
-	q.heap = q.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l <= last-1 && entLess(q.heap[big], q.heap[l]) {
-			big = l
-		}
-		if r <= last-1 && entLess(q.heap[big], q.heap[r]) {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		q.heap[i], q.heap[big] = q.heap[big], q.heap[i]
-		i = big
-	}
 }

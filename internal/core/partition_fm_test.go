@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -38,25 +40,59 @@ func timeIt(f func(), rounds int) time.Duration {
 	return best
 }
 
-// TestFMNeverWorseThanGreedy is the central property of the gain-bucket
-// partitioner: across 200 seeded random graphs, FM's cut cost never
-// exceeds greedy's, and whenever the costs tie the bank image (the
-// exact X/Y membership, in order) is identical — FM phase 1 replays
-// the greedy walk and phase 2 only commits strict improvements.
+// profileScaleGraph builds the seed'th of 40 random graphs whose
+// weights are in the millions, like loop-nest profile counts.
+func profileScaleGraph(seed int64) *Graph {
+	rng := rand.New(rand.NewSource(2000 + seed))
+	n := 3 + rng.Intn(12)
+	syms := make([]*ir.Symbol, n)
+	for i := range syms {
+		syms[i] = &ir.Symbol{Name: string(rune('a' + i)), Size: 1}
+	}
+	g := NewGraph(syms)
+	for e := 0; e < 3*n; e++ {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i == j || g.Weight(syms[i], syms[j]) != 0 {
+			continue
+		}
+		g.SetWeight(syms[i], syms[j], int64(rng.Intn(5_000_000)+1_000_000))
+	}
+	return g
+}
+
+// fmDifferentialGraphs returns FM's differential inputs: count seeded
+// random graphs of up to 2+maxN nodes with small weights drawn from
+// base, then the 40 profile-scale graphs.
+func fmDifferentialGraphs(base int64, count, maxN, edgesPerNode int) []*Graph {
+	var gs []*Graph
+	for seed := int64(0); seed < int64(count); seed++ {
+		rng := rand.New(rand.NewSource(base + seed))
+		n := 2 + rng.Intn(maxN)
+		gs = append(gs, randomGraph(rng, n, rng.Intn(edgesPerNode*n)))
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		gs = append(gs, profileScaleGraph(seed))
+	}
+	return gs
+}
+
+// TestFMNeverWorseThanGreedy is the central property of the FM
+// partitioner: across 200 seeded random graphs and 40 profile-scale
+// ones, FM's cut cost never exceeds greedy's, and whenever the costs
+// tie the bank image (the exact X/Y membership, in order) is identical
+// — FM phase 1 replays the greedy walk and phase 2 only commits strict
+// improvements.
 func TestFMNeverWorseThanGreedy(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		g := randomGraph(rng, n, rng.Intn(4*n))
+	for i, g := range fmDifferentialGraphs(0, 200, 30, 4) {
 		greedy := g.PartitionK(2, MethodGreedy, -1)
 		fm := g.PartitionK(2, MethodFM, -1)
 		if fm.Cost > greedy.Cost {
-			t.Fatalf("seed %d: FM cost %d worse than greedy %d", seed, fm.Cost, greedy.Cost)
+			t.Fatalf("graph %d: FM cost %d worse than greedy %d", i, fm.Cost, greedy.Cost)
 		}
 		if fm.Cost == greedy.Cost {
 			if !samePartition(fm, greedy) {
-				t.Fatalf("seed %d: FM tied greedy at cost %d but produced a different bank image\nfm:     %v\ngreedy: %v",
-					seed, fm.Cost, fm, greedy)
+				t.Fatalf("graph %d: FM tied greedy at cost %d but produced a different bank image\nfm:     %v\ngreedy: %v",
+					i, fm.Cost, fm, greedy)
 			}
 		}
 	}
@@ -64,23 +100,50 @@ func TestFMNeverWorseThanGreedy(t *testing.T) {
 
 // TestFMTraceMatchesGreedy: phase 1 of FM is the greedy walk with
 // incremental gain bookkeeping, so its recorded trace — including the
-// Figure 5 tie-breaks — must match greedy's move for move.
+// Figure 5 tie-breaks — must match greedy's move for move, at small
+// and at profile-scale weights.
 func TestFMTraceMatchesGreedy(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(1000 + seed))
-		n := 2 + rng.Intn(20)
-		g := randomGraph(rng, n, rng.Intn(3*n))
+	for i, g := range fmDifferentialGraphs(1000, 50, 20, 3) {
 		greedy := g.PartitionK(2, MethodGreedy, -1)
 		fm := g.PartitionK(2, MethodFM, -1)
-		if len(fm.Trace) != len(greedy.Trace) {
-			t.Fatalf("seed %d: trace lengths differ: fm %v greedy %v", seed, fm.Trace, greedy.Trace)
-		}
-		for i := range fm.Trace {
-			if fm.Trace[i] != greedy.Trace[i] {
-				t.Fatalf("seed %d: traces diverge at move %d: fm %v greedy %v", seed, i, fm.Trace, greedy.Trace)
-			}
+		if !slices.Equal(fm.Trace, greedy.Trace) {
+			t.Fatalf("graph %d: traces differ: fm %v greedy %v", i, fm.Trace, greedy.Trace)
 		}
 	}
+}
+
+// TestFMAllocsIndependentOfWeights: the gain queue's storage depends on
+// the node count only, so FM allocates the same bytes on a graph and
+// on the same graph with every weight multiplied by a million.
+func TestFMAllocsIndependentOfWeights(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(3000 + seed))
+		n := 4 + rng.Intn(40)
+		small := randomGraph(rng, n, 3*n)
+		large := NewGraph(small.Nodes)
+		for _, e := range small.edges {
+			large.SetWeight(small.Nodes[e.u], small.Nodes[e.v], e.w*1_000_000)
+		}
+		small.CSR()
+		large.CSR()
+		if a, b := allocBytes(func() { small.fm(2) }), allocBytes(func() { large.fm(2) }); a != b {
+			t.Errorf("seed %d (%d nodes): FM allocates %d bytes, %d with weights ×10⁶", seed, n, a, b)
+		}
+	}
+}
+
+// allocBytes returns the fewest bytes one call of f allocated over a
+// few calls.
+func allocBytes(f func()) uint64 {
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for r := 0; r < 5; r++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
 }
 
 // TestFMFigure5 pins FM to the paper's published example: the same
@@ -98,49 +161,6 @@ func TestFMFigure5(t *testing.T) {
 	for i := range want {
 		if p.Trace[i] != want[i] {
 			t.Fatalf("trace = %v, want %v", p.Trace, want)
-		}
-	}
-}
-
-// TestFMHeapFallback forces profile-scale weights past the gain
-// bucket range so the queue runs in heap mode, and checks the same
-// never-worse / identical-on-tie contract holds there too.
-func TestFMHeapFallback(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(2000 + seed))
-		n := 3 + rng.Intn(12)
-		syms := make([]*ir.Symbol, n)
-		for i := range syms {
-			syms[i] = &ir.Symbol{Name: string(rune('a' + i)), Size: 1}
-		}
-		g := NewGraph(syms)
-		for e := 0; e < 3*n; e++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			if i == j || g.Weight(syms[i], syms[j]) != 0 {
-				continue
-			}
-			// Weights in the millions, like loop-nest profile counts.
-			g.SetWeight(syms[i], syms[j], int64(rng.Intn(5_000_000)+1_000_000))
-		}
-		var q gainQueue
-		var pmax int64
-		c := g.CSR()
-		for i := 0; i < n; i++ {
-			if d := c.weightedDegree(i); d > pmax {
-				pmax = d
-			}
-		}
-		q.init(n, pmax)
-		if !q.useHeap && pmax > 0 {
-			t.Fatalf("seed %d: expected heap fallback for pmax=%d", seed, pmax)
-		}
-		greedy := g.PartitionK(2, MethodGreedy, -1)
-		fm := g.PartitionK(2, MethodFM, -1)
-		if fm.Cost > greedy.Cost {
-			t.Fatalf("seed %d: heap-mode FM cost %d worse than greedy %d", seed, fm.Cost, greedy.Cost)
-		}
-		if fm.Cost == greedy.Cost && !samePartition(fm, greedy) {
-			t.Fatalf("seed %d: heap-mode FM tied greedy but bank image differs", seed)
 		}
 	}
 }

@@ -132,6 +132,15 @@ func (bld *Builder) histOf(s *ir.Symbol) *[]memEvent {
 	return &bld.hist[id]
 }
 
+// Release drops the Builder's references to the last block built,
+// keeping its storage, so a long-lived Builder does not keep that
+// block's program reachable. The Graph Build returned is invalid
+// afterwards.
+func (bld *Builder) Release() {
+	bld.g.Ops = nil
+	clear(bld.symID)
+}
+
 // Build constructs the dependence graph for block b. The returned
 // Graph aliases the Builder's reusable storage.
 func (bld *Builder) Build(b *ir.Block) *Graph {

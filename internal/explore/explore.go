@@ -566,12 +566,8 @@ func (e *engine) fromStore(p bench.Program, c Config) (Eval, bool) {
 	}
 	ev := Eval{
 		Config: c, Key: c.Key(),
-		Cycles: rec.Cycles,
-		Mem: cost.Memory{
-			XData: rec.MemXData, YData: rec.MemYData,
-			Extra: rec.MemExtra, NBanks: rec.MemNBanks,
-			Stack: rec.MemStack, Instr: rec.MemInstr,
-		},
+		Cycles:     rec.Cycles,
+		Mem:        rec.Mem(),
 		DupStores:  rec.DupStores,
 		Duplicated: rec.Duplicated,
 		Err:        rec.Err,
@@ -607,11 +603,9 @@ func (e *engine) record(ctx context.Context, p bench.Program, c Config, res benc
 	if e.opts.Store != nil {
 		rec := store.Record{
 			Bench: p.Name, Config: ev.Key, Cycles: ev.Cycles,
-			MemXData: ev.Mem.XData, MemYData: ev.Mem.YData,
-			MemExtra: ev.Mem.Extra, MemNBanks: ev.Mem.NBanks,
-			MemStack: ev.Mem.Stack, MemInstr: ev.Mem.Instr,
 			DupStores: ev.DupStores, Duplicated: ev.Duplicated, Err: ev.Err,
 		}
+		rec.SetMem(ev.Mem)
 		if err := e.opts.Store.Put(store.Key(p.Name, ev.Key, bench.FingerprintSpec(c.Mode(), c.Spec())), rec); err != nil {
 			return Eval{}, err
 		}

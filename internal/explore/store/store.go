@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"dualbank/internal/cost"
 	"dualbank/internal/faultinject"
 )
 
@@ -54,6 +55,22 @@ type Record struct {
 	Duplicated []string `json:"duplicated,omitempty"`
 
 	Err string `json:"err,omitempty"`
+}
+
+// Mem returns the memory footprint the record holds.
+func (r *Record) Mem() cost.Memory {
+	return cost.Memory{
+		XData: r.MemXData, YData: r.MemYData,
+		Extra: r.MemExtra, NBanks: r.MemNBanks,
+		Stack: r.MemStack, Instr: r.MemInstr,
+	}
+}
+
+// SetMem records every term of the memory footprint m.
+func (r *Record) SetMem(m cost.Memory) {
+	r.MemXData, r.MemYData = m.XData, m.YData
+	r.MemExtra, r.MemNBanks = m.Extra, m.NBanks
+	r.MemStack, r.MemInstr = m.Stack, m.Instr
 }
 
 // Store is a directory of checkpointed evaluations with an in-memory

@@ -35,11 +35,13 @@ type Options struct {
 // them.
 func Run(p *ir.Program, o Options) { new(Tables).Run(p, o) }
 
-// Run is the package-level Run on t's reusable tables.
+// Run is the package-level Run on t's reusable tables. It leaves them
+// holding no IR, so warm tables do not keep p reachable.
 func (t *Tables) Run(p *ir.Program, o Options) {
 	for _, f := range p.Funcs {
 		t.run(f, o)
 	}
+	t.release()
 }
 
 func (t *Tables) run(f *ir.Func, o Options) {

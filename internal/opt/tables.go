@@ -13,8 +13,8 @@ import "dualbank/internal/ir"
 // program left behind. Sets empty by epoch (marks), so nothing is
 // cleared between blocks, functions or programs; count arrays are
 // cleared by the pass that fills them. No IR the passes write points
-// into the tables. The zero value is ready to use; a Tables is not safe
-// for concurrent use.
+// into the tables, and Run leaves them pointing at no IR. The zero
+// value is ready to use; a Tables is not safe for concurrent use.
 type Tables struct {
 	buf    []ir.Reg    // Op.Uses scratch
 	ops    []*ir.Op    // op list scratch
@@ -53,6 +53,18 @@ type Tables struct {
 	pooled map[constKey]ir.Reg
 	repl   marks
 	replTo []ir.Reg
+}
+
+// release clears every slice of the tables that holds IR pointers,
+// over its whole capacity, keeping the capacity.
+func (t *Tables) release() {
+	clear(t.ops[:cap(t.ops)])
+	clear(t.blocks[:cap(t.blocks)])
+	clear(t.avail[:cap(t.avail)])
+	clear(t.defs[:cap(t.defs)])
+	clear(t.loop.members[:cap(t.loop.members)])
+	clear(t.dom.order[:cap(t.dom.order)])
+	clear(t.dom.stack[:cap(t.dom.stack)])
 }
 
 // fit returns s with length at least n, keeping its contents; new

@@ -33,3 +33,17 @@ func TestWarmTablesAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestTablesHoldNoIRAfterRun: Run leaves its tables pointing at no IR,
+// so warm tables, which a compiler keeps across programs, do not keep
+// the last program reachable. One set of tables optimizes each suite
+// program in turn.
+func TestTablesHoldNoIRAfterRun(t *testing.T) {
+	tb := new(opt.Tables)
+	for _, p := range append(bench.Kernels(), bench.Applications()...) {
+		tb.Run(build(t, p.Source), opt.Options{})
+		if n := tb.HeldIR(); n != 0 {
+			t.Errorf("%s: the tables hold %d IR pointers after Run, want 0", p.Name, n)
+		}
+	}
+}

@@ -26,3 +26,20 @@ func (a *Allocator) BuildInterference(f *ir.Func) { a.buildInterference(f) }
 // WideFunc returns a function named name that keeps n integer scalars
 // live across a loop.
 func WideFunc(name string, n int) string { return wideFunc(name, n) }
+
+// HeldIR counts the IR pointers a's scratch holds, over each slice's
+// whole capacity.
+func (a *Allocator) HeldIR() int {
+	n := 0
+	for _, op := range a.ops[:cap(a.ops)] {
+		if op != nil {
+			n++
+		}
+	}
+	for _, s := range a.slot[:cap(a.slot)] {
+		if s != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -44,8 +44,10 @@ type Stats struct {
 // rewrites it to physical form.
 func Run(p *ir.Program) (map[string]Stats, error) { return new(Allocator).Run(p) }
 
-// Run is the package-level Run on a's reusable scratch.
+// Run is the package-level Run on a's reusable scratch. It leaves the
+// scratch holding no IR, so a warm Allocator does not keep p reachable.
 func (a *Allocator) Run(p *ir.Program) (map[string]Stats, error) {
+	defer a.release()
 	stats := make(map[string]Stats, len(p.Funcs))
 	for _, f := range p.Funcs {
 		st, err := a.allocFunc(f)
@@ -117,6 +119,13 @@ func (a *Allocator) allocFunc(f *ir.Func) (Stats, error) {
 	}
 	a.rewrite(f, colors, &st)
 	return st, nil
+}
+
+// release clears every slice of the scratch that holds IR pointers,
+// over its whole capacity, keeping the capacity.
+func (a *Allocator) release() {
+	clear(a.ops[:cap(a.ops)])
+	clear(a.slot[:cap(a.slot)])
 }
 
 // fit returns s with length at least n, keeping its contents; new

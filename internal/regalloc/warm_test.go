@@ -36,3 +36,19 @@ func TestWarmAllocatorInterferenceAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocatorHoldsNoIRAfterRun: Run leaves its scratch pointing at no
+// IR, so a warm allocator, which a compiler keeps across programs, does
+// not keep the last program reachable. One allocator allocates each
+// suite program in turn.
+func TestAllocatorHoldsNoIRAfterRun(t *testing.T) {
+	a := new(regalloc.Allocator)
+	for _, p := range append(bench.Kernels(), bench.Applications()...) {
+		if _, err := a.Run(build(t, p.Source)); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if n := a.HeldIR(); n != 0 {
+			t.Errorf("%s: the allocator holds %d IR pointers after Run, want 0", p.Name, n)
+		}
+	}
+}
